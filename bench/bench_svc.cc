@@ -417,7 +417,6 @@ int main(int argc, char** argv) {
   // enough connections to keep every reactor's accept shard busy.
   struct ScalePoint {
     std::size_t reactors = 0;
-    bool reuseport = false;
     double rps = 0.0;
     double p99_us = 0.0;
   };
@@ -454,7 +453,6 @@ int main(int argc, char** argv) {
                     scale_rounds, /*flags=*/0, policy);
       ScalePoint point;
       point.reactors = n;
-      point.reuseport = sc_server.reuseport_active();
       point.rps = r.requests_per_sec();
       point.p99_us = stats::quantile(r.latencies_us, 0.99);
       sc_server.request_drain();
@@ -499,7 +497,6 @@ int main(int argc, char** argv) {
   if (scaling_ran && scaling.size() == 2) {
     w.key("reactor_scaling").begin_object();
     w.key("reactors").value(static_cast<std::uint64_t>(scaling[1].reactors));
-    w.key("reuseport").value(scaling[1].reuseport);
     w.key("rps_1").value(scaling[0].rps);
     w.key("p99_us_1").value(scaling[0].p99_us);
     w.key("rps_n").value(scaling[1].rps);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <tuple>
@@ -438,6 +439,139 @@ std::uint32_t block_crc(const unsigned char* header,
   return crc32c(crc, payload, payload_bytes);
 }
 
+/// What read_block() found at an offset.
+enum class BlockStatus : std::uint8_t {
+  kBlock,        ///< plausible header, payload in bounds (see crc_ok)
+  kFooter,       ///< footer magic: the block region ends here
+  kTorn,         ///< the image ends inside the magic, header or payload
+  kBadMagic,     ///< neither block nor footer magic
+  kImplausible,  ///< block magic, but the fixed fields are out of range
+};
+
+/// The block at one offset of an image, or why there is none.
+struct BlockView {
+  BlockStatus status = BlockStatus::kTorn;
+  std::size_t offset = 0;
+  BlockKind kind = BlockKind::kPing;
+  std::uint16_t record_count = 0;
+  const unsigned char* payload = nullptr;
+  std::size_t payload_bytes = 0;
+  bool crc_ok = false;
+
+  std::size_t end() const noexcept {
+    return offset + kBinBlockHeaderBytes + payload_bytes;
+  }
+};
+
+/// Parses, bounds-checks against `end`, CRC-checks and classifies the
+/// block whose header starts at `pos`. The only reader of block headers.
+BlockView read_block(const unsigned char* data, std::size_t end,
+                     std::size_t pos) {
+  BlockView b;
+  b.offset = pos;
+  if (pos + 4 > end) return b;
+  const std::uint32_t magic = get_u32le(data + pos);
+  if (magic == kBinFooterMagic) {
+    b.status = BlockStatus::kFooter;
+    return b;
+  }
+  if (magic != kBinBlockMagic) {
+    b.status = BlockStatus::kBadMagic;
+    return b;
+  }
+  if (pos + kBinBlockHeaderBytes > end) return b;
+  const BlockHeader h = parse_block_header(data + pos);
+  if (!h.valid) {
+    b.status = BlockStatus::kImplausible;
+    return b;
+  }
+  if (pos + kBinBlockHeaderBytes + h.payload_bytes > end) return b;
+  b.status = BlockStatus::kBlock;
+  b.kind = h.kind;
+  b.record_count = h.record_count;
+  b.payload = data + pos + kBinBlockHeaderBytes;
+  b.payload_bytes = h.payload_bytes;
+  b.crc_ok = block_crc(data + pos, b.payload, b.payload_bytes) == h.crc;
+  return b;
+}
+
+/// First offset in [pos, end) holding a block or footer magic; `end`
+/// when there is none.
+std::size_t next_magic(const unsigned char* data, std::size_t pos,
+                       std::size_t end) {
+  for (; pos + 4 <= end; ++pos) {
+    const std::uint32_t magic = get_u32le(data + pos);
+    if (magic == kBinBlockMagic || magic == kBinFooterMagic) return pos;
+  }
+  return end;
+}
+
+/// The one block walk. Visits what read_block() finds at each offset of
+/// [pos, end) in order: after a block it continues at the next header;
+/// a footer or a tear ends the walk; a bad magic or an implausible
+/// header ends it too unless `resync`, which skips to the next block or
+/// footer magic (one damaged block is one visit). `visit` returns false
+/// to stop early. Returns the offset the walk stopped at: the footer,
+/// the damage, the rejected block, or `end`.
+template <typename Visit>
+std::size_t walk_blocks(const unsigned char* data, std::size_t pos,
+                        std::size_t end, bool resync, Visit&& visit) {
+  while (pos < end) {
+    const BlockView b = read_block(data, end, pos);
+    if (!visit(b)) return pos;
+    switch (b.status) {
+      case BlockStatus::kBlock:
+        pos = b.end();
+        break;
+      case BlockStatus::kBadMagic:
+      case BlockStatus::kImplausible:
+        if (!resync) return pos;
+        pos = next_magic(data, pos + 1, end);
+        break;
+      case BlockStatus::kFooter:
+      case BlockStatus::kTorn:
+        return pos;
+    }
+  }
+  return pos;
+}
+
+/// Reader accounting for one visited block position: a CRC-valid,
+/// decodable block is read; anything else is one corrupt block.
+void consume(const BlockView& b, const TraceRecordFn& on_trace,
+             const PingRecordFn& on_ping, BinReadCounters& counters) {
+  const bool block = b.status == BlockStatus::kBlock;
+  if (block && !b.crc_ok) obs_crc_failures().inc();
+  if (block && b.crc_ok &&
+      decode_block(b.kind, b.record_count, b.payload, b.payload_bytes,
+                   on_trace, on_ping, counters)) {
+    ++counters.blocks_read;
+    obs_blocks_read().inc();
+  } else {
+    ++counters.corrupt_blocks;
+  }
+}
+
+/// The sequential read both reader arms share when there is no index:
+/// every block from the file header on, resyncing past damage. Returns
+/// true when the walk stopped at a footer magic.
+bool read_sequential(const unsigned char* data, std::size_t size,
+                     const TraceRecordFn& on_trace,
+                     const PingRecordFn& on_ping, BinReadCounters& counters) {
+  bool footer = false;
+  walk_blocks(data, kBinFileHeaderBytes, size, /*resync=*/true,
+              [&](const BlockView& b) {
+                if (b.status == BlockStatus::kFooter) {
+                  footer = true;
+                  return true;
+                }
+                if (b.status == BlockStatus::kTorn) counters.truncated = true;
+                consume(b, on_trace, on_ping, counters);
+                return true;
+              });
+  return footer;
+}
+
 bool parse_file_header(const unsigned char* data, std::size_t size,
                        std::uint16_t& version, std::string& error) {
   if (size < kBinFileHeaderBytes || get_u32le(data) != kBinFileMagic) {
@@ -477,6 +611,16 @@ bool block_time_span(std::size_t record_count, const unsigned char* payload,
     last = std::max(last, t);
   }
   return true;
+}
+
+/// The footer index entry for a walked block; false when its times
+/// column does not decode.
+bool index_entry(const BlockView& b, BlockIndexEntry& entry) {
+  entry.offset = b.offset;
+  entry.record_count = b.record_count;
+  entry.kind = b.kind;
+  return block_time_span(b.record_count, b.payload, b.payload_bytes,
+                         entry.first_time_s, entry.last_time_s);
 }
 
 /// The complete footer image (magic, entries, tail) for an index. Shared
@@ -519,64 +663,35 @@ std::optional<std::vector<BlockRef>> scan_blocks(const void* data,
   std::string error;
   if (!parse_file_header(bytes, size, version, error)) return std::nullopt;
   std::vector<BlockRef> out;
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos + 4 <= size) {
-    const std::uint32_t magic = get_u32le(bytes + pos);
-    if (magic != kBinBlockMagic) break;  // footer, garbage, or EOF
-    if (pos + kBinBlockHeaderBytes > size) break;
-    const auto header = parse_block_header(bytes + pos);
-    if (!header.valid ||
-        pos + kBinBlockHeaderBytes + header.payload_bytes > size) {
-      break;
-    }
-    BlockRef ref;
-    ref.header_offset = pos;
-    ref.payload_offset = pos + kBinBlockHeaderBytes;
-    ref.payload_bytes = header.payload_bytes;
-    ref.record_count = header.record_count;
-    ref.kind = header.kind;
-    out.push_back(ref);
-    pos = ref.payload_offset + ref.payload_bytes;
-  }
+  walk_blocks(bytes, kBinFileHeaderBytes, size, /*resync=*/false,
+              [&](const BlockView& b) {
+                if (b.status != BlockStatus::kBlock) return false;
+                out.push_back({b.offset, b.offset + kBinBlockHeaderBytes,
+                               b.payload_bytes, b.record_count, b.kind});
+                return true;
+              });
   return out;
 }
 
-std::optional<std::vector<BlockIndexEntry>> index_blocks(const void* data,
-                                                         std::size_t size) {
+std::optional<BlockIndex> index_blocks(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint16_t version = 0;
   std::string error;
   if (!parse_file_header(bytes, size, version, error)) return std::nullopt;
-  std::vector<BlockIndexEntry> out;
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos < size) {
-    if (pos + 4 <= size && get_u32le(bytes + pos) == kBinFooterMagic) {
-      return out;  // sealed archive: blocks end where the footer starts
-    }
-    if (pos + kBinBlockHeaderBytes > size ||
-        get_u32le(bytes + pos) != kBinBlockMagic) {
-      return std::nullopt;  // torn header or trailing garbage
-    }
-    const auto header = parse_block_header(bytes + pos);
-    const std::size_t payload_at = pos + kBinBlockHeaderBytes;
-    if (!header.valid || payload_at + header.payload_bytes > size) {
-      return std::nullopt;  // implausible header or torn payload
-    }
-    const unsigned char* payload = bytes + payload_at;
-    if (block_crc(bytes + pos, payload, header.payload_bytes) != header.crc) {
-      return std::nullopt;
-    }
-    BlockIndexEntry entry;
-    entry.offset = pos;
-    entry.record_count = header.record_count;
-    entry.kind = header.kind;
-    if (!block_time_span(header.record_count, payload, header.payload_bytes,
-                         entry.first_time_s, entry.last_time_s)) {
-      return std::nullopt;
-    }
-    out.push_back(entry);
-    pos = payload_at + header.payload_bytes;
-  }
+  BlockIndex out;
+  bool clean = true;
+  out.blocks_end = walk_blocks(
+      bytes, kBinFileHeaderBytes, size, /*resync=*/false,
+      [&](const BlockView& b) {
+        // A sealed archive's blocks end where the footer starts.
+        if (b.status == BlockStatus::kFooter) return true;
+        BlockIndexEntry entry;
+        clean = b.status == BlockStatus::kBlock && b.crc_ok &&
+                index_entry(b, entry);
+        if (clean) out.entries.push_back(entry);
+        return clean;
+      });
+  if (!clean) return std::nullopt;
   return out;
 }
 
@@ -585,34 +700,15 @@ void decode_block_range(const void* data, std::size_t size,
                         const TraceRecordFn& on_trace,
                         const PingRecordFn& on_ping,
                         BinReadCounters& counters) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  const std::size_t end = std::min(end_offset, size);
-  std::size_t pos = begin_offset;
-  while (pos < end) {
-    if (pos + 4 <= end && get_u32le(bytes + pos) == kBinFooterMagic) {
-      return;  // block region ends at the footer: a clean stop, not a tear
-    }
-    if (pos + kBinBlockHeaderBytes > end ||
-        get_u32le(bytes + pos) != kBinBlockMagic) {
-      counters.truncated = true;
-      return;
-    }
-    const auto header = parse_block_header(bytes + pos);
-    const std::size_t payload_at = pos + kBinBlockHeaderBytes;
-    if (!header.valid || payload_at + header.payload_bytes > end) {
-      counters.truncated = true;
-      return;
-    }
-    const unsigned char* payload = bytes + payload_at;
-    if (block_crc(bytes + pos, payload, header.payload_bytes) != header.crc ||
-        !decode_block(header.kind, header.record_count, payload,
-                      header.payload_bytes, on_trace, on_ping, counters)) {
-      ++counters.corrupt_blocks;
-    } else {
-      ++counters.blocks_read;
-    }
-    pos = payload_at + header.payload_bytes;
-  }
+  walk_blocks(static_cast<const unsigned char*>(data), begin_offset,
+              std::min(end_offset, size), /*resync=*/false,
+              [&](const BlockView& b) {
+                // The footer ends the block region: a clean stop.
+                if (b.status == BlockStatus::kFooter) return true;
+                if (b.status != BlockStatus::kBlock) counters.truncated = true;
+                consume(b, on_trace, on_ping, counters);
+                return true;
+              });
 }
 
 // ---------------------------------------------------------------------------
@@ -809,40 +905,26 @@ RecoverResult recover_archive(const std::string& path) {
 
   // Walk the longest valid prefix: structurally plausible header, payload
   // in bounds, CRC match, and a full decode (null sinks — this pass only
-  // proves decodability and recovers each block's encode-time span).
+  // proves decodability). The footer span is the writer's min/max over
+  // every record's time, including records a decoder would reject for a
+  // bad RTT, so index_entry() takes it from the times column.
   std::vector<BlockIndexEntry> index;
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos + kBinBlockHeaderBytes <= size &&
-         get_u32le(data + pos) == kBinBlockMagic) {
-    const auto bh = parse_block_header(data + pos);
-    if (!bh.valid ||
-        pos + kBinBlockHeaderBytes + bh.payload_bytes > size) {
-      break;
-    }
-    const unsigned char* payload = data + pos + kBinBlockHeaderBytes;
-    if (block_crc(data + pos, payload, bh.payload_bytes) != bh.crc) break;
-    BinReadCounters counters;
-    if (!decode_block(bh.kind, bh.record_count, payload, bh.payload_bytes,
-                      [](const probe::TracerouteRecord&) {},
-                      [](const probe::PingRecord&) {}, counters)) {
-      break;
-    }
-    BlockIndexEntry entry;
-    entry.offset = pos;
-    entry.record_count = bh.record_count;
-    entry.kind = bh.kind;
-    // The footer span is the writer's min/max over every record's time,
-    // including records a decoder would reject for a bad RTT — so take it
-    // from the times column (which all block kinds lead with), not from
-    // the delivered-record callbacks.
-    if (!block_time_span(bh.record_count, payload, bh.payload_bytes,
-                         entry.first_time_s, entry.last_time_s)) {
-      break;
-    }
-    index.push_back(entry);
-    res.records_kept += bh.record_count;
-    pos += kBinBlockHeaderBytes + bh.payload_bytes;
-  }
+  const std::size_t pos = walk_blocks(
+      data, kBinFileHeaderBytes, size, /*resync=*/false,
+      [&](const BlockView& b) {
+        BinReadCounters counters;
+        BlockIndexEntry entry;
+        if (b.status != BlockStatus::kBlock || !b.crc_ok ||
+            !decode_block(b.kind, b.record_count, b.payload, b.payload_bytes,
+                          [](const probe::TracerouteRecord&) {},
+                          [](const probe::PingRecord&) {}, counters) ||
+            !index_entry(b, entry)) {
+          return false;
+        }
+        index.push_back(entry);
+        res.records_kept += b.record_count;
+        return true;
+      });
   res.blocks_kept = index.size();
 
   // Already sealed and intact? Leave the file untouched.
@@ -875,85 +957,16 @@ RecoverResult recover_archive(const std::string& path) {
 // BinRecordReader (buffered istream arm)
 // ---------------------------------------------------------------------------
 
-BinRecordReader::BinRecordReader(std::istream& in) : in_(in) {
-  unsigned char header[kBinFileHeaderBytes];
-  in_.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    error_ = "truncated .s2sb header";
-    return;
-  }
-  ok_ = parse_file_header(header, sizeof(header), version_, error_);
+BinRecordReader::BinRecordReader(std::istream& in)
+    : image_(std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>()) {
+  ok_ = parse_file_header(bytes(), image_.size(), version_, error_);
 }
 
 void BinRecordReader::read_all_impl(const TraceRecordFn& on_trace,
                                     const PingRecordFn& on_ping) {
   if (!ok_) return;
-  std::string payload;
-  // Rolling 4-byte window for magic detection; refilled byte-by-byte
-  // only while resyncing after a corrupt header.
-  while (true) {
-    unsigned char header[kBinBlockHeaderBytes];
-    in_.read(reinterpret_cast<char*>(header), 4);
-    if (in_.gcount() == 0) return;  // clean EOF at a block boundary
-    if (in_.gcount() < 4) {
-      ++counters_.corrupt_blocks;  // trailing partial magic
-      counters_.truncated = true;
-      return;
-    }
-    std::uint32_t magic = get_u32le(header);
-    if (magic == kBinFooterMagic) return;  // index begins; records done
-    if (magic != kBinBlockMagic) {
-      // Resync: scan forward one byte at a time for the next block or
-      // footer magic. One resync event = one corrupt block.
-      ++counters_.corrupt_blocks;
-      int c;
-      while ((c = in_.get()) != std::char_traits<char>::eof()) {
-        magic = (magic >> 8) |
-                (static_cast<std::uint32_t>(static_cast<unsigned char>(c))
-                 << 24);
-        if (magic == kBinFooterMagic) return;
-        if (magic == kBinBlockMagic) break;
-      }
-      if (magic != kBinBlockMagic) return;  // EOF while resyncing
-      // Fall through with the magic consumed; rebuild header[0..3]
-      // (cosmetic — the CRC scope starts at byte 4).
-      header[0] = 'S'; header[1] = '2'; header[2] = 'B'; header[3] = 'K';
-    }
-    in_.read(reinterpret_cast<char*>(header) + 4,
-             kBinBlockHeaderBytes - 4);
-    if (in_.gcount() <
-        static_cast<std::streamsize>(kBinBlockHeaderBytes - 4)) {
-      ++counters_.corrupt_blocks;  // truncated mid-header
-      counters_.truncated = true;
-      return;
-    }
-    const auto bh = parse_block_header(header);
-    if (!bh.valid) {
-      // Implausible fixed fields: do not trust payload_bytes; resync.
-      ++counters_.corrupt_blocks;
-      continue;  // next loop iteration starts a fresh magic scan
-    }
-    payload.resize(bh.payload_bytes);
-    in_.read(payload.data(), static_cast<std::streamsize>(bh.payload_bytes));
-    if (in_.gcount() < static_cast<std::streamsize>(bh.payload_bytes)) {
-      ++counters_.corrupt_blocks;  // truncated mid-payload
-      counters_.truncated = true;
-      return;
-    }
-    const auto* pbytes = reinterpret_cast<const unsigned char*>(payload.data());
-    if (block_crc(header, pbytes, payload.size()) != bh.crc) {
-      ++counters_.corrupt_blocks;
-      obs_crc_failures().inc();
-      continue;
-    }
-    if (!decode_block(bh.kind, bh.record_count, pbytes, payload.size(),
-                      on_trace, on_ping, counters_)) {
-      ++counters_.corrupt_blocks;
-      continue;
-    }
-    ++counters_.blocks_read;
-    obs_blocks_read().inc();
-  }
+  read_sequential(bytes(), image_.size(), on_trace, on_ping, counters_);
 }
 
 // ---------------------------------------------------------------------------
@@ -1022,30 +1035,7 @@ void BinRecordMmapReader::init(const void* data, std::size_t size) {
 void BinRecordMmapReader::decode_at(std::size_t offset,
                                     const TraceRecordFn& on_trace,
                                     const PingRecordFn& on_ping) {
-  const unsigned char* h = data_ + offset;
-  if (get_u32le(h) != kBinBlockMagic) {
-    ++counters_.corrupt_blocks;
-    return;
-  }
-  const auto bh = parse_block_header(h);
-  if (!bh.valid ||
-      offset + kBinBlockHeaderBytes + bh.payload_bytes > size_) {
-    ++counters_.corrupt_blocks;
-    return;
-  }
-  const unsigned char* payload = h + kBinBlockHeaderBytes;
-  if (block_crc(h, payload, bh.payload_bytes) != bh.crc) {
-    ++counters_.corrupt_blocks;
-    obs_crc_failures().inc();
-    return;
-  }
-  if (!decode_block(bh.kind, bh.record_count, payload, bh.payload_bytes,
-                    on_trace, on_ping, counters_)) {
-    ++counters_.corrupt_blocks;
-    return;
-  }
-  ++counters_.blocks_read;
-  obs_blocks_read().inc();
+  consume(read_block(data_, size_, offset), on_trace, on_ping, counters_);
 }
 
 void BinRecordMmapReader::read_all_impl(const TraceRecordFn& on_trace,
@@ -1057,54 +1047,13 @@ void BinRecordMmapReader::read_all_impl(const TraceRecordFn& on_trace,
     }
     return;
   }
-  // Sequential walk with resync, mirroring the stream arm exactly.
-  std::size_t pos = kBinFileHeaderBytes;
-  while (pos < size_) {
-    if (pos + 4 > size_) {
-      ++counters_.corrupt_blocks;  // trailing partial magic
-      counters_.truncated = true;
-      return;
-    }
-    const std::uint32_t magic = get_u32le(data_ + pos);
-    if (magic == kBinFooterMagic) {
-      // A footer begins here, yet init() could not validate one (that is
-      // why we are walking): the footer was torn off or mangled. Without
-      // this, truncating a file mid-footer would look like a clean
-      // footerless archive.
-      if (footer_status_ == FooterStatus::kAbsent) {
-        footer_status_ = FooterStatus::kInvalid;
-      }
-      return;
-    }
-    if (magic != kBinBlockMagic) {
-      ++counters_.corrupt_blocks;
-      ++pos;
-      while (pos + 4 <= size_) {
-        const std::uint32_t m = get_u32le(data_ + pos);
-        if (m == kBinBlockMagic || m == kBinFooterMagic) break;
-        ++pos;
-      }
-      if (pos + 4 > size_) return;  // EOF while resyncing
-      continue;
-    }
-    if (pos + kBinBlockHeaderBytes > size_) {
-      ++counters_.corrupt_blocks;  // truncated mid-header
-      counters_.truncated = true;
-      return;
-    }
-    const auto bh = parse_block_header(data_ + pos);
-    if (!bh.valid) {
-      ++counters_.corrupt_blocks;
-      pos += 4;  // keep scanning past the bad header
-      continue;
-    }
-    if (pos + kBinBlockHeaderBytes + bh.payload_bytes > size_) {
-      ++counters_.corrupt_blocks;  // truncated mid-payload
-      counters_.truncated = true;
-      return;
-    }
-    decode_at(pos, on_trace, on_ping);
-    pos += kBinBlockHeaderBytes + bh.payload_bytes;
+  // A footer magic ends the walk, yet init() could not validate a footer
+  // (that is why we are walking): it was torn off or mangled. Without
+  // this, truncating a file mid-footer would look like a clean
+  // footerless archive.
+  if (read_sequential(data_, size_, on_trace, on_ping, counters_) &&
+      footer_status_ == FooterStatus::kAbsent) {
+    footer_status_ = FooterStatus::kInvalid;
   }
 }
 
@@ -1194,8 +1143,7 @@ IngestResult read_records_auto(std::istream& in,
 
 IngestResult ingest_record_file(const std::string& path,
                                 const TraceRecordFn& on_trace,
-                                const PingRecordFn& on_ping,
-                                bool prefer_mmap) {
+                                const PingRecordFn& on_ping) {
   IngestResult result;
   std::size_t delivered = 0;
   const auto count_trace = [&](const probe::TracerouteRecord& r) {
@@ -1206,7 +1154,7 @@ IngestResult ingest_record_file(const std::string& path,
     ++delivered;
     on_ping(r);
   };
-  if (prefer_mmap && is_binary_record_file(path)) {
+  if (is_binary_record_file(path)) {
     result.binary = true;
     result.used_mmap = true;
     BinRecordMmapReader reader(path);

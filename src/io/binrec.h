@@ -27,10 +27,13 @@
 //
 // The per-block CRC32C covers the header fields after the magic plus the
 // payload, so every damaged block is detected and skipped exactly; the
-// footer index gives O(1) seek to the block covering any epoch. Two
-// reader arms — buffered std::istream and mmap zero-copy — funnel into
-// the same Record callbacks as the text RecordReader, so text and binary
-// archives are drop-in interchangeable at every call site.
+// footer index gives O(1) seek to the block covering any epoch. Every
+// walk over the blocks (readers, indexer, repair, corruptor scan) goes
+// through one block parser and one loop in binrec.cc; callers differ only
+// in what they do on damage. Two reader arms — std::istream and mmap
+// zero-copy — funnel into the same Record callbacks as the text
+// RecordReader, so text and binary archives are drop-in interchangeable
+// at every call site.
 #pragma once
 
 #include <cstdint>
@@ -261,21 +264,30 @@ struct BinReadCounters {
   bool truncated = false;
 };
 
+/// The blocks of an image as a footer would index them.
+struct BlockIndex {
+  std::vector<BlockIndexEntry> entries;
+  /// Where the block region ends: the footer's offset in a sealed
+  /// image, else the image size.
+  std::size_t blocks_end = kBinFileHeaderBytes;
+};
+
 /// CRC-verifying block indexer for a footerless image (an open shard's
 /// sealed prefix): walks the blocks, checks every CRC, and returns the
 /// exact index a footer would carry — the entries BinWriterConfig's
-/// `resume_index` wants. nullopt when the file header is bad or any
-/// block in the range fails its CRC / is torn (an open-shard resume must
-/// not build on a damaged prefix; run recover_archive instead).
-std::optional<std::vector<BlockIndexEntry>> index_blocks(const void* data,
-                                                         std::size_t size);
+/// `resume_index` wants — and where the blocks end. nullopt when the
+/// file header is bad or any block in the range fails its CRC / is torn
+/// (an open-shard resume must not build on a damaged prefix; run
+/// recover_archive instead).
+std::optional<BlockIndex> index_blocks(const void* data, std::size_t size);
 
 /// Decodes only the blocks whose header starts in [begin_offset,
 /// end_offset) — the delta-pickup arm: a live dataset that already
 /// ingested the first W bytes re-decodes just the newly sealed tail.
 /// Offsets must be block boundaries (begin_offset may be
-/// kBinFileHeaderBytes for "from the first block"). Damaged blocks are
-/// counted and skipped exactly like read_all.
+/// kBinFileHeaderBytes for "from the first block"). A block that fails
+/// its CRC or decode is counted corrupt and skipped like read_all; a
+/// tear or an unframeable header ends the walk and sets `truncated`.
 void decode_block_range(const void* data, std::size_t size,
                         std::size_t begin_offset, std::size_t end_offset,
                         const TraceRecordFn& on_trace,
@@ -289,13 +301,12 @@ enum class FooterStatus : std::uint8_t {
   kInvalid = 2,  ///< footer present but damaged (CRC/structure mismatch)
 };
 
-/// Buffered std::istream arm. Reads the file header eagerly (ok() /
-/// error() report version problems before any block is touched), then
-/// read_all() walks blocks with bounded memory: one payload buffer,
-/// reused. Damaged blocks are counted and skipped — a corrupted
-/// payload_bytes field triggers a byte-level resync scan to the next
-/// block magic, so one injected fault is detected as exactly one
-/// corrupt block.
+/// std::istream arm. Reads the rest of the stream into memory and checks
+/// the file header (ok() / error() report version problems before any
+/// block is touched); read_all() then walks the buffered image exactly
+/// like the mmap arm's footerless walk. Damaged blocks are counted and
+/// skipped — an unframeable header triggers a resync scan to the next
+/// block magic, so one damaged block is exactly one corrupt block.
 class BinRecordReader {
  public:
   explicit BinRecordReader(std::istream& in);
@@ -322,8 +333,11 @@ class BinRecordReader {
  private:
   void read_all_impl(const TraceRecordFn& on_trace,
                      const PingRecordFn& on_ping);
+  const unsigned char* bytes() const noexcept {
+    return reinterpret_cast<const unsigned char*>(image_.data());
+  }
 
-  std::istream& in_;
+  std::string image_;
   bool ok_ = false;
   std::uint16_t version_ = 0;
   std::string error_;
@@ -332,9 +346,8 @@ class BinRecordReader {
 
 /// mmap zero-copy arm. Uses the footer index when it validates (exact
 /// per-block offsets survive even header corruption); otherwise falls
-/// back to the same sequential walk as the stream arm, over the mapped
-/// bytes. Column segments are decoded in place — no line strings, no
-/// payload copies.
+/// back to the same sequential walk as the stream arm. Column segments
+/// are decoded in place — no line strings, no payload copies.
 class BinRecordMmapReader {
  public:
   explicit BinRecordMmapReader(const std::string& path);
@@ -444,12 +457,11 @@ struct IngestResult {
 IngestResult read_records_auto(std::istream& in, const TraceRecordFn& on_trace,
                                const PingRecordFn& on_ping);
 
-/// File variant: binary files take the mmap zero-copy arm (set
-/// `prefer_mmap = false` to force the buffered arm), text files stream.
+/// File variant: binary files take the mmap zero-copy arm, text files
+/// stream.
 IngestResult ingest_record_file(const std::string& path,
                                 const TraceRecordFn& on_trace,
-                                const PingRecordFn& on_ping,
-                                bool prefer_mmap = true);
+                                const PingRecordFn& on_ping);
 
 inline std::uint32_t encode_rtt_thousandths(double ms) {
   if (!(ms >= 0.0) || ms > probe::kMaxPlausibleRttMs) {

@@ -9,17 +9,6 @@
 
 namespace s2s::live {
 
-namespace {
-
-std::uint32_t get_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
 OpenShardWriter::OpenShardWriter(const std::string& path,
                                  const OpenShardConfig& config)
     : path_(path) {
@@ -60,8 +49,7 @@ std::unique_ptr<OpenShardWriter> OpenShardWriter::resume(
     return nullptr;
   }
 
-  std::vector<io::BlockIndexEntry> index;
-  std::size_t blocks_end = io::kBinFileHeaderBytes;
+  std::optional<io::BlockIndex> indexed;
   {
     io::MmapFile map;
     if (!map.open(path)) {
@@ -75,24 +63,17 @@ std::unique_ptr<OpenShardWriter> OpenShardWriter::resume(
     }
     // Re-verify every sealed block; resume must not build on damage the
     // sidecar cannot see (bit rot inside the sealed prefix).
-    auto indexed = io::index_blocks(
-        map.data(), static_cast<std::size_t>(wm.sealed_bytes));
+    indexed = io::index_blocks(map.data(),
+                               static_cast<std::size_t>(wm.sealed_bytes));
     if (!indexed) {
       error = path + ": sealed prefix fails CRC validation";
       return nullptr;
     }
-    index = std::move(*indexed);
-    if (!index.empty()) {
-      // The block region may end before sealed_bytes when finish()
-      // already appended a footer; strip it so appending continues the
-      // block stream.
-      const auto* bytes = static_cast<const unsigned char*>(map.data());
-      const auto& last = index.back();
-      blocks_end = static_cast<std::size_t>(last.offset) +
-                   io::kBinBlockHeaderBytes +
-                   get_u32le(bytes + last.offset + 8);
-    }
   }
+  // The block region may end before sealed_bytes when finish() already
+  // appended a footer; truncating to it strips the footer so appending
+  // continues the block stream.
+  const std::size_t blocks_end = indexed->blocks_end;
   if (::truncate(path.c_str(), static_cast<off_t>(blocks_end)) != 0) {
     error = path + ": truncate to sealed boundary failed";
     return nullptr;
@@ -106,11 +87,11 @@ std::unique_ptr<OpenShardWriter> OpenShardWriter::resume(
     return nullptr;
   }
   w->out_.seekp(static_cast<std::streamoff>(blocks_end));
-  for (const auto& e : index) w->base_records_ += e.record_count;
+  for (const auto& e : indexed->entries) w->base_records_ += e.record_count;
   io::BinWriterConfig wc;
   wc.block_records = config.block_records;
   wc.write_header = false;
-  wc.resume_index = std::move(index);
+  wc.resume_index = std::move(indexed->entries);
   wc.resume_offset = blocks_end;
   w->writer_ = std::make_unique<io::BinRecordWriter>(w->out_, wc);
   if (!w->open_fsync_fd()) {

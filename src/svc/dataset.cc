@@ -187,8 +187,7 @@ bool Dataset::load(std::string& error) {
         const std::int64_t e = net::grid_epoch(r.time, config_.ping_start_day,
                                                config_.ping_interval_s);
         if (e > max_ping_epoch) max_ping_epoch = e;
-      },
-      config_.prefer_mmap);
+      });
   if (!scan.ok) {
     error = "archive unreadable: " + scan.error;
     return false;
@@ -207,8 +206,7 @@ bool Dataset::load(std::string& error) {
   auto ingest = io::ingest_record_file(
       config_.archive_path,
       [&](const probe::TracerouteRecord& r) { timelines->add(r); },
-      [&](const probe::PingRecord& r) { pings->add(r); },
-      config_.prefer_mmap);
+      [&](const probe::PingRecord& r) { pings->add(r); });
   if (!ingest.ok) {
     error = "archive unreadable: " + ingest.error;
     return false;

@@ -72,8 +72,6 @@ struct DatasetConfig {
   /// Congestion verdicts require this fraction of the grid to be valid
   /// (scales the paper's ">= 600 of 672" to the archive's actual epochs).
   double detect_min_fraction = 0.6;
-
-  bool prefer_mmap = true;
 };
 
 class Dataset {

@@ -7,44 +7,24 @@
 
 namespace s2s::svc {
 
-namespace {
-
-std::size_t key_hash(const std::string& key) {
-  // FNV-1a 64; stable across platforms (std::hash<string> is not).
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return static_cast<std::size_t>(h);
-}
-
-}  // namespace
-
-ResultCache::ResultCache(const Config& config)
-    : shards_(std::max<std::size_t>(config.shards, 1)) {
-  shard_budget_ = std::max<std::size_t>(config.max_bytes / shards_.size(), 1);
+ResultCache::ResultCache(std::size_t max_bytes)
+    : max_bytes_(std::max<std::size_t>(max_bytes, 1)) {
   auto& reg = obs::MetricsRegistry::global();
   obs_hits_ = reg.counter("s2s.svc.cache_hits");
   obs_misses_ = reg.counter("s2s.svc.cache_misses");
   obs_evictions_ = reg.counter("s2s.svc.cache_evictions");
 }
 
-ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
-  return shards_[key_hash(key) % shards_.size()];
-}
-
 ResultCache::Value ResultCache::find(const std::string& key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++misses_;
     obs_misses_.inc();
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
   obs_hits_.inc();
   return it->second->second;
 }
@@ -58,52 +38,47 @@ bool ResultCache::lookup(const std::string& key, std::string& value_out) {
 
 void ResultCache::insert(const std::string& key, Value value) {
   if (!value) return;
-  Shard& shard = shard_for(key);
   const std::size_t cost = entry_bytes(key, value);
-  if (cost > shard_budget_) return;
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= entry_bytes(key, it->second->second);
-    shard.bytes += cost;
+  if (cost > max_bytes_) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
+    bytes_ -= entry_bytes(key, it->second->second);
+    bytes_ += cost;
     it->second->second = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    shard.lru.emplace_front(key, std::move(value));
-    shard.index.emplace(key, shard.lru.begin());
-    shard.bytes += cost;
-    ++shard.insertions;
+    lru_.emplace_front(key, std::move(value));
+    index_.emplace(key, lru_.begin());
+    bytes_ += cost;
+    ++insertions_;
   }
-  while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
-    const auto& victim = shard.lru.back();
-    shard.bytes -= entry_bytes(victim.first, victim.second);
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  while (bytes_ > max_bytes_ && !lru_.empty()) {
+    const auto& victim = lru_.back();
+    bytes_ -= entry_bytes(victim.first, victim.second);
+    index_.erase(victim.first);
+    lru_.pop_back();
+    ++evictions_;
     obs_evictions_.inc();
   }
 }
 
 void ResultCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  lru_.clear();
+  index_.clear();
+  bytes_ = 0;
 }
 
 ResultCache::Stats ResultCache::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   Stats out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.insertions += shard.insertions;
-    out.evictions += shard.evictions;
-    out.entries += shard.lru.size();
-    out.bytes += shard.bytes;
-  }
+  out.hits = hits_;
+  out.misses = misses_;
+  out.insertions = insertions_;
+  out.evictions = evictions_;
+  out.entries = lru_.size();
+  out.bytes = bytes_;
   return out;
 }
 

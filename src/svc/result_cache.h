@@ -1,4 +1,4 @@
-// Sharded LRU cache for serialized query responses.
+// LRU cache for serialized query responses.
 //
 // The daemon's queries are pure functions of (archive content, request
 // bytes) — the analyses are deterministic at any thread count (DESIGN.md
@@ -8,12 +8,11 @@
 // which invalidates every prior entry without an explicit flush (stale
 // keys simply stop matching and age out of the LRU).
 //
-// Sharded by key hash so concurrent callers (the bench drives the cache
-// directly from many threads; the server gives each reactor its own
-// instance, but stats() readers race the owning reactor) contend on
-// per-shard mutexes, not one global lock. The byte budget is split
-// evenly across shards; an entry larger than its shard's budget is
-// simply not cached.
+// One LRU under one byte budget. The server gives each reactor its own
+// instance, so the mutex is uncontended on the serving path; it exists
+// because stats() readers (kServerStats from another reactor, tools,
+// benches) race the owning reactor. An entry larger than the whole
+// budget is simply not cached.
 //
 // Values are shared-ownership strings: find() hands back the cached
 // std::shared_ptr<const std::string> itself, so the server's writev path
@@ -30,7 +29,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -38,13 +36,7 @@ namespace s2s::svc {
 
 class ResultCache {
  public:
-  struct Config {
-    std::size_t shards = 8;
-    std::size_t max_bytes = 64u << 20;
-  };
-
-  ResultCache() : ResultCache(Config{}) {}
-  explicit ResultCache(const Config& config);
+  explicit ResultCache(std::size_t max_bytes = 64u << 20);
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -55,11 +47,10 @@ class ResultCache {
   /// nullptr on a miss. Counts s2s.svc.cache_hits / cache_misses.
   Value find(const std::string& key);
 
-  /// Inserts or refreshes; evicts least-recently-used entries of the
-  /// key's shard until the shard is back under budget
-  /// (s2s.svc.cache_evictions). Values larger than a shard budget are
-  /// dropped rather than cycling the whole shard through the LRU.
-  /// Null values are ignored.
+  /// Inserts or refreshes; evicts least-recently-used entries until the
+  /// cache is back under budget (s2s.svc.cache_evictions). Values larger
+  /// than the budget are dropped rather than cycling the whole cache
+  /// through the LRU. Null values are ignored.
   void insert(const std::string& key, Value value);
 
   /// Copying convenience wrappers over find()/insert().
@@ -79,6 +70,7 @@ class ResultCache {
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;
   };
+  /// Safe concurrently with find()/insert().
   Stats stats() const;
 
   /// Builds the canonical cache key: archive digest + request type byte +
@@ -87,24 +79,18 @@ class ResultCache {
                               std::uint8_t type, std::string_view payload);
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    /// Front = most recently used.
-    std::list<std::pair<std::string, Value>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, Value>>::iterator>
-        index;
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0, misses = 0, insertions = 0, evictions = 0;
-  };
+  using Lru = std::list<std::pair<std::string, Value>>;
 
-  Shard& shard_for(const std::string& key);
   static std::size_t entry_bytes(const std::string& key, const Value& value) {
     return key.size() + (value ? value->size() : 0);
   }
 
-  std::size_t shard_budget_ = 0;
-  std::vector<Shard> shards_;
+  const std::size_t max_bytes_;
+  mutable std::mutex mutex_;
+  Lru lru_;  ///< front = most recently used
+  std::unordered_map<std::string, Lru::iterator> index_;
+  std::size_t bytes_ = 0;
+  std::uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, evictions_ = 0;
   obs::Counter obs_hits_;
   obs::Counter obs_misses_;
   obs::Counter obs_evictions_;

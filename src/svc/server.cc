@@ -4,15 +4,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -23,28 +19,9 @@
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace s2s::svc {
 
 namespace {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-// Sockets and pipes must not leak into children (SIGHUP handlers and
-// tools fork/exec helpers); kernel-atomic SOCK_CLOEXEC/accept4 where
-// available, fcntl on the fallback paths.
-bool set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC) == 0;
-}
 
 std::chrono::milliseconds ms(int v) { return std::chrono::milliseconds(v); }
 
@@ -52,102 +29,52 @@ std::chrono::milliseconds ms(int v) { return std::chrono::milliseconds(v); }
 /// costs less than the iovec array walk.
 constexpr int kMaxIovec = 64;
 
+epoll_event interest(int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  return ev;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Poller
 // ---------------------------------------------------------------------------
 
-Server::Poller::Poller(bool use_epoll) {
-#ifdef __linux__
-  if (use_epoll) {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd_ >= 0) {
-      epoll_ = true;
-      ok_ = true;
-      return;
-    }
-  }
-#else
-  (void)use_epoll;
-#endif
-  ok_ = true;  // poll() backend needs no setup
-}
+// Every fd the server creates is CLOEXEC (SIGHUP handlers and tools
+// fork/exec helpers): sockets via SOCK_CLOEXEC/accept4, pipes via pipe2,
+// the poller via EPOLL_CLOEXEC.
+Server::Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
 
 Server::Poller::~Poller() {
   if (epfd_ >= 0) ::close(epfd_);
 }
 
 void Server::Poller::add(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (epoll_) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-    return;
-  }
-#endif
-  interest_[fd] = static_cast<short>((want_read ? POLLIN : 0) |
-                                     (want_write ? POLLOUT : 0));
+  epoll_event ev = interest(fd, want_read, want_write);
+  ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
 }
 
 void Server::Poller::update(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (epoll_) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-    return;
-  }
-#endif
-  interest_[fd] = static_cast<short>((want_read ? POLLIN : 0) |
-                                     (want_write ? POLLOUT : 0));
+  epoll_event ev = interest(fd, want_read, want_write);
+  ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
 }
 
 void Server::Poller::remove(int fd) {
-#ifdef __linux__
-  if (epoll_) {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-    return;
-  }
-#endif
-  interest_.erase(fd);
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 void Server::Poller::wait(std::vector<Event>& out, int timeout_ms) {
   out.clear();
-#ifdef __linux__
-  if (epoll_) {
-    epoll_event evs[64];
-    const int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = evs[i].data.fd;
-      e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.error = (evs[i].events & EPOLLERR) != 0;
-      out.push_back(e);
-    }
-    return;
-  }
-#endif
-  std::vector<pollfd> fds;
-  fds.reserve(interest_.size());
-  for (const auto& [fd, events] : interest_) {
-    fds.push_back({fd, events, 0});
-  }
-  const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                       timeout_ms);
-  if (n <= 0) return;
-  for (const auto& p : fds) {
-    if (p.revents == 0) continue;
+  epoll_event evs[64];
+  const int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
+  for (int i = 0; i < n; ++i) {
     Event e;
-    e.fd = p.fd;
-    e.readable = (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-    e.writable = (p.revents & POLLOUT) != 0;
-    e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
+    e.fd = evs[i].data.fd;
+    e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
+    e.writable = (evs[i].events & EPOLLOUT) != 0;
+    e.error = (evs[i].events & EPOLLERR) != 0;
     out.push_back(e);
   }
 }
@@ -202,44 +129,25 @@ Server::Server(Dataset& dataset, exec::ThreadPool* pool,
   }
 }
 
-Server::~Server() {
-  for (const int wr : handoff_wr_) {
-    if (wr >= 0) ::close(wr);
-  }
-}
-
-int Server::open_listener(std::uint16_t port, bool reuseport,
-                          std::uint16_t& actual_port, std::string& error) {
+int Server::open_listener(std::uint16_t& port, bool reuseport,
+                          std::string& error) {
   // An address with a ':' is IPv6; "::" with V6ONLY off is the
   // dual-stack wildcard (v4 peers arrive as v4-mapped addresses).
   const bool v6 = config_.bind_address.find(':') != std::string::npos;
   const int family = v6 ? AF_INET6 : AF_INET;
-  int fd = -1;
-#ifdef SOCK_CLOEXEC
-  fd = ::socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0);
-#endif
-  if (fd < 0) {
-    fd = ::socket(family, SOCK_STREAM, 0);
-    if (fd >= 0) set_cloexec(fd);
-  }
+  const int fd =
+      ::socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     error = "socket: " + std::string(std::strerror(errno));
     return -1;
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-      error = "setsockopt(SO_REUSEPORT): " + std::string(std::strerror(errno));
-      ::close(fd);
-      return -1;
-    }
-#else
-    error = "SO_REUSEPORT not supported on this platform";
+  if (reuseport &&
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
+    error = "setsockopt(SO_REUSEPORT): " + std::string(std::strerror(errno));
     ::close(fd);
     return -1;
-#endif
   }
   sockaddr_storage ss{};
   socklen_t slen = 0;
@@ -281,15 +189,10 @@ int Server::open_listener(std::uint16_t port, bool reuseport,
   sockaddr_storage bound{};
   socklen_t blen = sizeof bound;
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) == 0) {
-    actual_port =
+    port =
         bound.ss_family == AF_INET6
             ? ntohs(reinterpret_cast<sockaddr_in6*>(&bound)->sin6_port)
             : ntohs(reinterpret_cast<sockaddr_in*>(&bound)->sin_port);
-  }
-  if (!set_nonblocking(fd)) {
-    error = "fcntl: " + std::string(std::strerror(errno));
-    ::close(fd);
-    return -1;
   }
   return fd;
 }
@@ -303,81 +206,30 @@ bool Server::start(std::string& error) {
     dataset_current_ = std::shared_ptr<const Dataset>(
         std::shared_ptr<const void>{}, &dataset_);
   }
+  // Accept sharding: with more than one reactor, every reactor gets its
+  // own SO_REUSEPORT listener on the same port (reactor 0's resolves an
+  // ephemeral port for the rest). A 1-reactor server keeps an exclusive
+  // listener, so a second server cannot silently share its port.
+  const bool reuseport = n > 1;
+  std::uint16_t port = config_.port;
   reactors_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>(*this, i));
-    if (!reactors_.back()->poller_->ok()) {
-      error = "poller setup failed";
+    Reactor& r = *reactors_.back();
+    if (!r.poller_.ok()) {
+      error = "epoll_create1: " + std::string(std::strerror(errno));
       return false;
     }
-  }
-  for (const auto& r : reactors_) {
-    if (::pipe(r->wake_pipe_) != 0) {
+    if (::pipe2(r.wake_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) {
       error = "pipe: " + std::string(std::strerror(errno));
       return false;
     }
-    set_nonblocking(r->wake_pipe_[0]);
-    set_nonblocking(r->wake_pipe_[1]);
-    set_cloexec(r->wake_pipe_[0]);
-    set_cloexec(r->wake_pipe_[1]);
-    r->poller_->add(r->wake_pipe_[0], true, false);
+    r.poller_.add(r.wake_pipe_[0], true, false);
+    r.listen_fd_ = open_listener(port, reuseport, error);
+    if (r.listen_fd_ < 0) return false;
+    r.poller_.add(r.listen_fd_, true, false);
   }
-
-  // Accept sharding: one SO_REUSEPORT listener per reactor when the
-  // platform and config allow; any failure falls back to the single
-  // acceptor + fd handoff scheme rather than failing startup.
-  if (config_.use_reuseport && n > 1) {
-    std::uint16_t port = config_.port;
-    bool all_ok = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint16_t actual = 0;
-      std::string lerr;
-      const int fd = open_listener(port, /*reuseport=*/true, actual, lerr);
-      if (fd < 0) {
-        all_ok = false;
-        break;
-      }
-      reactors_[i]->listen_fd_ = fd;
-      if (i == 0) port = actual;  // later listeners join the same port
-    }
-    if (all_ok) {
-      reuseport_ = true;
-      port_ = port;
-    } else {
-      for (const auto& r : reactors_) {
-        if (r->listen_fd_ >= 0) {
-          ::close(r->listen_fd_);
-          r->listen_fd_ = -1;
-        }
-      }
-    }
-  }
-  if (!reuseport_) {
-    std::uint16_t actual = 0;
-    const int fd = open_listener(config_.port, /*reuseport=*/false, actual,
-                                 error);
-    if (fd < 0) return false;
-    reactors_[0]->listen_fd_ = fd;
-    port_ = actual;
-    handoff_wr_.assign(n, -1);
-    for (std::size_t i = 1; i < n; ++i) {
-      int p[2];
-      if (::pipe(p) != 0) {
-        error = "pipe: " + std::string(std::strerror(errno));
-        return false;
-      }
-      set_nonblocking(p[0]);
-      set_nonblocking(p[1]);
-      set_cloexec(p[0]);
-      set_cloexec(p[1]);
-      reactors_[i]->handoff_rd_ = p[0];
-      handoff_wr_[i] = p[1];
-      reactors_[i]->poller_->add(p[0], true, false);
-    }
-  }
-  for (const auto& r : reactors_) {
-    if (r->listen_fd_ >= 0) r->poller_->add(r->listen_fd_, true, false);
-  }
+  port_ = port;
   if (dataset_.live()) {
     ensure_live_metrics();
     obs_live_watermark_.set(static_cast<double>(dataset_.watermark().epoch));
@@ -597,16 +449,11 @@ std::map<std::string, obs::SloStat> Server::slo_stats() const {
 Server::Reactor::Reactor(Server& server, std::size_t index)
     : srv_(server),
       index_(index),
-      cache_({server.config_.cache_shards,
-              std::max<std::size_t>(
-                  server.config_.cache_bytes / server.config_.reactors, 1)}) {
-  poller_ = std::make_unique<Poller>(server.config_.use_epoll);
-}
+      cache_(server.config_.cache_bytes / server.config_.reactors) {}
 
 Server::Reactor::~Reactor() {
   for (const auto& [fd, conn] : conns_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (handoff_rd_ >= 0) ::close(handoff_rd_);
   if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
   if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
 }
@@ -642,7 +489,7 @@ void Server::Reactor::run() {
         // reactor quiesce.
         if (!listener_paused_) {
           accept_ready();
-          if (!listener_paused_) poller_->remove(listen_fd_);
+          if (!listener_paused_) poller_.remove(listen_fd_);
         }
         listener_paused_ = true;  // and never re-armed during a drain
       }
@@ -671,7 +518,7 @@ void Server::Reactor::run() {
     const auto now = Clock::now();
     reap_timeouts(now);
     if (!draining) maybe_rearm_listener(now);
-    poller_->wait(events, draining ? 20 : next_timeout_ms(Clock::now()));
+    poller_.wait(events, draining ? 20 : next_timeout_ms(Clock::now()));
     drain_quiet = true;
     for (const auto& ev : events) {
       if (ev.fd == wake_pipe_[0]) {
@@ -681,10 +528,6 @@ void Server::Reactor::run() {
         continue;
       }
       drain_quiet = false;
-      if (handoff_rd_ >= 0 && ev.fd == handoff_rd_) {
-        drain_handoff();
-        continue;
-      }
       if (listen_fd_ >= 0 && ev.fd == listen_fd_) {
         if (!srv_.draining_.load(std::memory_order_relaxed)) accept_ready();
         continue;
@@ -703,31 +546,10 @@ void Server::Reactor::run() {
     }
   }
   // Local teardown: this reactor's connections die here; the listener
-  // is closed by serve() once every reactor has quiesced. Connections
-  // still parked in the handoff pipe have nobody left to serve them.
+  // is closed by serve() once every reactor has quiesced.
   fds.clear();
   for (const auto& [fd, conn] : conns_) fds.push_back(fd);
   for (const int fd : fds) close_conn(fd);
-  if (handoff_rd_ >= 0) {
-    char buf[64];
-    ssize_t n;
-    while ((n = ::read(handoff_rd_, buf, sizeof buf)) > 0) {
-      std::size_t i = 0;
-      while (i < static_cast<std::size_t>(n)) {
-        const std::size_t take = std::min(sizeof(int) - handoff_partial_len_,
-                                          static_cast<std::size_t>(n) - i);
-        std::memcpy(handoff_partial_ + handoff_partial_len_, buf + i, take);
-        handoff_partial_len_ += take;
-        i += take;
-        if (handoff_partial_len_ == sizeof(int)) {
-          int fd = -1;
-          std::memcpy(&fd, handoff_partial_, sizeof fd);
-          handoff_partial_len_ = 0;
-          if (fd >= 0) ::close(fd);
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -736,17 +558,8 @@ void Server::Reactor::run() {
 
 void Server::Reactor::accept_ready() {
   while (true) {
-    int fd = -1;
-#ifdef __linux__
-    fd = ::accept4(listen_fd_, nullptr, nullptr,
-                   SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-    fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd >= 0) {
-      set_nonblocking(fd);
-      set_cloexec(fd);
-    }
-#endif
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EMFILE || errno == ENFILE) {
@@ -758,88 +571,32 @@ void Server::Reactor::accept_ready() {
       }
       break;  // EAGAIN or transient accept failure
     }
-    if (srv_.total_conns_.load(std::memory_order_relaxed) >=
-        srv_.config_.max_connections) {
-      ::close(fd);
-      continue;
-    }
-    if (!srv_.reuseport_ && srv_.reactors_.size() > 1) {
-      // Fallback acceptor: round-robin the fd across all reactors
-      // (self included). A full pipe skips to the next target; if every
-      // pipe is full this reactor serves the connection itself.
-      const std::size_t n = srv_.reactors_.size();
-      bool handed = false;
-      for (std::size_t attempt = 0; attempt < n && !handed; ++attempt) {
-        const std::size_t target = srv_.next_handoff_++ % n;
-        if (target == index_) {
-          adopt_fd(fd);
-          handed = true;
-          break;
-        }
-        const int wr = srv_.handoff_wr_[target];
-        if (wr >= 0 &&
-            ::write(wr, &fd, sizeof fd) == static_cast<ssize_t>(sizeof fd)) {
-          handed = true;
-        }
-      }
-      if (!handed) adopt_fd(fd);
-      continue;
-    }
     adopt_fd(fd);
   }
 }
 
 void Server::Reactor::adopt_fd(int fd) {
-  if (fd < 0) return;
   if (srv_.total_conns_.load(std::memory_order_relaxed) >=
       srv_.config_.max_connections) {
     ::close(fd);
     return;
   }
-  set_nonblocking(fd);  // no-op on the accept4 path
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   Conn conn;
   conn.fd = fd;
   conn.read_deadline_base = conn.write_deadline_base = Clock::now();
   conns_.emplace(fd, std::move(conn));
-  poller_->add(fd, true, false);
+  poller_.add(fd, true, false);
   accepted_.fetch_add(1, std::memory_order_relaxed);
   srv_.obs_accepted_.inc();
   srv_.total_conns_.fetch_add(1, std::memory_order_relaxed);
   srv_.set_conns_gauge();
 }
 
-void Server::Reactor::drain_handoff() {
-  char buf[256];
-  while (true) {
-    const ssize_t n = ::read(handoff_rd_, buf, sizeof buf);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    // Writes of sizeof(int) <= PIPE_BUF are atomic, but reassemble
-    // defensively: a read() may land mid-int at the buffer boundary.
-    std::size_t i = 0;
-    while (i < static_cast<std::size_t>(n)) {
-      const std::size_t take = std::min(sizeof(int) - handoff_partial_len_,
-                                        static_cast<std::size_t>(n) - i);
-      std::memcpy(handoff_partial_ + handoff_partial_len_, buf + i, take);
-      handoff_partial_len_ += take;
-      i += take;
-      if (handoff_partial_len_ == sizeof(int)) {
-        int fd = -1;
-        std::memcpy(&fd, handoff_partial_, sizeof fd);
-        handoff_partial_len_ = 0;
-        adopt_fd(fd);
-      }
-    }
-  }
-}
-
 void Server::Reactor::pause_listener() {
   if (listen_fd_ < 0 || listener_paused_) return;
-  poller_->remove(listen_fd_);
+  poller_.remove(listen_fd_);
   listener_paused_ = true;
   accept_rearm_at_ =
       Clock::now() + ms(std::max(srv_.config_.accept_rearm_ms, 1));
@@ -851,7 +608,7 @@ void Server::Reactor::maybe_rearm_listener(Clock::time_point now) {
   // Level-triggered: if the backlog still has connections the next
   // wait() fires immediately; if fds are still exhausted the accept
   // fails again and the listener re-pauses for another interval.
-  poller_->add(listen_fd_, true, false);
+  poller_.add(listen_fd_, true, false);
   listener_paused_ = false;
 }
 
@@ -1107,8 +864,7 @@ void Server::Reactor::execute_one(int fd, const PendingItem& item) {
   // trace context get the span machinery (the cross-process trace is
   // the feature; five span commits per untraced request would tax every
   // caller for diagnostics nobody asked for).
-  const bool tracing =
-      srv_.config_.trace_requests && item.trace_id != 0 && collector.enabled();
+  const bool tracing = item.trace_id != 0 && collector.enabled();
   // The server-side half of the request's trace: a child of the
   // client's attempt span.
   std::optional<obs::TraceSpan> request_span;
@@ -1413,7 +1169,7 @@ void Server::Reactor::flush_out(Conn& conn) {
 void Server::Reactor::update_interest(Conn& conn) {
   const bool want_read = !conn.close_after_flush;
   const bool want_write = conn.out_bytes > 0;
-  poller_->update(conn.fd, want_read, want_write);
+  poller_.update(conn.fd, want_read, want_write);
 }
 
 void Server::Reactor::close_conn(int fd) {
@@ -1428,7 +1184,7 @@ void Server::Reactor::close_conn(int fd) {
     }
   }
   srv_.set_pending_cost_gauge();
-  poller_->remove(fd);
+  poller_.remove(fd);
   ::close(fd);
   conns_.erase(it);
   srv_.total_conns_.fetch_sub(1, std::memory_order_relaxed);
@@ -1516,7 +1272,7 @@ std::string Server::stats_payload(const Dataset& dataset) const {
   w.key("uptime_s").value(uptime_seconds());
   w.key("trace_context").value(true);
   w.key("reactors").value(static_cast<std::uint64_t>(reactors_.size()));
-  w.key("reuseport").value(reuseport_);
+  w.key("reuseport").value(reactors_.size() > 1);
   w.key("active_conns")
       .value(static_cast<std::uint64_t>(
           total_conns_.load(std::memory_order_relaxed)));

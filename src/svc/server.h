@@ -1,17 +1,13 @@
 // s2sd's non-blocking TCP serving tier: N reactor threads, each a
 // self-contained event loop multiplexing its own connections through
-// epoll (Linux) or poll (fallback; also runtime-selectable so tests
-// cover both backends). The shape follows the per-CPU sharding idiom of
-// kernel net drivers: shared-nothing on the hot path, batched syscalls
-// at the edges.
+// epoll. The shape follows the per-CPU sharding idiom of kernel net
+// drivers: shared-nothing on the hot path, batched syscalls at the
+// edges.
 //
-// Accept sharding (DESIGN.md section 14): with SO_REUSEPORT every
-// reactor owns its own listener bound to the same address, and the
-// kernel hashes incoming connections across them. Platforms without it
-// (or config.use_reuseport = false) fall back to a single acceptor on
-// reactor 0 that hands accepted fds round-robin to the other reactors
-// over per-reactor pipes (a 4-byte fd per handoff; pipes are in-process
-// so the fd number itself is the message).
+// Accept sharding (DESIGN.md section 14): with more than one reactor,
+// every reactor owns its own SO_REUSEPORT listener bound to the same
+// address, and the kernel hashes incoming connections across them. A
+// 1-reactor server keeps an exclusive listener.
 //
 // Per-connection state machine (DESIGN.md section 11):
 //
@@ -110,21 +106,14 @@ struct ServerConfig {
   int busy_retry_after_ms = 25;
   int read_timeout_ms = 5000;
   int write_timeout_ms = 5000;
-  /// False forces the poll() backend even on Linux.
-  bool use_epoll = true;
   /// Event-loop threads. Each runs its own poller, connections, and
   /// result cache; 1 reproduces the single-loop server exactly (the
   /// loop runs inline on the serve() caller, no threads spawned).
   std::size_t reactors = 1;
-  /// Prefer per-reactor SO_REUSEPORT listeners for accept sharding;
-  /// false (or a platform without the option) falls back to the
-  /// acceptor + fd-handoff scheme.
-  bool use_reuseport = true;
   /// How long a reactor keeps its listener unwatched after an
   /// EMFILE/ENFILE accept failure before re-arming.
   int accept_rearm_ms = 100;
   std::size_t cache_bytes = 64u << 20;  ///< split across reactors
-  std::size_t cache_shards = 8;         ///< per reactor-cache
 
   // -- Serving-path observability (DESIGN.md section 13) --
 
@@ -139,11 +128,6 @@ struct ServerConfig {
   /// Per-type latency SLO threshold (end-to-end, milliseconds); feeds
   /// the good/total counters surfaced by kMetricsDump and the report.
   double slo_ms = 50.0;
-  /// Honor client trace contexts: a request that arrived with the
-  /// kFlagTraceContext prefix gets a server-side span with phase
-  /// sub-spans (queue_wait / cache_lookup / exec / encode / write).
-  /// Untraced requests skip the span machinery entirely.
-  bool trace_requests = true;
 
   // -- Live ingest (DESIGN.md section 16) --
 
@@ -158,12 +142,11 @@ struct ServerConfig {
 class Server {
  public:
   Server(Dataset& dataset, exec::ThreadPool* pool, const ServerConfig& config);
-  ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds and listens (every reactor's listener in SO_REUSEPORT mode).
-  /// After success port() is the actual port.
+  /// Binds and listens (one SO_REUSEPORT listener per reactor when
+  /// there is more than one). After success port() is the actual port.
   bool start(std::string& error);
   std::uint16_t port() const noexcept { return port_; }
 
@@ -181,11 +164,8 @@ class Server {
   }
 
   std::size_t reactor_count() const noexcept { return reactors_.size(); }
-  /// True when accept sharding runs on per-reactor SO_REUSEPORT
-  /// listeners (false: single acceptor + fd handoff).
-  bool reuseport_active() const noexcept { return reuseport_; }
-  /// Per-reactor accepted-connection counts (handoff distribution and
-  /// reuseport spread are test-observable through this).
+  /// Per-reactor accepted-connection counts (the reuseport spread is
+  /// test-observable through this).
   std::vector<std::uint64_t> reactor_accepted() const;
 
   /// Aggregates across all reactors. Safe concurrently with serving.
@@ -258,7 +238,7 @@ class Server {
     bool close_after_flush = false;
   };
 
-  /// Minimal readiness-poller over epoll or poll, level-triggered.
+  /// Minimal level-triggered readiness poller over epoll.
   class Poller {
    public:
     struct Event {
@@ -268,20 +248,18 @@ class Server {
       bool error = false;
     };
 
-    explicit Poller(bool use_epoll);
+    Poller();
     ~Poller();
-    bool ok() const noexcept { return ok_; }
+    Poller(const Poller&) = delete;
+    Poller& operator=(const Poller&) = delete;
+    bool ok() const noexcept { return epfd_ >= 0; }
     void add(int fd, bool want_read, bool want_write);
     void update(int fd, bool want_read, bool want_write);
     void remove(int fd);
     void wait(std::vector<Event>& out, int timeout_ms);
 
    private:
-    bool epoll_ = false;
-    bool ok_ = false;
     int epfd_ = -1;
-    /// poll backend: fd -> requested events.
-    std::unordered_map<int, short> interest_;
   };
 
   /// One event-loop shard: poller, connections, admission gates, and a
@@ -302,10 +280,9 @@ class Server {
 
     Server& srv_;
     const std::size_t index_;
-    int listen_fd_ = -1;    ///< own listener, or -1 (handoff receivers)
-    int handoff_rd_ = -1;   ///< read end of the acceptor's fd pipe
+    int listen_fd_ = -1;
     int wake_pipe_[2] = {-1, -1};
-    std::unique_ptr<Poller> poller_;
+    Poller poller_;
     std::unordered_map<int, Conn> conns_;
     ResultCache cache_;
 
@@ -330,7 +307,6 @@ class Server {
    private:
     void accept_ready();
     void adopt_fd(int fd);
-    void drain_handoff();
     void handle_readable(Conn& conn);
     void parse_frames(Conn& conn);
     void admit_request(Conn& conn, MsgType type, std::uint8_t flags,
@@ -361,17 +337,13 @@ class Server {
                         std::int64_t exec_us, std::int64_t encode_us,
                         std::int64_t write_us, const char* cache_status,
                         MsgType response_type, std::string_view response_payload);
-
-    /// Handoff pipe reassembly: a read() that lands mid-int is buffered.
-    char handoff_partial_[sizeof(int)] = {0};
-    std::size_t handoff_partial_len_ = 0;
   };
 
-  /// Opens one listener on bind_address:port. `reuseport` requests
-  /// SO_REUSEPORT before bind; `actual_port` is filled from getsockname
-  /// (resolves port 0). Returns -1 with `error` set on failure.
-  int open_listener(std::uint16_t port, bool reuseport,
-                    std::uint16_t& actual_port, std::string& error);
+  /// Opens one non-blocking listener on bind_address:port. `reuseport`
+  /// requests SO_REUSEPORT before bind; `port` is updated from
+  /// getsockname (resolves port 0). Returns -1 with `error` set on
+  /// failure.
+  int open_listener(std::uint16_t& port, bool reuseport, std::string& error);
 
   /// RCU-style dataset snapshot: acquired once per request, published
   /// by do_reload(). The initial snapshot aliases the caller-owned
@@ -404,9 +376,6 @@ class Server {
   std::mutex pool_mutex_;
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::vector<int> handoff_wr_;  ///< per-reactor write ends (fallback mode)
-  std::size_t next_handoff_ = 0;
-  bool reuseport_ = false;
   std::uint16_t port_ = 0;
   std::atomic<bool> draining_{false};
   std::atomic<bool> reload_pending_{false};

@@ -164,6 +164,34 @@ INSTANTIATE_TEST_SUITE_P(
       return name + (with_footer ? "_Footer" : "_Footerless");
     });
 
+TEST(BinRecCorruption, ImplausibleHeaderIsOneCorruptBlock) {
+  // A kind byte of 2 leaves the header unframeable (payload_bytes cannot
+  // be trusted): the sequential walks resync to the next block magic and
+  // must count that as one damaged block, not one for the header plus
+  // one for the resync that starts inside it.
+  constexpr std::size_t kEpochs = 4;
+  constexpr std::size_t kDamaged = 1;
+  for (const bool with_footer : {true, false}) {
+    const auto archive = make_ping_archive(61, kEpochs, 25, with_footer);
+    const auto blocks = io::scan_blocks(archive.image.data(),
+                                        archive.image.size());
+    ASSERT_TRUE(blocks);
+    ASSERT_EQ(blocks->size(), kEpochs);
+    std::string damaged = archive.image;
+    damaged[(*blocks)[kDamaged].header_offset + 4] = 2;
+
+    for (const bool use_mmap : {false, true}) {
+      const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
+      ASSERT_TRUE(got.ok);
+      EXPECT_EQ(got.counters.corrupt_blocks, 1u)
+          << "mmap=" << use_mmap << " footer=" << with_footer;
+      EXPECT_EQ(got.counters.blocks_read, kEpochs - 1);
+      EXPECT_FALSE(got.counters.truncated);
+      expect_surviving_epochs(archive, got, kDamaged);
+    }
+  }
+}
+
 // -- file-level classes ------------------------------------------------------
 
 TEST(BinRecCorruption, TruncationLosesTailExactly) {

@@ -1,12 +1,13 @@
 // Multi-reactor serving-tier tests (DESIGN.md section 14): responses
-// must be byte-identical at any reactor count and over either accept
-// sharding scheme (SO_REUSEPORT listeners or the acceptor + fd-handoff
-// fallback), a drain must quiesce every reactor before the listeners
-// close, a SIGHUP-style reload under concurrent load must never serve a
-// torn dataset, EMFILE accept failures must pause and re-arm the
-// listener instead of busy-spinning, the daemon must serve IPv6
-// loopback, and the zero-copy kArchiveSlice path must round-trip a
-// parseable `.s2sb` image whose record counts match the ingest.
+// must be byte-identical at any reactor count and on whichever reactor
+// the kernel's SO_REUSEPORT hash lands a connection, a 1-reactor
+// listener must stay exclusive, a drain must quiesce every reactor
+// before the listeners close, a SIGHUP-style reload under concurrent
+// load must never serve a torn dataset, EMFILE accept failures must
+// pause and re-arm the listener instead of busy-spinning, the daemon
+// must serve IPv6 loopback, and the zero-copy kArchiveSlice path must
+// round-trip a parseable `.s2sb` image whose record counts match the
+// ingest.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -152,8 +153,21 @@ std::vector<std::string> run_workload(
 }
 
 // ---------------------------------------------------------------------------
-// Byte identity across reactor counts and sharding schemes.
+// Byte identity across reactor counts; an exclusive 1-reactor listener.
 // ---------------------------------------------------------------------------
+
+/// The workload with a fresh connection per request: every request may
+/// land on a different reactor (and its cold cache).
+std::vector<std::string> run_workload_spread(
+    TestServer& ts,
+    const std::vector<std::pair<svc::MsgType, std::string>>& workload) {
+  std::vector<std::string> out;
+  for (const auto& [type, payload] : workload) {
+    svc::Client client = ts.connect();
+    out.push_back(must_call(client, type, 0, payload));
+  }
+  return out;
+}
 
 TEST(SvcReactor, ResponsesAreByteIdenticalAtAnyReactorCount) {
   const auto workload = identity_workload();
@@ -170,37 +184,27 @@ TEST(SvcReactor, ResponsesAreByteIdenticalAtAnyReactorCount) {
   EXPECT_EQ(wide.server().reactor_count(), 4u);
   EXPECT_EQ(run_workload(wide, workload), want);
 
-  svc::ServerConfig handoff;
-  handoff.reactors = 4;
-  handoff.use_reuseport = false;
-  TestServer fallback(shared, 2, handoff);
-  EXPECT_FALSE(fallback.server().reuseport_active());
-  EXPECT_EQ(run_workload(fallback, workload), want);
+  // A second 4-reactor tier, one connection per request: identity must
+  // not depend on which reactor the kernel picks.
+  TestServer spread(shared, 2, four);
+  EXPECT_EQ(run_workload_spread(spread, workload), want);
 }
 
-TEST(SvcReactor, HandoffFallbackDistributesAcceptsRoundRobin) {
+TEST(SvcReactor, SingleReactorListenerIsExclusive) {
+  // SO_REUSEPORT is set only when reactors > 1: a 1-reactor server owns
+  // its port, so a second one cannot start on it.
+  TestServer first(*world().dataset, 2, {});
+  ASSERT_NE(first.port(), 0);
+  exec::ThreadPool pool(1);
   svc::ServerConfig cfg;
-  cfg.reactors = 4;
-  cfg.use_reuseport = false;
-  TestServer ts(*world().dataset, 2, cfg);
-  ASSERT_EQ(ts.server().reactor_count(), 4u);
-  EXPECT_FALSE(ts.server().reuseport_active());
-
-  // Hold all 12 connections open; a completed ping proves the adopting
-  // reactor registered the fd (accepted_ is counted at adoption).
-  std::vector<svc::Client> clients;
-  for (int i = 0; i < 12; ++i) {
-    clients.push_back(ts.connect());
-    must_call(clients.back(), svc::MsgType::kPingEcho, 0, "");
-  }
-  const auto accepted = ts.server().reactor_accepted();
-  ASSERT_EQ(accepted.size(), 4u);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    EXPECT_EQ(accepted[i], 3u) << "reactor " << i;
-    total += accepted[i];
-  }
-  EXPECT_EQ(total, 12u);
+  cfg.port = first.port();
+  svc::Server second(*world().dataset, &pool, cfg);
+  std::string error;
+  EXPECT_FALSE(second.start(error));
+  EXPECT_NE(error.find("bind"), std::string::npos) << error;
+  // The first server still answers.
+  svc::Client client = first.connect();
+  must_call(client, svc::MsgType::kPingEcho, 0, "");
 }
 
 TEST(SvcReactor, ReuseportListenersServeEveryConnection) {

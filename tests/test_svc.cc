@@ -1,5 +1,5 @@
-// s2sd service-layer tests: protocol framing, the sharded LRU result
-// cache, and the server's acceptance contract (DESIGN.md section 11) —
+// s2sd service-layer tests: protocol framing, the LRU result cache, and
+// the server's acceptance contract (DESIGN.md section 11) —
 // byte-identical responses cold vs. cache-hit and at 1 vs. 8 pool
 // threads, protocol-error frames that leave the connection usable,
 // slow-loris reaping, busy backpressure, and graceful drain.
@@ -285,8 +285,8 @@ TEST(SvcCache, LruHitMissAndKey) {
 }
 
 TEST(SvcCache, EvictsLeastRecentlyUsed) {
-  // One shard, budget for about three 40-byte entries.
-  svc::ResultCache cache({1, 128});
+  // Budget for about three 40-byte entries.
+  svc::ResultCache cache(128);
   const std::string big(30, 'v');
   std::string value;
   for (int i = 0; i < 3; ++i) {
@@ -301,7 +301,7 @@ TEST(SvcCache, EvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.lookup(svc::ResultCache::make_key(1, 1, "b"), value));
   EXPECT_TRUE(cache.lookup(svc::ResultCache::make_key(1, 1, "d"), value));
   EXPECT_GE(cache.stats().evictions, 1u);
-  // An entry larger than the shard budget is not cached at all.
+  // An entry larger than the whole budget is not cached at all.
   cache.insert(svc::ResultCache::make_key(1, 1, "huge"),
                std::string(4096, 'x'));
   EXPECT_FALSE(
@@ -327,6 +327,35 @@ TEST(SvcServer, ColdCacheHitAndNoCacheAreByteIdentical) {
   const auto stats = ts.server().cache_stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(global_counter("s2s.svc.cache_hits"), hits_before);
+}
+
+TEST(SvcServer, CacheHoldsAnEntryUpToTheWholeReactorBudget) {
+  // A reactor's cache is one LRU under one budget: any answer that fits
+  // the whole budget is cached and served as a hit — here one bigger
+  // than an eighth of it.
+  svc::FigureQuery f;
+  f.figure = 2;
+  const std::string request = svc::encode_figure_query(f);
+  std::size_t entry_bytes = 0;
+  {
+    TestServer probe(*world().dataset);
+    svc::Client client = probe.connect();
+    entry_bytes =
+        svc::ResultCache::make_key(0, 0, request).size() +
+        must_call(client, svc::MsgType::kFigureDigest, 0, request).size();
+  }
+  svc::ServerConfig cfg;
+  cfg.cache_bytes = 2 * entry_bytes;
+  ASSERT_GT(entry_bytes, cfg.cache_bytes / 8);
+  TestServer ts(*world().dataset, 2, cfg);
+  svc::Client client = ts.connect();
+  const std::string cold =
+      must_call(client, svc::MsgType::kFigureDigest, 0, request);
+  EXPECT_EQ(must_call(client, svc::MsgType::kFigureDigest, 0, request), cold);
+  const auto stats = ts.server().cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, entry_bytes);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(SvcServer, OneAndEightThreadResponsesAreByteIdentical) {
@@ -470,18 +499,6 @@ TEST(SvcServer, DrainServesInflightThenClosesListener) {
   ts.drain();
   svc::Client late;
   EXPECT_FALSE(late.connect("127.0.0.1", port, error, 1000));
-}
-
-TEST(SvcServer, PollBackendServes) {
-  svc::ServerConfig cfg;
-  cfg.use_epoll = false;
-  TestServer ts(*world().dataset, 2, cfg);
-  svc::Client client = ts.connect();
-  must_call(client, svc::MsgType::kPingEcho, 0, "");
-  svc::FigureQuery f;
-  f.figure = 1;
-  must_call(client, svc::MsgType::kFigureDigest, 0,
-            svc::encode_figure_query(f));
 }
 
 /// Waits up to ~2s for `pred` over the global collector's events; the

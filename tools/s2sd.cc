@@ -8,12 +8,10 @@
 //   --listen-addr A     alias of --host; an address with a ':' listens
 //                       on IPv6 ("::" = dual-stack wildcard)
 //   --port N            listen port             (default 0 = ephemeral)
-//   --reactors N        event-loop threads, each with its own poller,
-//                       SO_REUSEPORT listener, and result-cache shard
-//                       (default 1)
-//   --no-reuseport      force the acceptor + fd-handoff fallback
+//   --reactors N        event-loop threads, each with its own epoll
+//                       poller and result cache (default 1); more than
+//                       one shares the port via SO_REUSEPORT listeners
 //   --threads N         analysis pool width     (default 0 = auto)
-//   --poll              force the poll() backend instead of epoll
 //   --max-inflight N    parsed-but-unexecuted request cap (count gate)
 //   --max-pending-cost N  pending-cost budget (request_cost units; 0 off)
 //   --max-client-pending N  per-connection queue bound (0 = unbounded)
@@ -66,8 +64,8 @@ void on_reload_signal(int) {
 int usage() {
   std::fprintf(stderr,
                "usage: s2sd --archive <in.s2sb> [--host A] [--listen-addr A]\n"
-               "            [--port N] [--reactors N] [--no-reuseport]\n"
-               "            [--threads N] [--poll] [--max-inflight N]\n"
+               "            [--port N] [--reactors N] [--threads N]\n"
+               "            [--max-inflight N]\n"
                "            [--max-pending-cost N] [--max-client-pending N]\n"
                "            [--busy-retry-ms N] [--allow-damaged]\n"
                "            [--cache-mb N] [--read-timeout-ms N]\n"
@@ -107,12 +105,8 @@ int main(int argc, char** argv) {
       server_cfg.port = static_cast<std::uint16_t>(std::atoi(next()));
     } else if (!std::strcmp(argv[i], "--reactors")) {
       server_cfg.reactors = static_cast<std::size_t>(std::atoi(next()));
-    } else if (!std::strcmp(argv[i], "--no-reuseport")) {
-      server_cfg.use_reuseport = false;
     } else if (!std::strcmp(argv[i], "--threads")) {
       threads = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--poll")) {
-      server_cfg.use_epoll = false;
     } else if (!std::strcmp(argv[i], "--max-inflight")) {
       server_cfg.max_inflight = static_cast<std::size_t>(std::atoi(next()));
     } else if (!std::strcmp(argv[i], "--max-pending-cost")) {
@@ -240,7 +234,7 @@ int main(int argc, char** argv) {
               host.c_str(), static_cast<unsigned>(server.port()),
               dataset.ingest().records, dataset.timelines().timeline_count(),
               dataset.pings().pair_count(), server.reactor_count(),
-              server.reuseport_active() ? ", reuseport" : "");
+              server.reactor_count() > 1 ? ", reuseport" : "");
   const auto pairs = dataset.trace_pairs();
   if (!pairs.empty()) {
     std::printf("s2sd: example pair: src=%u dst=%u family=%u\n",
