@@ -70,6 +70,10 @@ struct V6Case {
   const char* input;
   const char* canonical;
 };
+// Prints a case as its input text. Without this gtest prints the raw bytes
+// of the two pointers, and the test names ctest takes from that output
+// change on every build and every run.
+void PrintTo(const V6Case& c, std::ostream* os) { *os << c.input; }
 class IPv6Canonical : public ::testing::TestWithParam<V6Case> {};
 
 TEST_P(IPv6Canonical, RoundTrips) {
