@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: topology
-// generation, valley-free route computation, longest-prefix match, AS-path
-// edit distance, the diurnal FFT detector, traceroute simulation, and the
-// record-ingest hot path with observability on vs off — plus the
-// edit-distance vs exact-equality change-detection ablation.
+// generation, valley-free route computation, longest-prefix match over
+// real hop addresses, AS-path edit distance, the diurnal FFT detector,
+// traceroute simulation, and the record-ingest hot paths (traceroutes
+// with observability on vs off, and pings) — plus the edit-distance vs
+// exact-equality change-detection ablation.
 //
 // After the benchmark table, main() prints a one-line JSON summary with
 // ingest throughput, the obs overhead percentage, p50/p99 of the
@@ -69,17 +70,6 @@ void BM_ValleyFreeCompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValleyFreeCompute);
-
-void BM_RibLongestPrefixMatch(benchmark::State& state) {
-  const auto rib = bgp::Rib::from_topology(shared_topology());
-  std::uint32_t addr = 0x01010001;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rib.origin(net::IPv4Addr(addr)));
-    addr += 0x00010007;  // walk across prefixes
-    if (addr > 0x20000000) addr = 0x01010001;
-  }
-}
-BENCHMARK(BM_RibLongestPrefixMatch);
 
 void BM_EditDistance(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
@@ -157,6 +147,52 @@ void BM_Traceroute(benchmark::State& state) {
 }
 BENCHMARK(BM_Traceroute);
 
+/// Responsive hop addresses of `family` traceroutes over the shared mesh
+/// that the RIB maps to an origin: the lookups record ingest makes.
+std::vector<net::IPAddr> matched_hop_addrs(net::Family family) {
+  simnet::Network& net = shared_network();
+  probe::TracerouteEngine engine(net, {}, stats::Rng(5));
+  const auto servers =
+      static_cast<topology::ServerId>(net.topo().servers.size());
+  std::vector<net::IPAddr> out;
+  std::int64_t t = 0;
+  for (topology::ServerId src = 0; src < servers && out.size() < 4096;
+       ++src) {
+    for (topology::ServerId dst = 0; dst < servers; ++dst) {
+      if (dst == src) continue;
+      const auto rec = engine.run(src, dst, family, net::SimTime(t),
+                                  probe::TracerouteMethod::kParis);
+      t += net::kThreeHours;
+      if (!rec) continue;
+      for (const auto& hop : rec->hops) {
+        if (hop.addr && net.rib().origin(*hop.addr)) out.push_back(*hop.addr);
+      }
+    }
+  }
+  return out;
+}
+
+// Longest-prefix match as TimelineStore::add makes it: Rib::origin on
+// the family-dispatching address, over hop addresses that all match.
+// Arg(4) = IPv4 hops, Arg(6) = IPv6 hops.
+void BM_RibLongestPrefixMatch(benchmark::State& state) {
+  static const auto v4 = matched_hop_addrs(net::Family::kIPv4);
+  static const auto v6 = matched_hop_addrs(net::Family::kIPv6);
+  const bgp::Rib& rib = shared_network().rib();
+  const auto& addrs = state.range(0) == 4 ? v4 : v6;
+  if (addrs.empty()) {
+    state.SkipWithError("no mapped hop addresses");
+    return;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rib.origin(addrs[i]));
+    if (++i == addrs.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RibLongestPrefixMatch)->Arg(4)->Arg(6);
+
 /// Distinct pre-generated records so the ingest loop never trips the
 /// dedup window (capacity 4096) or re-parses: the benchmark measures
 /// TimelineStore::add alone.
@@ -197,6 +233,61 @@ void BM_TimelineIngest(benchmark::State& state) {
   reg.set_enabled(true);
 }
 BENCHMARK(BM_TimelineIngest)->Arg(0)->Arg(1);
+
+/// Every unordered server pair of the shared mesh.
+std::vector<std::pair<topology::ServerId, topology::ServerId>> mesh_pairs() {
+  std::vector<std::pair<topology::ServerId, topology::ServerId>> pairs;
+  const auto n = shared_network().topo().servers.size();
+  for (topology::ServerId a = 0; a < n; ++a) {
+    for (topology::ServerId b = a + 1; b < n; ++b) pairs.emplace_back(a, b);
+  }
+  return pairs;
+}
+
+/// One day of 15-minute pings over the shared 40-server mesh, both
+/// families, in campaign order.
+struct PingIngestSet {
+  probe::PingCampaignConfig cfg;
+  std::size_t epochs = 0;
+  std::vector<probe::PingRecord> records;
+};
+
+const PingIngestSet& ping_ingest_set() {
+  static const PingIngestSet set = [] {
+    simnet::Network& net = shared_network();
+    PingIngestSet out;
+    out.cfg.days = 1.0;
+    probe::PingCampaign pings(net, out.cfg, mesh_pairs());
+    out.epochs = pings.epochs();
+    pings.run([&](const probe::PingRecord& r) { out.records.push_back(r); });
+    return out;
+  }();
+  return set;
+}
+
+// PingSeriesStore::add over distinct records: dedup, grid and validity
+// checks plus the slot write. The store starts afresh (untimed) at each
+// pass over the set, so no record reaches the store twice.
+void BM_PingIngest(benchmark::State& state) {
+  const auto& set = ping_ingest_set();
+  const auto fresh_store = [&set] {
+    return core::PingSeriesStore(set.cfg.start_day, set.cfg.interval_s,
+                                 set.epochs);
+  };
+  auto store = fresh_store();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    store.add(set.records[i]);
+    if (++i == set.records.size()) {
+      state.PauseTiming();
+      store = fresh_store();
+      i = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PingIngest);
 
 /// The same record set serialized once into each archive format, plus an
 /// on-disk copy of the binary image for the mmap arm.
@@ -285,14 +376,9 @@ BENCHMARK(BM_ArchiveIngest_BinMmap)->Unit(benchmark::kMillisecond);
 const core::PingSeriesStore& survey_store() {
   static const core::PingSeriesStore* store = [] {
     simnet::Network& net = shared_network();
-    std::vector<std::pair<topology::ServerId, topology::ServerId>> pairs;
-    const auto n = net.topo().servers.size();
-    for (topology::ServerId a = 0; a < n; ++a) {
-      for (topology::ServerId b = a + 1; b < n; ++b) pairs.emplace_back(a, b);
-    }
     probe::PingCampaignConfig cfg;
     cfg.days = 7.0;
-    probe::PingCampaign pings(net, cfg, pairs);
+    probe::PingCampaign pings(net, cfg, mesh_pairs());
     auto* s = new core::PingSeriesStore(cfg.start_day, net::kFifteenMinutes,
                                         pings.epochs());
     pings.run([&](const probe::PingRecord& r) { s->add(r); });

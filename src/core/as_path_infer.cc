@@ -1,6 +1,6 @@
 #include "core/as_path_infer.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace s2s::core {
 
@@ -57,14 +57,11 @@ InferredPath AsPathInferrer::infer(const probe::TracerouteRecord& record,
     }
   }
 
-  // AS loop: a known ASN re-appears after the path left it.
-  std::unordered_set<std::uint32_t> seen;
-  for (const net::Asn& asn : out.as_path) {
-    if (!asn.known()) continue;
-    if (!seen.insert(asn.value()).second) {
-      out.has_as_loop = true;
-      break;
-    }
+  // AS loop: a known ASN re-appears after the path left it. Collapsed
+  // paths are a handful of ASes long, so a scan beats any set.
+  const auto& path = out.as_path;
+  for (auto it = path.begin(); it != path.end() && !out.has_as_loop; ++it) {
+    out.has_as_loop = it->known() && std::find(path.begin(), it, *it) != it;
   }
   return out;
 }

@@ -15,7 +15,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -82,38 +81,39 @@ struct IngestObs {
 bool valid_record(const probe::TracerouteRecord& r);
 bool valid_record(const probe::PingRecord& r);
 
-/// Content fingerprint for duplicate detection (FNV-1a over every field
-/// that distinguishes one measurement from another).
+/// Content fingerprint for duplicate detection: every field that
+/// distinguishes one measurement from another, mixed a 64-bit word at a
+/// time (hop addresses in full, tagged by family) with a final avalanche.
 std::uint64_t fingerprint(const probe::TracerouteRecord& r);
 std::uint64_t fingerprint(const probe::PingRecord& r);
 
 /// Sliding window of recently seen record fingerprints. Re-delivered
 /// records in long campaign streams arrive close to the original (dup
 /// ACK-style retransmissions, log replays), so a bounded window catches
-/// them in O(1) without retaining the whole stream.
+/// them in O(1) without retaining the whole stream. The window is exact:
+/// it holds the last `capacity` distinct fingerprints, in a FIFO ring
+/// beside a linear-probing table of at most half load.
 class DedupWindow {
  public:
-  explicit DedupWindow(std::size_t capacity = 4096)
-      : ring_(capacity, 0), capacity_(capacity) {}
+  /// `capacity` must be at least 1.
+  explicit DedupWindow(std::size_t capacity = 4096);
 
   /// True iff `fp` was seen within the window; otherwise records it.
-  bool seen_or_insert(std::uint64_t fp) {
-    if (set_.contains(fp)) return true;
-    if (size_ == capacity_) {
-      set_.erase(ring_[head_]);
-    } else {
-      ++size_;
-    }
-    ring_[head_] = fp;
-    set_.insert(fp);
-    head_ = (head_ + 1) % capacity_;
-    return false;
-  }
+  bool seen_or_insert(std::uint64_t fp);
 
  private:
-  std::vector<std::uint64_t> ring_;
-  std::unordered_set<std::uint64_t> set_;
-  std::size_t capacity_;
+  std::size_t home(std::uint64_t fp) const noexcept;
+  /// The slot holding `fp`, or the empty slot that ends its probe run.
+  std::size_t probe(std::uint64_t fp) const noexcept;
+  void erase(std::uint64_t fp) noexcept;
+
+  std::vector<std::uint64_t> ring_;  ///< FIFO order, `head_` is the oldest
+  /// Slots hold fingerprints, 0 marking an empty slot; a fingerprint of
+  /// 0 is tracked by `has_zero_` instead.
+  std::vector<std::uint64_t> table_;
+  std::size_t mask_;  ///< table_.size() - 1
+  int shift_;         ///< 64 - log2(table_.size())
+  bool has_zero_ = false;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "bgp/relationships.h"
 #include "bgp/rib.h"
 #include "bgp/trie.h"
+#include "stats/rng.h"
 #include "topology/generator.h"
 
 namespace s2s::bgp {
@@ -43,6 +49,93 @@ TEST(Trie6, LongestPrefixMatch) {
   EXPECT_EQ(trie.lookup(*net::IPv6Addr::parse("2001:db8:1::5")), 20u);
   EXPECT_EQ(trie.lookup(*net::IPv6Addr::parse("2001:db8:2::5")), 10u);
   EXPECT_FALSE(trie.lookup(*net::IPv6Addr::parse("2001:db9::1")).has_value());
+}
+
+/// Brute-force LPM over every inserted prefix, as the reference for the
+/// range table: the longest prefix containing the address wins, and a
+/// re-insert replaces the prefix's value.
+template <typename Prefix, typename Addr>
+class ReferenceLpm {
+ public:
+  void insert(const Prefix& p, std::uint32_t value) { prefixes_[p] = value; }
+  std::optional<std::uint32_t> lookup(const Addr& a) const {
+    std::optional<std::uint32_t> best;
+    int best_len = -1;
+    for (const auto& [p, value] : prefixes_) {
+      if (p.length() > best_len && p.contains(a)) {
+        best = value;
+        best_len = p.length();
+      }
+    }
+    return best;
+  }
+  std::size_t size() const { return prefixes_.size(); }
+
+ private:
+  std::map<Prefix, std::uint32_t> prefixes_;
+};
+
+// Interleaves inserts and lookups on a small address neighbourhood so
+// prefixes nest, collide and get re-inserted, with /0 and host routes in
+// the mix; every lookup and size() must match the brute-force reference.
+// `random_addr` draws from a few clustered bases; `lengths` biases the
+// prefix lengths toward the interesting ones.
+template <typename Table, typename Prefix, typename Addr, typename Draw>
+void differential_lpm(stats::Rng& rng, Draw random_addr,
+                      const std::vector<int>& lengths) {
+  for (int round = 0; round < 20; ++round) {
+    Table table;
+    ReferenceLpm<Prefix, Addr> ref;
+    std::vector<Prefix> inserted;
+    for (int step = 0; step < 400; ++step) {
+      if (rng.chance(0.3)) {
+        // Re-insert an existing prefix with a new value, or a fresh one.
+        const Prefix p =
+            !inserted.empty() && rng.chance(0.25)
+                ? inserted[rng.below(inserted.size())]
+                : Prefix(random_addr(rng),
+                         lengths[rng.below(lengths.size())]);
+        const auto value = static_cast<std::uint32_t>(rng.below(1000));
+        table.insert(p, value);
+        ref.insert(p, value);
+        inserted.push_back(p);
+        ASSERT_EQ(table.size(), ref.size());
+      }
+      const Addr a = random_addr(rng);
+      ASSERT_EQ(table.lookup(a), ref.lookup(a))
+          << "round " << round << " step " << step << " addr " << a;
+    }
+  }
+}
+
+TEST(Trie4, MatchesBruteForceLongestPrefix) {
+  stats::Rng rng(0x1b9);
+  const auto draw = [](stats::Rng& r) {
+    static constexpr std::uint32_t kBases[] = {0x0a000000, 0x0a0100ff,
+                                               0xc0000200, 0xffffff00, 0};
+    return net::IPv4Addr(kBases[r.below(5)] ^
+                         static_cast<std::uint32_t>(r.below(1u << 12)) ^
+                         (r.chance(0.1) ? static_cast<std::uint32_t>(r())
+                                        : 0u));
+  };
+  differential_lpm<Trie4, net::Prefix4, net::IPv4Addr>(
+      rng, draw, {0, 1, 8, 16, 20, 22, 24, 28, 30, 31, 32, 32});
+}
+
+TEST(Trie6, MatchesBruteForceLongestPrefix) {
+  stats::Rng rng(0x1b9);
+  const auto draw = [](stats::Rng& r) {
+    static constexpr std::uint64_t kHi[] = {0x20010db800000000ULL,
+                                            0x20010db800010000ULL,
+                                            0xffffffffffffffffULL, 0};
+    const std::uint64_t hi =
+        kHi[r.below(4)] ^ (r.chance(0.5) ? r.below(1u << 8) : 0) ^
+        (r.chance(0.1) ? r() : 0);
+    const std::uint64_t lo = r.chance(0.5) ? r.below(1u << 8) : r();
+    return net::IPv6Addr::from_halves(hi, lo);
+  };
+  differential_lpm<Trie6, net::Prefix6, net::IPv6Addr>(
+      rng, draw, {0, 1, 16, 32, 48, 56, 60, 64, 65, 96, 120, 127, 128, 128});
 }
 
 TEST(Rib, ExcludesUnannouncedPrefixes) {
