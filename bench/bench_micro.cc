@@ -33,6 +33,7 @@
 #include "routing/valley_free.h"
 #include "simnet/network.h"
 #include "stats/fft.h"
+#include "svc/ingest.h"
 #include "topology/generator.h"
 
 namespace {
@@ -370,6 +371,53 @@ void BM_ArchiveIngest_BinMmap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ArchiveIngest_BinMmap)->Unit(benchmark::kMillisecond);
+
+/// The traceroute and ping ingest sets in one footer-indexed archive on
+/// disk: the input of a whole-archive load.
+const std::string& load_archive_path() {
+  static const std::string path = [] {
+    const std::string p =
+        std::filesystem::temp_directory_path() / "s2s_bench_micro_load.s2sb";
+    std::ofstream file(p, std::ios::binary | std::ios::trunc);
+    io::BinRecordWriter writer(file);
+    for (const auto& r : ingest_records()) writer.write(r);
+    writer.flush_block();
+    for (const auto& r : ping_ingest_set().records) writer.write(r);
+    writer.finish();
+    return p;
+  }();
+  return path;
+}
+
+// Whole-archive load as Dataset::load runs it — map, plan, then decode
+// and prepare blocks on Arg(0) lanes with commits in archive order —
+// into fresh stores each iteration.
+void BM_ArchiveIngest_Load(benchmark::State& state) {
+  simnet::Network& net = shared_network();
+  const auto& set = ping_ingest_set();
+  const std::string& path = load_archive_path();
+  exec::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  std::size_t n = 0;
+  for (auto _ : state) {
+    const io::BinRecordMmapReader reader(path);
+    core::TimelineStore timelines(net.topo(), net.rib(),
+                                  {0.0, net::kThreeHours});
+    core::PingSeriesStore pings(set.cfg.start_day, set.cfg.interval_s, 0,
+                                core::PingSeriesStore::Grid::kGrow);
+    const auto outcome = svc::ingest_blocks(
+        {reader.data(), 0, reader.size(), 0, &reader.file()}, reader.plan(),
+        {&timelines, &pings, nullptr}, &pool);
+    benchmark::DoNotOptimize(outcome.crc);
+    n += outcome.counters.records_read;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ArchiveIngest_Load)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// One week of 15-minute pings over the shared 40-server mesh: the
 /// pair-level workload for the parallel congestion-survey benchmark.

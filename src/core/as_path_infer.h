@@ -30,6 +30,13 @@ struct InferredPath {
   bool imputed = false;      ///< at least one gap was filled by imputation
 };
 
+/// InferredPath without the path itself (see AsPathInferrer::infer_append).
+struct PathTraits {
+  TraceQuality quality = TraceQuality::kCompleteAsLevel;
+  bool has_as_loop = false;
+  bool imputed = false;
+};
+
 class AsPathInferrer {
  public:
   explicit AsPathInferrer(const bgp::Rib& rib) : rib_(rib) {}
@@ -39,6 +46,13 @@ class AsPathInferrer {
   /// anchor the first hop.
   InferredPath infer(const probe::TracerouteRecord& record,
                      net::Asn src_asn) const;
+
+  /// infer() that appends the collapsed path to `out` (which may already
+  /// hold other paths) in one pass over the hops, with no scratch
+  /// allocation: a buffer reused across records allocates only while it
+  /// grows. Thread-safe (the RIB is read-only).
+  PathTraits infer_append(const probe::TracerouteRecord& record,
+                          net::Asn src_asn, std::vector<net::Asn>& out) const;
 
  private:
   const bgp::Rib& rib_;

@@ -9,45 +9,66 @@ PingSeriesStore::PingSeriesStore(const PingSeriesStore& other,
                                  std::size_t new_epochs)
     : start_day_(other.start_day_),
       interval_s_(other.interval_s_),
-      epochs_(std::max(other.epochs_, new_epochs)),
+      epochs_(other.epochs_),
+      grid_(other.grid_),
       obs_(other.obs_),
       quality_(other.quality_),
       dedup_(other.dedup_),
       last_epoch_seen_(other.last_epoch_seen_),
       series_(other.series_) {
+  grow(new_epochs);
+}
+
+void PingSeriesStore::grow(std::size_t epochs) {
+  if (epochs <= epochs_) return;
+  epochs_ = epochs;
   for (auto& [k, series] : series_) {
-    if (!series.rtt_tenths.empty()) series.rtt_tenths.resize(epochs_, kMissing);
+    series.rtt_tenths.resize(epochs_, kMissing);
   }
 }
 
-void PingSeriesStore::add(const probe::PingRecord& record) {
-  if (dedup_.seen_or_insert(fingerprint(record))) {
+PreparedPing PingSeriesStore::prepare(const probe::PingRecord& record) const {
+  PreparedPing p;
+  p.fingerprint = fingerprint(record);
+  p.key = key(record.src, record.dst, record.family);
+  p.epoch = net::grid_epoch(record.time, start_day_, interval_s_);
+  p.rtt_ms = record.rtt_ms;
+  p.rtt_tenths = static_cast<std::uint16_t>(
+      std::min(6553.0, std::max(0.0, record.rtt_ms)) * 10.0);
+  p.valid = valid_record(record);
+  p.success = record.success;
+  return p;
+}
+
+void PingSeriesStore::commit(const PreparedPing& p) {
+  if (grid_ == Grid::kGrow && p.epoch >= 0) {
+    grow(static_cast<std::size_t>(p.epoch) + 1);
+  }
+  if (dedup_.seen_or_insert(p.fingerprint)) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
     return;
   }
-  const std::int64_t epoch =
-      net::grid_epoch(record.time, start_day_, interval_s_);
-  if (epoch < 0 || static_cast<std::size_t>(epoch) >= epochs_) {
+  if (p.epoch < 0 || static_cast<std::size_t>(p.epoch) >= epochs_) {
     ++quality_.out_of_grid;
     obs_.drop_out_of_grid.inc();
     return;
   }
-  if (epoch < last_epoch_seen_) {
+  if (p.epoch < last_epoch_seen_) {
     ++quality_.reordered;
     obs_.reordered.inc();
   }
-  last_epoch_seen_ = std::max(last_epoch_seen_, epoch);
-  if (!valid_record(record)) {
+  last_epoch_seen_ = std::max(last_epoch_seen_, p.epoch);
+  if (!p.valid) {
     ++quality_.invalid_rtt;
     obs_.drop_invalid_rtt.inc();
     return;
   }
-  if (!record.success) return;
+  if (!p.success) return;
 
-  Series& series = series_[key(record.src, record.dst, record.family)];
+  Series& series = series_[p.key];
   if (series.rtt_tenths.empty()) series.rtt_tenths.assign(epochs_, kMissing);
-  auto& slot = series.rtt_tenths[static_cast<std::size_t>(epoch)];
+  auto& slot = series.rtt_tenths[static_cast<std::size_t>(p.epoch)];
   // First write wins: a conflicting re-delivery cannot overwrite the
   // sample the analyses already count on.
   if (slot != kMissing) {
@@ -56,10 +77,9 @@ void PingSeriesStore::add(const probe::PingRecord& record) {
     return;
   }
   obs_.records.inc();
-  obs_.rtt_ms.record(record.rtt_ms);
+  obs_.rtt_ms.record(p.rtt_ms);
   ++series.valid;
-  slot = static_cast<std::uint16_t>(
-      std::min(6553.0, std::max(0.0, record.rtt_ms)) * 10.0);
+  slot = p.rtt_tenths;
 }
 
 const PingSeriesStore::Series* PingSeriesStore::find(

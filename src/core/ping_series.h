@@ -15,13 +15,35 @@
 
 namespace s2s::core {
 
+/// One ping as PingSeriesStore::prepare leaves it: every fact commit
+/// needs, derived from the record alone.
+struct PreparedPing {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t key = 0;
+  std::int64_t epoch = 0;  ///< on the sampling grid, unchecked
+  double rtt_ms = 0.0;
+  std::uint16_t rtt_tenths = 0;  ///< the slot value
+  bool valid = false;            ///< valid_record()
+  bool success = false;
+};
+
 class PingSeriesStore {
  public:
   static constexpr std::uint16_t kMissing = 0xFFFF;
 
+  /// kFixed drops records at or past `epochs` as out of grid; kGrow
+  /// extends the grid to cover the epoch of every record offered to
+  /// add()/commit() — duplicates, invalid and failed probes included —
+  /// so a store fed a whole archive ends with the grid a pre-pass over
+  /// the archive's last ping epoch would have sized.
+  enum class Grid : std::uint8_t { kFixed, kGrow };
+
   PingSeriesStore(double start_day, std::int64_t interval_s,
-                  std::size_t epochs)
-      : start_day_(start_day), interval_s_(interval_s), epochs_(epochs) {}
+                  std::size_t epochs, Grid grid = Grid::kFixed)
+      : start_day_(start_day),
+        interval_s_(interval_s),
+        epochs_(epochs),
+        grid_(grid) {}
 
   /// Grow-copy: a deep copy re-gridded to `new_epochs` slots (clamped to
   /// at least other's grid); the added slots start missing. Live delta
@@ -32,7 +54,16 @@ class PingSeriesStore {
   /// Streaming sink for PingCampaign. Slots are first-write-wins:
   /// duplicates and invalid samples are dropped and tallied in quality();
   /// late arrivals land in their correct slot regardless of order.
-  void add(const probe::PingRecord& record);
+  /// Exactly commit(prepare(record)).
+  void add(const probe::PingRecord& record) { commit(prepare(record)); }
+
+  /// The order-independent half of add(): fingerprint, key, grid epoch,
+  /// validity and slot value. Reads only immutable state (thread-safe).
+  PreparedPing prepare(const probe::PingRecord& record) const;
+  /// The order-dependent half: grid growth, dedup window, reorder
+  /// watermark, counters and the slot write. Commits must follow record
+  /// order for results identical to add().
+  void commit(const PreparedPing& prepared);
 
   struct Series {
     std::vector<std::uint16_t> rtt_tenths;  ///< size = epochs; kMissing gaps
@@ -75,9 +106,14 @@ class PingSeriesStore {
            (family == net::Family::kIPv6 ? 1u : 0u);
   }
 
+  /// Re-grids every series to `epochs` slots when that is more than now;
+  /// the added slots start missing.
+  void grow(std::size_t epochs);
+
   double start_day_;
   std::int64_t interval_s_;
   std::size_t epochs_;
+  Grid grid_;
   IngestObs obs_ = IngestObs::make("ping_store");
   DataQualityReport quality_;
   DedupWindow dedup_;

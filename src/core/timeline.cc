@@ -5,67 +5,90 @@
 
 namespace s2s::core {
 
-std::uint32_t PathInterner::intern(const net::AsPath& path) {
+std::uint32_t PathInterner::intern(std::span<const net::Asn> path) {
   const auto it = index_.find(path);
   if (it != index_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(paths_.size());
-  paths_.push_back(path);
+  paths_.emplace_back(path.begin(), path.end());
   index_.emplace(paths_.back(), id);
   return id;
 }
 
 void TimelineStore::add(const probe::TracerouteRecord& record) {
+  add_paths_.clear();
+  commit(prepare(record, add_paths_), add_paths_);
+}
+
+PreparedTrace TimelineStore::prepare(const probe::TracerouteRecord& record,
+                                     std::vector<net::Asn>& paths) const {
+  PreparedTrace p;
+  p.fingerprint = fingerprint(record);
+  p.key = key(record.src, record.dst, record.family);
+  p.grid = net::grid_epoch(record.time, config_.start_day, config_.interval_s);
+  p.rtt_ms = record.end_to_end_rtt_ms();
+  p.family = record.family;
+  p.valid = valid_record(record);
+  p.complete = record.complete;
+  // Inference is the expensive part; skip it for records commit drops
+  // before it would look at the path.
+  if (p.grid >= 0 && p.grid <= 0xFFFF && p.valid && p.complete) {
+    const net::Asn src_asn = topo_.ases[topo_.servers[record.src].as_id].asn;
+    p.path_offset = static_cast<std::uint32_t>(paths.size());
+    p.path = inferrer_.infer_append(record, src_asn, paths);
+    p.path_len = static_cast<std::uint32_t>(paths.size() - p.path_offset);
+  }
+  return p;
+}
+
+void TimelineStore::commit(const PreparedTrace& p,
+                           const std::vector<net::Asn>& paths) {
   // Quality gate: every record (complete or not) is checked before it can
   // touch the Table 1 accounting, so a garbled or re-delivered stream
   // cannot inflate the paper's completeness statistics.
-  if (dedup_.seen_or_insert(fingerprint(record))) {
+  if (dedup_.seen_or_insert(p.fingerprint)) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
     return;
   }
-  const std::int64_t grid = net::grid_epoch(record.time, config_.start_day,
-                                            config_.interval_s);
-  if (grid < 0 || grid > 0xFFFF) {
+  if (p.grid < 0 || p.grid > 0xFFFF) {
     ++quality_.out_of_grid;
     obs_.drop_out_of_grid.inc();
     return;
   }
-  if (grid < last_epoch_seen_) {
+  if (p.grid < last_epoch_seen_) {
     ++quality_.reordered;
     obs_.reordered.inc();
   }
-  last_epoch_seen_ = std::max(last_epoch_seen_, grid);
-  if (!valid_record(record)) {
+  last_epoch_seen_ = std::max(last_epoch_seen_, p.grid);
+  if (!p.valid) {
     ++quality_.invalid_rtt;
     obs_.drop_invalid_rtt.inc();
     return;
   }
   obs_.records.inc();
-  if (record.complete) obs_.rtt_ms.record(record.end_to_end_rtt_ms());
+  if (p.complete) obs_.rtt_ms.record(p.rtt_ms);
 
-  auto& counts = table1_.of(record.family);
+  auto& counts = table1_.of(p.family);
   ++counts.collected;
-  if (!record.complete) return;
+  if (!p.complete) return;
   ++counts.complete;
 
-  const net::Asn src_asn = topo_.ases[topo_.servers[record.src].as_id].asn;
-  const InferredPath inferred = inferrer_.infer(record, src_asn);
-  if (inferred.has_as_loop) {
+  if (p.path.has_as_loop) {
     ++counts.as_loops;  // excluded from the analyses, as in the paper
     return;
   }
-  switch (inferred.quality) {
+  switch (p.path.quality) {
     case TraceQuality::kCompleteAsLevel: ++counts.complete_as; break;
     case TraceQuality::kMissingAsLevel: ++counts.missing_as; break;
     case TraceQuality::kMissingIpLevel: ++counts.missing_ip; break;
   }
 
-  const auto epoch = static_cast<std::uint16_t>(grid);
+  const auto epoch = static_cast<std::uint16_t>(p.grid);
   max_epoch_ = std::max(max_epoch_, epoch);
 
-  const std::uint32_t global = interner_.intern(inferred.as_path);
-  TraceTimeline& timeline =
-      timelines_[key(record.src, record.dst, record.family)];
+  const std::uint32_t global = interner_.intern(
+      std::span<const net::Asn>(paths).subspan(p.path_offset, p.path_len));
+  TraceTimeline& timeline = timelines_[p.key];
   auto local_it = std::find(timeline.local_paths.begin(),
                             timeline.local_paths.end(), global);
   std::uint16_t local;
@@ -79,7 +102,7 @@ void TimelineStore::add(const probe::TracerouteRecord& record) {
   Observation obs;
   obs.epoch = epoch;
   obs.rtt_tenths = static_cast<std::uint16_t>(
-      std::min(6553.0, std::max(0.0, record.end_to_end_rtt_ms())) * 10.0);
+      std::min(6553.0, std::max(0.0, p.rtt_ms)) * 10.0);
   obs.path = local;
   if (timeline.obs.empty() || timeline.obs.back().epoch <= epoch) {
     timeline.obs.push_back(obs);

@@ -9,6 +9,7 @@
 // happens in the same pass.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -26,21 +27,34 @@ namespace s2s::core {
 /// Interns AS paths globally; ids are dense and stable.
 class PathInterner {
  public:
-  std::uint32_t intern(const net::AsPath& path);
+  std::uint32_t intern(std::span<const net::Asn> path);
   const net::AsPath& path(std::uint32_t id) const { return paths_.at(id); }
   std::size_t size() const noexcept { return paths_.size(); }
 
  private:
+  /// Transparent, so a path held in a prepare buffer is looked up
+  /// without building an AsPath.
   struct Hash {
-    std::size_t operator()(const net::AsPath& p) const {
+    using is_transparent = void;
+    std::size_t operator()(std::span<const net::Asn> p) const {
       std::size_t h = p.size();
       for (const auto& asn : p) {
         h ^= asn.value() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       }
       return h;
     }
+    std::size_t operator()(const net::AsPath& p) const {
+      return (*this)(std::span<const net::Asn>(p));
+    }
   };
-  std::unordered_map<net::AsPath, std::uint32_t, Hash> index_;
+  struct Equal {
+    using is_transparent = void;
+    bool operator()(std::span<const net::Asn> a,
+                    std::span<const net::Asn> b) const {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+  };
+  std::unordered_map<net::AsPath, std::uint32_t, Hash, Equal> index_;
   std::vector<net::AsPath> paths_;
 };
 
@@ -89,6 +103,24 @@ struct TimelineStoreConfig {
   std::int64_t interval_s = net::kThreeHours;  ///< sampling grid
 };
 
+/// One traceroute as TimelineStore::prepare leaves it: every fact commit
+/// needs, derived from the record alone. The inferred AS path lives in
+/// the caller's path buffer at [path_offset, path_offset + path_len), so
+/// the struct stays fixed-size and a lane that reuses its buffer
+/// allocates nothing per record.
+struct PreparedTrace {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t key = 0;
+  std::int64_t grid = 0;       ///< epoch on the sampling grid, unchecked
+  double rtt_ms = 0.0;         ///< end-to-end RTT
+  std::uint32_t path_offset = 0;
+  std::uint32_t path_len = 0;  ///< 0: not inferred (commit drops it first)
+  net::Family family = net::Family::kIPv4;
+  bool valid = false;          ///< valid_record()
+  bool complete = false;
+  PathTraits path;             ///< inference result when path_len > 0
+};
+
 class TimelineStore {
  public:
   TimelineStore(const topology::Topology& topo, const bgp::Rib& rib,
@@ -100,7 +132,20 @@ class TimelineStore {
   /// order. Duplicates, invalid RTTs and off-grid timestamps are dropped
   /// and tallied in quality(); late arrivals are accepted, re-sorted and
   /// tallied, so change detection never sees artificial path flaps.
+  /// Exactly commit(prepare(record)).
   void add(const probe::TracerouteRecord& record);
+
+  /// The order-independent half of add(): fingerprint, grid epoch,
+  /// validity and (for records commit could keep) AS-path inference,
+  /// appending the path to `paths`. Reads only immutable state, so any
+  /// number of threads may prepare concurrently.
+  PreparedTrace prepare(const probe::TracerouteRecord& record,
+                        std::vector<net::Asn>& paths) const;
+  /// The order-dependent half: dedup window, reorder watermark, Table 1
+  /// and quality counters, path interning and the timeline insert.
+  /// Commits must follow record order for results identical to add().
+  void commit(const PreparedTrace& prepared,
+              const std::vector<net::Asn>& paths);
 
   const TraceTimeline* find(topology::ServerId src, topology::ServerId dst,
                             net::Family family) const;
@@ -147,6 +192,7 @@ class TimelineStore {
   std::int64_t last_epoch_seen_ = -1;  ///< stream arrival order watermark
   std::unordered_map<std::uint64_t, TraceTimeline> timelines_;
   std::uint16_t max_epoch_ = 0;
+  std::vector<net::Asn> add_paths_;  ///< add()'s reused path buffer
 };
 
 }  // namespace s2s::core

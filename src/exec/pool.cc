@@ -70,19 +70,24 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
+void ThreadPool::execute(const std::function<void(std::size_t)>& fn,
+                         std::size_t i) {
+  try {
+    fn(i);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+  tasks_.inc();
+}
+
 void ThreadPool::drain(const std::function<void(std::size_t)>& fn,
                        std::size_t n) {
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) return;
     queue_depth_.set(static_cast<double>(n - std::min(n, i + 1)));
-    try {
-      fn(i);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    tasks_.inc();
+    execute(fn, i);
   }
 }
 
@@ -125,13 +130,14 @@ void ThreadPool::run(std::size_t n,
     const std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
     n_ = n;
-    next_.store(0, std::memory_order_relaxed);
+    next_.store(1, std::memory_order_relaxed);  // index 0 is the caller's
     completed_ = 0;
     first_error_ = nullptr;
     ++batch_serial_;
     queue_depth_.set(static_cast<double>(n));
   }
   work_cv_.notify_all();
+  execute(fn, 0);
   drain(fn, n);
   std::exception_ptr error;
   {
@@ -143,6 +149,25 @@ void ThreadPool::run(std::size_t n,
   }
   queue_depth_.set(0.0);
   if (error) std::rethrow_exception(error);
+}
+
+namespace {
+
+std::mutex& lease_mutex() {
+  static std::mutex mutex;
+  return mutex;
+}
+
+}  // namespace
+
+PoolLease::PoolLease() {
+  if (!lease_mutex().try_lock()) return;
+  static ThreadPool shared(resolve_thread_count());
+  pool_ = &shared;
+}
+
+PoolLease::~PoolLease() {
+  if (pool_ != nullptr) lease_mutex().unlock();
 }
 
 }  // namespace s2s::exec

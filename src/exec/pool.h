@@ -60,7 +60,9 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n) and blocks until all completed.
   /// With thread_count() == 1 (or n <= 1) this is an inline loop on the
-  /// calling thread. A task that throws poisons the batch: remaining
+  /// calling thread; otherwise index 0 always runs on the calling thread
+  /// (exec::ordered_pipeline's committer relies on that) and the rest
+  /// are claimed by whichever lane is free. A task that throws poisons the batch: remaining
   /// indices still run (workers cannot abandon claimed work safely), and
   /// the first exception is rethrown to the run() caller. Not reentrant:
   /// run() must not be called from inside a task of the same pool.
@@ -70,6 +72,8 @@ class ThreadPool {
   void worker_loop();
   /// Claims and executes indices of the current batch until exhausted.
   void drain(const std::function<void(std::size_t)>& fn, std::size_t n);
+  /// Runs fn(i), recording a throw as the batch's error if it is first.
+  void execute(const std::function<void(std::size_t)>& fn, std::size_t i);
 
   const unsigned threads_;
   obs::Counter tasks_;       ///< s2s.exec.tasks, one per executed index
@@ -86,6 +90,24 @@ class ThreadPool {
   std::exception_ptr first_error_;     ///< guarded by mutex_
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
+};
+
+/// Exclusive use of the process-wide pipeline pool: resolve_thread_count()
+/// lanes, created on first use and shared by every load in the process.
+/// A lease taken while another is held gets no pool, and its caller runs
+/// at width 1 — concurrent loads never queue behind each other.
+class PoolLease {
+ public:
+  PoolLease();
+  ~PoolLease();
+  PoolLease(const PoolLease&) = delete;
+  PoolLease& operator=(const PoolLease&) = delete;
+
+  /// The pool, or null when another lease holds it.
+  ThreadPool* pool() const noexcept { return pool_; }
+
+ private:
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace s2s::exec

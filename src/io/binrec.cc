@@ -463,10 +463,11 @@ struct BlockView {
   }
 };
 
-/// Parses, bounds-checks against `end`, CRC-checks and classifies the
-/// block whose header starts at `pos`. The only reader of block headers.
+/// Parses, bounds-checks against `end`, CRC-checks (unless `check_crc`
+/// is false: crc_ok then stays false) and classifies the block whose
+/// header starts at `pos`. The only reader of block headers.
 BlockView read_block(const unsigned char* data, std::size_t end,
-                     std::size_t pos) {
+                     std::size_t pos, bool check_crc = true) {
   BlockView b;
   b.offset = pos;
   if (pos + 4 > end) return b;
@@ -491,7 +492,8 @@ BlockView read_block(const unsigned char* data, std::size_t end,
   b.record_count = h.record_count;
   b.payload = data + pos + kBinBlockHeaderBytes;
   b.payload_bytes = h.payload_bytes;
-  b.crc_ok = block_crc(data + pos, b.payload, b.payload_bytes) == h.crc;
+  b.crc_ok = check_crc &&
+             block_crc(data + pos, b.payload, b.payload_bytes) == h.crc;
   return b;
 }
 
@@ -512,12 +514,14 @@ std::size_t next_magic(const unsigned char* data, std::size_t pos,
 /// header ends it too unless `resync`, which skips to the next block or
 /// footer magic (one damaged block is one visit). `visit` returns false
 /// to stop early. Returns the offset the walk stopped at: the footer,
-/// the damage, the rejected block, or `end`.
+/// the damage, the rejected block, or `end`. With `check_crc` false the
+/// walk only frames blocks (every crc_ok is false).
 template <typename Visit>
 std::size_t walk_blocks(const unsigned char* data, std::size_t pos,
-                        std::size_t end, bool resync, Visit&& visit) {
+                        std::size_t end, bool resync, Visit&& visit,
+                        bool check_crc = true) {
   while (pos < end) {
-    const BlockView b = read_block(data, end, pos);
+    const BlockView b = read_block(data, end, pos, check_crc);
     if (!visit(b)) return pos;
     switch (b.status) {
       case BlockStatus::kBlock:
@@ -552,24 +556,52 @@ void consume(const BlockView& b, const TraceRecordFn& on_trace,
   }
 }
 
-/// The sequential read both reader arms share when there is no index:
-/// every block from the file header on, resyncing past damage. Returns
-/// true when the walk stopped at a footer magic.
-bool read_sequential(const unsigned char* data, std::size_t size,
-                     const TraceRecordFn& on_trace,
-                     const PingRecordFn& on_ping, BinReadCounters& counters) {
-  bool footer = false;
-  walk_blocks(data, kBinFileHeaderBytes, size, /*resync=*/true,
-              [&](const BlockView& b) {
-                if (b.status == BlockStatus::kFooter) {
-                  footer = true;
-                  return true;
-                }
-                if (b.status == BlockStatus::kTorn) counters.truncated = true;
-                consume(b, on_trace, on_ping, counters);
-                return true;
-              });
-  return footer;
+/// Frames the blocks of [pos, end) by header chaining: every position
+/// the walk visits except a footer, in order. `resync` is the readers'
+/// sequential walk (damage is skipped, a tear ends it); without it the
+/// walk is plan_block_range's (any damage ends it as a tear). Sets
+/// `*footer_seen` when a footer magic ended the walk. With `mapping`
+/// (whose image `data` is) the pages the walk has passed are released
+/// as it goes: reading one header per block faults in nearly every page
+/// of the image, which would otherwise all stay resident until decoded.
+BlockPlan plan_walk(const unsigned char* data, std::size_t pos,
+                    std::size_t end, bool resync,
+                    bool* footer_seen = nullptr,
+                    const MmapFile* mapping = nullptr) {
+  constexpr std::size_t kReleaseStride = std::size_t{256} << 10;
+  BlockPlan plan;
+  plan.end = end;
+  std::size_t released = pos;
+  walk_blocks(
+      data, pos, end, resync,
+      [&](const BlockView& b) {
+        if (mapping != nullptr && b.offset >= released + kReleaseStride) {
+          mapping->release(released, b.offset);
+          released = b.offset;
+        }
+        if (b.status == BlockStatus::kFooter) {
+          if (footer_seen != nullptr) *footer_seen = true;
+          return true;
+        }
+        if (b.status == BlockStatus::kTorn ||
+            (!resync && b.status != BlockStatus::kBlock)) {
+          plan.truncated = true;
+        }
+        plan.offsets.push_back(b.offset);
+        return true;
+      },
+      /*check_crc=*/false);
+  return plan;
+}
+
+/// Runs a plan on the calling thread: the read it describes.
+void read_planned(const unsigned char* data, const BlockPlan& plan,
+                  const TraceRecordFn& on_trace, const PingRecordFn& on_ping,
+                  BinReadCounters& counters) {
+  for (const std::size_t offset : plan.offsets) {
+    decode_planned(data, plan, offset, on_trace, on_ping, counters);
+  }
+  if (plan.truncated) counters.truncated = true;
 }
 
 bool parse_file_header(const unsigned char* data, std::size_t size,
@@ -695,20 +727,20 @@ std::optional<BlockIndex> index_blocks(const void* data, std::size_t size) {
   return out;
 }
 
-void decode_block_range(const void* data, std::size_t size,
-                        std::size_t begin_offset, std::size_t end_offset,
-                        const TraceRecordFn& on_trace,
-                        const PingRecordFn& on_ping,
-                        BinReadCounters& counters) {
-  walk_blocks(static_cast<const unsigned char*>(data), begin_offset,
-              std::min(end_offset, size), /*resync=*/false,
-              [&](const BlockView& b) {
-                // The footer ends the block region: a clean stop.
-                if (b.status == BlockStatus::kFooter) return true;
-                if (b.status != BlockStatus::kBlock) counters.truncated = true;
-                consume(b, on_trace, on_ping, counters);
-                return true;
-              });
+BlockPlan plan_block_range(const void* data, std::size_t size,
+                           std::size_t begin_offset, std::size_t end_offset,
+                           const MmapFile* mapping) {
+  return plan_walk(static_cast<const unsigned char*>(data), begin_offset,
+                   std::min(end_offset, size), /*resync=*/false, nullptr,
+                   mapping);
+}
+
+void decode_planned(const void* data, const BlockPlan& plan,
+                    std::size_t offset, const TraceRecordFn& on_trace,
+                    const PingRecordFn& on_ping, BinReadCounters& counters) {
+  consume(read_block(static_cast<const unsigned char*>(data), plan.end,
+                     offset),
+          on_trace, on_ping, counters);
 }
 
 // ---------------------------------------------------------------------------
@@ -966,7 +998,10 @@ BinRecordReader::BinRecordReader(std::istream& in)
 void BinRecordReader::read_all_impl(const TraceRecordFn& on_trace,
                                     const PingRecordFn& on_ping) {
   if (!ok_) return;
-  read_sequential(bytes(), image_.size(), on_trace, on_ping, counters_);
+  read_planned(bytes(),
+               plan_walk(bytes(), kBinFileHeaderBytes, image_.size(),
+                         /*resync=*/true),
+               on_trace, on_ping, counters_);
 }
 
 // ---------------------------------------------------------------------------
@@ -974,10 +1009,16 @@ void BinRecordReader::read_all_impl(const TraceRecordFn& on_trace,
 // ---------------------------------------------------------------------------
 
 BinRecordMmapReader::BinRecordMmapReader(const std::string& path) {
-  if (!file_.open(path)) {
-    error_ = file_.error();
+  MmapFile file;
+  if (!file.open(path)) {
+    error_ = file.error();
     return;
   }
+  *this = BinRecordMmapReader(std::move(file));
+}
+
+BinRecordMmapReader::BinRecordMmapReader(MmapFile file)
+    : file_(std::move(file)) {
   obs_bytes_mapped().inc(file_.size());
   init(file_.data(), file_.size());
 }
@@ -1038,23 +1079,36 @@ void BinRecordMmapReader::decode_at(std::size_t offset,
   consume(read_block(data_, size_, offset), on_trace, on_ping, counters_);
 }
 
-void BinRecordMmapReader::read_all_impl(const TraceRecordFn& on_trace,
-                                        const PingRecordFn& on_ping) {
-  if (!ok_) return;
-  if (!index_.empty()) {
+BlockPlan BinRecordMmapReader::plan(const MmapFile* mapping) const {
+  BlockPlan plan;
+  bool footer_seen = false;
+  if (!ok_) {
+    plan.end = size_;
+  } else if (!index_.empty()) {
+    plan.end = size_;
+    plan.offsets.reserve(index_.size());
     for (const auto& entry : index_) {
-      decode_at(static_cast<std::size_t>(entry.offset), on_trace, on_ping);
+      plan.offsets.push_back(static_cast<std::size_t>(entry.offset));
     }
-    return;
+  } else {
+    plan = plan_walk(data_, kBinFileHeaderBytes, size_, /*resync=*/true,
+                     &footer_seen, mapping);
   }
   // A footer magic ends the walk, yet init() could not validate a footer
   // (that is why we are walking): it was torn off or mangled. Without
   // this, truncating a file mid-footer would look like a clean
   // footerless archive.
-  if (read_sequential(data_, size_, on_trace, on_ping, counters_) &&
-      footer_status_ == FooterStatus::kAbsent) {
-    footer_status_ = FooterStatus::kInvalid;
-  }
+  plan.footer = footer_seen && footer_status_ == FooterStatus::kAbsent
+                    ? FooterStatus::kInvalid
+                    : footer_status_;
+  return plan;
+}
+
+void BinRecordMmapReader::read_all_impl(const TraceRecordFn& on_trace,
+                                        const PingRecordFn& on_ping) {
+  const BlockPlan p = plan();
+  read_planned(data_, p, on_trace, on_ping, counters_);
+  footer_status_ = p.footer;
 }
 
 bool BinRecordMmapReader::read_range_impl(std::int64_t t0_s, std::int64_t t1_s,
@@ -1104,6 +1158,10 @@ bool is_binary_record_file(const std::string& path) {
   MmapFile probe;
   if (!probe.open(path)) return false;
   return sniff_binary_header(probe.data(), probe.size());
+}
+
+bool is_binary_record_image(const void* data, std::size_t size) {
+  return sniff_binary_header(static_cast<const unsigned char*>(data), size);
 }
 
 IngestResult read_records_auto(std::istream& in,

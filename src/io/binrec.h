@@ -264,6 +264,13 @@ struct BinReadCounters {
   bool truncated = false;
 };
 
+/// Outcome of validating the optional footer index.
+enum class FooterStatus : std::uint8_t {
+  kAbsent = 0,   ///< no footer (footerless archive, or file torn before it)
+  kValid = 1,    ///< entry CRC and offsets check out; index walk enabled
+  kInvalid = 2,  ///< footer present but damaged (CRC/structure mismatch)
+};
+
 /// The blocks of an image as a footer would index them.
 struct BlockIndex {
   std::vector<BlockIndexEntry> entries;
@@ -281,25 +288,39 @@ struct BlockIndex {
 /// recover_archive instead).
 std::optional<BlockIndex> index_blocks(const void* data, std::size_t size);
 
-/// Decodes only the blocks whose header starts in [begin_offset,
-/// end_offset) — the delta-pickup arm: a live dataset that already
-/// ingested the first W bytes re-decodes just the newly sealed tail.
-/// Offsets must be block boundaries (begin_offset may be
-/// kBinFileHeaderBytes for "from the first block"). A block that fails
-/// its CRC or decode is counted corrupt and skipped like read_all; a
-/// tear or an unframeable header ends the walk and sets `truncated`.
-void decode_block_range(const void* data, std::size_t size,
-                        std::size_t begin_offset, std::size_t end_offset,
-                        const TraceRecordFn& on_trace,
-                        const PingRecordFn& on_ping,
-                        BinReadCounters& counters);
-
-/// Outcome of validating the optional footer index.
-enum class FooterStatus : std::uint8_t {
-  kAbsent = 0,   ///< no footer (footerless archive, or file torn before it)
-  kValid = 1,    ///< entry CRC and offsets check out; index walk enabled
-  kInvalid = 2,  ///< footer present but damaged (CRC/structure mismatch)
+/// The block positions one read visits, in visit order, framed by
+/// header chaining alone — no CRC check, no decode — so the checks and
+/// decodes can then run on any thread. decode_planned() on every offset
+/// in order, with the counters summed and `truncated` carried over, is
+/// exactly the read the plan was made for (DESIGN.md section 17).
+struct BlockPlan {
+  std::vector<std::size_t> offsets;  ///< block header positions
+  std::size_t end = 0;      ///< bound every block is read against
+  bool truncated = false;   ///< the read ends in a tear
+  /// Footer outcome of the read (BinRecordMmapReader::plan only).
+  FooterStatus footer = FooterStatus::kAbsent;
 };
+
+/// CRC-checks and decodes the block a plan visits at `offset`, counting
+/// it read or corrupt — one step of the read the plan describes.
+/// Thread-safe: it touches only `counters` and the callbacks.
+void decode_planned(const void* data, const BlockPlan& plan,
+                    std::size_t offset, const TraceRecordFn& on_trace,
+                    const PingRecordFn& on_ping, BinReadCounters& counters);
+
+/// The delta-pickup plan: the blocks whose header starts in
+/// [begin_offset, end_offset) — a live dataset that already ingested the
+/// first W bytes decodes just the newly sealed tail. Offsets must be
+/// block boundaries (begin_offset may be kBinFileHeaderBytes for "from
+/// the first block"). A block that fails its CRC or decode is counted
+/// corrupt and skipped like read_all; a tear or an unframeable header
+/// ends the walk as the plan's last position and sets `truncated`. With
+/// `mapping` (the mapping `data` points into) the walk releases the
+/// pages it has framed (MmapFile::release), so framing never holds the
+/// range resident.
+BlockPlan plan_block_range(const void* data, std::size_t size,
+                           std::size_t begin_offset, std::size_t end_offset,
+                           const MmapFile* mapping = nullptr);
 
 /// std::istream arm. Reads the rest of the stream into memory and checks
 /// the file header (ok() / error() report version problems before any
@@ -351,6 +372,9 @@ class BinRecordReader {
 class BinRecordMmapReader {
  public:
   explicit BinRecordMmapReader(const std::string& path);
+  /// Takes over an open mapping (one open serves both the ingest and
+  /// later reads of the same bytes).
+  explicit BinRecordMmapReader(MmapFile file);
   /// Borrow an already-mapped (or in-memory) image; `data` must outlive
   /// the reader. This is also the unit-test entry for in-memory images.
   BinRecordMmapReader(const void* data, std::size_t size);
@@ -363,6 +387,8 @@ class BinRecordMmapReader {
   /// pointers stay valid for the reader's lifetime.
   const unsigned char* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
+  /// The owned mapping (closed for a borrowed image).
+  const MmapFile& file() const noexcept { return file_; }
   /// True when the footer index validated (read_all walks by index).
   bool has_index() const noexcept { return !index_.empty(); }
   const std::vector<BlockIndexEntry>& index() const noexcept {
@@ -378,6 +404,12 @@ class BinRecordMmapReader {
     read_all_impl(TraceRecordFn(std::forward<TraceFn>(on_trace)),
                   PingRecordFn(std::forward<PingFn>(on_ping)));
   }
+
+  /// The plan of read_all(): the index entries in footer order when the
+  /// index validated, else the sequential walk (with its footer
+  /// verdict). Empty when !ok(). With `mapping` (the mapping data()
+  /// points into) the walk releases the pages it has framed.
+  BlockPlan plan(const MmapFile* mapping = nullptr) const;
 
   /// O(1)-seek arm: decodes only the blocks whose [first, last] time
   /// span intersects [t0_s, t1_s]. Requires the footer index (returns
@@ -429,6 +461,7 @@ class BinRecordMmapReader {
 /// merely begin with the magic bytes on the text arm.
 bool is_binary_record_stream(std::istream& in);
 bool is_binary_record_file(const std::string& path);
+bool is_binary_record_image(const void* data, std::size_t size);
 
 /// Result of a format-agnostic ingest pass (read_records_auto /
 /// ingest_record_file): the union of the text reader's line counters and

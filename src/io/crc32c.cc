@@ -68,6 +68,34 @@ const Tables& tables() {
   return tables;
 }
 
+constexpr std::uint32_t kReflectedPoly = 0x82F63B78u;
+
+/// a(x) * b(x) modulo the CRC polynomial, in the reflected bit order the
+/// CRC registers use (bit 31 is x^0).
+std::uint32_t mult_mod_poly(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1u) ? (b >> 1) ^ kReflectedPoly : b >> 1;
+  }
+  return product;
+}
+
+/// x^(2^k) modulo the polynomial for k in [0, 64): squaring table for
+/// the shift by 8 * size_b bits.
+const std::array<std::uint32_t, 64>& x_pow2k() {
+  static const std::array<std::uint32_t, 64> table = [] {
+    std::array<std::uint32_t, 64> t{};
+    std::uint32_t p = 1u << 30;  // x^1
+    for (auto& entry : t) {
+      entry = p;
+      p = mult_mod_poly(p, p);
+    }
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t size) {
@@ -92,6 +120,19 @@ std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t size) {
     crc = t[0][(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t size_b) {
+  // Appending B shifts A's register by 8 * size_b zero bits, and the
+  // pre/post inversions cancel out of the sum: crc(A ++ B) =
+  // crc_a * x^(8 size_b) + crc_b (mod P).
+  const auto& table = x_pow2k();
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned j = 0; j + 3 < table.size() && (size_b >> j) != 0; ++j) {
+    if ((size_b >> j) & 1u) shift = mult_mod_poly(table[j + 3], shift);
+  }
+  return mult_mod_poly(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace s2s::io

@@ -25,4 +25,11 @@ inline std::uint32_t crc32c(const void* data, std::size_t size) {
   return crc32c(0, data, size);
 }
 
+/// The CRC32C of the concatenation A ++ B from crc(A), crc(B) and |B|,
+/// without touching the bytes: crc32c_combine(crc32c(a), crc32c(b),
+/// size_b) == crc32c(crc32c(a), b, size_b). O(log size_b). Lets pieces
+/// of one image be checksummed on different threads and joined in order.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t size_b);
+
 }  // namespace s2s::io

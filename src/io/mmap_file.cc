@@ -1,19 +1,14 @@
 #include "io/mmap_file.h"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define S2S_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define S2S_HAVE_MMAP 0
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <utility>
 
 namespace s2s::io {
 
@@ -22,20 +17,14 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
     close();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    mapped_ = std::exchange(other.mapped_, false);
     opened_ = std::exchange(other.opened_, false);
     error_ = std::move(other.error_);
-    fallback_ = std::move(other.fallback_);
-    if (!fallback_.empty()) {
-      data_ = reinterpret_cast<const unsigned char*>(fallback_.data());
-    }
   }
   return *this;
 }
 
 bool MmapFile::open(const std::string& path) {
   close();
-#if S2S_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     error_ = path + ": " + std::strerror(errno);
@@ -61,36 +50,29 @@ bool MmapFile::open(const std::string& path) {
     return false;
   }
   data_ = static_cast<const unsigned char*>(addr);
-  mapped_ = true;
   opened_ = true;
   return true;
-#else
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    error_ = path + ": open failed";
-    return false;
-  }
-  fallback_.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-  data_ = reinterpret_cast<const unsigned char*>(fallback_.data());
-  size_ = fallback_.size();
-  opened_ = true;
-  return true;
-#endif
 }
 
 void MmapFile::close() {
-#if S2S_HAVE_MMAP
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<unsigned char*>(data_), size_);
-  }
-#endif
+  if (data_ != nullptr) ::munmap(const_cast<unsigned char*>(data_), size_);
   data_ = nullptr;
   size_ = 0;
-  mapped_ = false;
   opened_ = false;
   error_.clear();
-  fallback_.clear();
+}
+
+void MmapFile::release(std::size_t begin, std::size_t end) const noexcept {
+  if (data_ == nullptr) return;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  // The mapping starts page-aligned, so offsets round like addresses;
+  // the mapping's last page extends past size_, so an end at size_
+  // covers it.
+  begin = begin / page * page;
+  end = end >= size_ ? (size_ + page - 1) / page * page : end / page * page;
+  if (begin >= end) return;
+  ::madvise(const_cast<unsigned char*>(data_) + begin, end - begin,
+            MADV_DONTNEED);
 }
 
 }  // namespace s2s::io

@@ -1,11 +1,9 @@
 // Read-only memory-mapped file, the zero-copy arm of BinRecordReader.
 //
-// On POSIX this is open + fstat + mmap(PROT_READ, MAP_PRIVATE); the block
-// decoder then iterates column segments in place without materializing
-// strings or copying payloads. On platforms without mmap the class
-// degrades to reading the file into a heap buffer — same interface, same
-// results, just not zero-copy — so nothing above this layer needs a
-// platform gate.
+// open + fstat + mmap(PROT_READ, MAP_PRIVATE); the block decoder then
+// iterates column segments in place without materializing strings or
+// copying payloads. POSIX only: CI builds on Linux, and a heap-buffer
+// stand-in for other platforms would be code no build ever runs.
 #pragma once
 
 #include <cstddef>
@@ -31,17 +29,21 @@ class MmapFile {
   bool is_open() const noexcept { return opened_; }
   const unsigned char* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
-  /// True when the bytes are an actual mmap (false: heap fallback).
-  bool mapped() const noexcept { return mapped_; }
   const std::string& error() const noexcept { return error_; }
+
+  /// Drops the resident pages holding [begin, end) from this process
+  /// (MADV_DONTNEED), except the page holding `end` unless end reaches
+  /// size(). The bytes stay mapped: a later read faults them back in
+  /// from the page cache. A streaming reader calls this behind its
+  /// cursor, each call starting where the last ended, so one mapping can
+  /// be kept for later reads without pinning the whole file in RSS.
+  void release(std::size_t begin, std::size_t end) const noexcept;
 
  private:
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
-  bool mapped_ = false;
   bool opened_ = false;
   std::string error_;
-  std::string fallback_;  ///< owns the bytes when mmap is unavailable
 };
 
 }  // namespace s2s::io

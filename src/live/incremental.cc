@@ -21,32 +21,36 @@ obs::Counter obs_folded() {
 IncrementalState::IncrementalState(const IncrementalConfig& config)
     : config_(config) {}
 
-void IncrementalState::add(const probe::PingRecord& record) {
-  if (!record.success || !std::isfinite(record.rtt_ms)) {
+IncrementalState::Prepared IncrementalState::prepare(
+    const probe::PingRecord& record) const {
+  Prepared p;
+  p.key = key(record.src, record.dst,
+              record.family == net::Family::kIPv6 ? 6 : 4);
+  p.epoch = net::grid_epoch(record.time, config_.start_day, config_.interval_s);
+  p.foldable =
+      record.success && std::isfinite(record.rtt_ms) && p.epoch >= 0;
+  // Same 0.1 ms quantization as PingSeriesStore slots, so the sketches
+  // see exactly the values the batch grid would.
+  if (p.foldable) {
+    p.value =
+        std::floor(std::min(6553.0, std::max(0.0, record.rtt_ms)) * 10.0) /
+        10.0;
+  }
+  return p;
+}
+
+void IncrementalState::commit(const Prepared& p) {
+  if (!p.foldable) {
     ++records_dropped_;
     return;
   }
-  const std::int64_t epoch = net::grid_epoch(record.time, config_.start_day,
-                                             config_.interval_s);
-  if (epoch < 0) {
-    ++records_dropped_;
-    return;
-  }
-  PairState& ps =
-      pairs_
-          .try_emplace(key(record.src, record.dst,
-                           record.family == net::Family::kIPv6 ? 6 : 4),
-                       config_)
-          .first->second;
+  const std::int64_t epoch = p.epoch;
+  const double value = p.value;
+  PairState& ps = pairs_.try_emplace(p.key, config_).first->second;
   if (epoch <= ps.last_epoch) {
     ++records_dropped_;  // duplicate or stale redelivery: first write wins
     return;
   }
-  // Same 0.1 ms quantization as PingSeriesStore slots, so the sketches
-  // see exactly the values the batch grid would.
-  const double value =
-      std::floor(std::min(6553.0, std::max(0.0, record.rtt_ms)) * 10.0) /
-      10.0;
   if (ps.last_epoch >= 0) {
     // Interior gap: linear interpolation between the two observed
     // endpoints, exactly like to_ms_interpolated. Fills older than the

@@ -63,13 +63,26 @@ class IncrementalState {
   IncrementalState(const IncrementalState&) = default;
   IncrementalState& operator=(const IncrementalState&) = default;
 
+  /// One ping as prepare() leaves it for commit().
+  struct Prepared {
+    std::uint64_t key = 0;
+    std::int64_t epoch = 0;
+    double value = 0.0;   ///< RTT on the ping store's 0.1 ms grid
+    bool foldable = false;  ///< successful, finite, on or after epoch 0
+  };
+
   /// Folds one ping record. Per pair, epochs must be strictly
   /// increasing: a record at or before the pair's last folded epoch is
   /// dropped (the streaming form of the store's first-write-wins rule).
   /// Interior gaps are linearly interpolated into the diurnal window at
   /// fold time — causal, because both gap endpoints are known once the
-  /// right one arrives.
-  void add(const probe::PingRecord& record);
+  /// right one arrives. Exactly commit(prepare(record)).
+  void add(const probe::PingRecord& record) { commit(prepare(record)); }
+
+  /// The order-independent half of add() (thread-safe).
+  Prepared prepare(const probe::PingRecord& record) const;
+  /// The fold itself; commits must follow record order.
+  void commit(const Prepared& prepared);
 
   /// Advances the sealed-epoch horizon (monotone; lower values are
   /// ignored). Verdict denominators — missing samples, the minimum

@@ -13,7 +13,38 @@ namespace {
 /// never alias a new registry at a recycled address.
 std::atomic<std::uint64_t> g_next_serial{1};
 
+/// Registries alive right now, by serial: an exiting thread retires its
+/// shards only into registries that still exist. Lock order: this mutex
+/// before any registry's.
+std::mutex& live_mutex() {
+  static std::mutex* mutex = new std::mutex();  // never dies
+  return *mutex;
+}
+
+std::unordered_map<std::uint64_t, MetricsRegistry*>& live_registries() {
+  static auto* live = new std::unordered_map<std::uint64_t, MetricsRegistry*>();
+  return *live;
+}
+
 }  // namespace
+
+/// One per thread that ever attached: its shard in every registry it
+/// touched. The destructor runs at thread exit.
+struct MetricsRegistry::ThreadShards {
+  std::unordered_map<std::uint64_t, Shard*> by_serial;
+
+  ~ThreadShards() {
+    {
+      const std::lock_guard<std::mutex> lock(live_mutex());
+      for (const auto& [serial, shard] : by_serial) {
+        const auto it = live_registries().find(serial);
+        if (it != live_registries().end()) it->second->retire(shard);
+      }
+    }
+    // A metric ticked later in this thread's exit re-attaches afresh.
+    tls_cache_ = ThreadCache{0, nullptr};
+  }
+};
 
 double HistogramSnapshot::quantile(double q) const {
   if (total == 0) return 0.0;
@@ -50,7 +81,16 @@ double HistogramSnapshot::approx_mean() const {
 }
 
 MetricsRegistry::MetricsRegistry()
-    : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {}
+    : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)),
+      retired_(kMaxSlots, 0) {
+  const std::lock_guard<std::mutex> lock(live_mutex());
+  live_registries().emplace(serial_, this);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  const std::lock_guard<std::mutex> lock(live_mutex());
+  live_registries().erase(serial_);
+}
 
 Counter MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -129,23 +169,42 @@ const std::vector<double>& MetricsRegistry::rtt_ms_bounds() {
 MetricsRegistry::Shard* MetricsRegistry::attach_thread(ThreadCache& cache) {
   // Slow path: one map lookup per (thread, registry) switch. The map is
   // keyed by serial so entries for dead registries can never collide.
-  thread_local std::unordered_map<std::uint64_t, Shard*> by_serial;
-  const auto it = by_serial.find(serial_);
+  thread_local ThreadShards mine;
+  const auto it = mine.by_serial.find(serial_);
   Shard* shard;
-  if (it != by_serial.end()) {
+  if (it != mine.by_serial.end()) {
     shard = it->second;
   } else {
-    auto owned = std::make_unique<Shard>();
-    shard = owned.get();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      shards_.push_back(std::move(owned));
+      if (!spare_) spare_ = std::make_unique<Shard>();
+      shard = spare_.get();
+      shards_.push_back(std::move(spare_));
     }
-    by_serial.emplace(serial_, shard);
+    mine.by_serial.emplace(serial_, shard);
   }
   cache.serial = serial_;
   cache.shard = shard;
   return shard;
+}
+
+void MetricsRegistry::retire(Shard* shard) {
+  std::unique_ptr<Shard> extra;  // freed after the lock is dropped
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < kMaxSlots; ++i) {
+    retired_[i] += shard->slots[i].exchange(0, std::memory_order_relaxed);
+  }
+  const auto it = std::find_if(
+      shards_.begin(), shards_.end(),
+      [&](const std::unique_ptr<Shard>& s) { return s.get() == shard; });
+  if (it == shards_.end()) return;
+  (spare_ ? extra : spare_) = std::move(*it);
+  shards_.erase(it);
+}
+
+std::size_t MetricsRegistry::shard_count() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return shards_.size() + (spare_ ? 1 : 0);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -154,7 +213,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, def] : defs_) {
     switch (def.kind) {
       case Kind::kCounter: {
-        std::uint64_t sum = 0;
+        std::uint64_t sum = retired_[def.base];
         for (const auto& shard : shards_) {
           sum += shard->slots[def.base].load(std::memory_order_relaxed);
         }
@@ -172,7 +231,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       case Kind::kHistogram: {
         HistogramSnapshot h;
         h.bounds = def.bounds;
-        h.counts.assign(def.width, 0);
+        h.counts.assign(retired_.begin() + def.base,
+                        retired_.begin() + def.base + def.width);
         for (const auto& shard : shards_) {
           for (std::uint32_t i = 0; i < def.width; ++i) {
             h.counts[i] +=
@@ -193,6 +253,7 @@ void MetricsRegistry::reset() {
   for (const auto& shard : shards_) {
     for (auto& slot : shard->slots) slot.store(0, std::memory_order_relaxed);
   }
+  std::fill(retired_.begin(), retired_.end(), 0);
   for (auto& [name, cell] : gauges_) {
     cell.store(0.0, std::memory_order_relaxed);
   }

@@ -17,6 +17,10 @@
 //
 // Lifetime: a registry must outlive every thread that touches its
 // handles; the process-wide global() registry trivially satisfies this.
+// A thread's shard lives as long as the thread: on thread exit its
+// slots fold into the registry's retired totals and the shard is kept
+// for the next thread to attach, so short-lived threads (a pool per
+// load) cost no memory once they are gone.
 #pragma once
 
 #include <atomic>
@@ -115,7 +119,7 @@ class MetricsRegistry {
   static constexpr std::size_t kMaxSlots = 4096;
 
   MetricsRegistry();
-  ~MetricsRegistry() = default;
+  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -143,6 +147,10 @@ class MetricsRegistry {
   /// Zeroes every slot and gauge; names and handles stay valid.
   void reset();
 
+  /// Shards allocated: one per live thread that has touched a handle,
+  /// plus at most one spare kept from an exited thread.
+  std::size_t shard_count() const;
+
   /// Process-wide registry used by default across the pipeline.
   static MetricsRegistry& global();
 
@@ -157,9 +165,11 @@ class MetricsRegistry {
   inline Shard* local_shard();
 
  private:
+  /// No member initializers: the thread_local below is zero-initialized,
+  /// which keeps it constant-initialized.
   struct ThreadCache {
-    std::uint64_t serial = 0;
-    Shard* shard = nullptr;
+    std::uint64_t serial;
+    Shard* shard;
   };
 
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -170,14 +180,26 @@ class MetricsRegistry {
     std::vector<double> bounds;
   };
 
+  /// The thread-exit hook that retires a thread's shards.
+  struct ThreadShards;
+
   Shard* attach_thread(ThreadCache& cache);
+  /// Folds an exiting thread's shard into retired_ and keeps it spare.
+  void retire(Shard* shard);
+
+  /// The calling thread's most recent (registry, shard); constant-
+  /// initialized, so the hot path reads it without a TLS guard.
+  static inline thread_local ThreadCache tls_cache_{};
 
   const std::uint64_t serial_;
   std::atomic<bool> enabled_{true};
-  mutable std::mutex mutex_;  ///< guards defs_, gauges_, shards_
+  /// Guards defs_, gauges_, shards_, spare_ and retired_.
+  mutable std::mutex mutex_;
   std::map<std::string, MetricDef> defs_;       // node-stable addresses
   std::map<std::string, std::atomic<double>> gauges_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< one per live thread
+  std::unique_ptr<Shard> spare_;  ///< an exited thread's, zeroed
+  std::vector<std::uint64_t> retired_;  ///< exited threads' slot sums
   std::uint32_t next_slot_ = 0;
 };
 
@@ -196,9 +218,8 @@ inline void Histogram::record(double v) const {
 }
 
 inline MetricsRegistry::Shard* MetricsRegistry::local_shard() {
-  thread_local ThreadCache cache;
-  if (cache.serial == serial_) return cache.shard;
-  return attach_thread(cache);
+  if (tls_cache_.serial == serial_) return tls_cache_.shard;
+  return attach_thread(tls_cache_);
 }
 
 }  // namespace s2s::obs

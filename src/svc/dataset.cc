@@ -4,17 +4,20 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <istream>
 #include <map>
+#include <streambuf>
 #include <tuple>
 
 #include "core/dualstack.h"
 #include "io/crc32c.h"
 #include "io/mmap_file.h"
+#include "io/records_io.h"
 #include "io/varint.h"
 #include "net/asn.h"
 #include "probe/campaign.h"
 #include "stats/summary.h"
+#include "svc/ingest.h"
 
 namespace s2s::svc {
 
@@ -38,26 +41,30 @@ simnet::NetworkConfig dataset_net_config(const DatasetConfig& cfg) {
 
 namespace {
 
-bool file_digest(const std::string& path, std::uint64_t& size_out,
-                 std::uint32_t& crc_out, std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    error = "cannot open archive: " + path;
-    return false;
+/// A read-only, seekable istream over bytes that are already in memory
+/// (a text archive's mapping), so the text reader parses it without a
+/// copy.
+class MemoryBuf : public std::streambuf {
+ public:
+  MemoryBuf(const unsigned char* data, std::size_t size) {
+    char* p = const_cast<char*>(reinterpret_cast<const char*>(data));
+    setg(p, p, p + size);
   }
-  char buf[1 << 16];
-  std::uint32_t crc = 0;
-  std::uint64_t size = 0;
-  while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-    const auto n = static_cast<std::size_t>(in.gcount());
-    crc = io::crc32c(crc, buf, n);
-    size += n;
-    if (n < sizeof buf) break;
+
+ protected:
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode) override {
+    char* from = dir == std::ios_base::beg   ? eback()
+                 : dir == std::ios_base::cur ? gptr()
+                                             : egptr();
+    if (off < eback() - from || off > egptr() - from) return pos_type(-1);
+    setg(eback(), from + off, egptr());
+    return pos_type(gptr() - eback());
   }
-  size_out = size;
-  crc_out = crc;
-  return true;
-}
+  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+    return seekoff(off_type(pos), std::ios_base::beg, which);
+  }
+};
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -132,6 +139,21 @@ Dataset::Response error_response(std::string_view code,
   return {MsgType::kError, error_payload(code, message)};
 }
 
+/// The IngestResult of a pipelined binary ingest.
+io::IngestResult binary_ingest(const IngestOutcome& outcome,
+                               io::FooterStatus footer) {
+  io::IngestResult ingest;
+  ingest.binary = true;
+  ingest.used_mmap = true;
+  ingest.records = outcome.counters.records_read;
+  ingest.blocks_read = outcome.counters.blocks_read;
+  ingest.corrupt_blocks = outcome.counters.corrupt_blocks;
+  ingest.records_rejected = outcome.counters.records_rejected;
+  ingest.truncated = outcome.counters.truncated;
+  ingest.footer = footer;
+  return ingest;
+}
+
 void quantiles_json(obs::json::Writer& w, const stats::Summary& s) {
   w.key("quantiles").begin_object();
   w.key("p5").value(s.p5);
@@ -157,6 +179,15 @@ Dataset::Dataset(const DatasetConfig& config, const simnet::Network* shared_net)
     : config_(config), net_(shared_net) {}
 
 bool Dataset::load(std::string& error) {
+  const exec::PoolLease lease;
+  return load_on(lease.pool(), error);
+}
+
+bool Dataset::load(std::string& error, exec::ThreadPool& pool) {
+  return load_on(&pool, error);
+}
+
+bool Dataset::load_on(exec::ThreadPool* pool, std::string& error) {
   // An archive with a watermark sidecar is an open shard: reads are
   // bounded at the sealed watermark and verdicts come from the
   // incremental state (DESIGN.md section 16). A damaged sidecar is a
@@ -169,47 +200,53 @@ bool Dataset::load(std::string& error) {
               live::watermark_path(config_.archive_path);
       return false;
     case live::WatermarkStatus::kValid:
-      return load_live(wm, error);
+      return load_live(wm, pool, error);
     case live::WatermarkStatus::kAbsent:
       break;
   }
 
-  std::uint64_t size = 0;
-  std::uint32_t crc = 0;
-  if (!file_digest(config_.archive_path, size, crc, error)) return false;
-
-  // Pass 1: the ping grid size. PingSeriesStore allocates its slots up
-  // front, so the archive is scanned once for the last ping epoch.
-  std::int64_t max_ping_epoch = -1;
-  auto scan = io::ingest_record_file(
-      config_.archive_path, [](const probe::TracerouteRecord&) {},
-      [&](const probe::PingRecord& r) {
-        const std::int64_t e = net::grid_epoch(r.time, config_.ping_start_day,
-                                               config_.ping_interval_s);
-        if (e > max_ping_epoch) max_ping_epoch = e;
-      });
-  if (!scan.ok) {
-    error = "archive unreadable: " + scan.error;
+  // One open, one mapping, one pass: the digest, the stores and (for an
+  // indexed archive) archive_slice() all come from the same bytes, so a
+  // rename between steps can never pair one file's digest with
+  // another's stores.
+  io::MmapFile file;
+  if (!file.open(config_.archive_path)) {
+    error = "cannot open archive: " + config_.archive_path;
     return false;
   }
-  const auto epochs =
-      static_cast<std::size_t>(max_ping_epoch < 0 ? 0 : max_ping_epoch + 1);
-
-  // Pass 2: ingest into fresh stores; swap in only on success so a bad
-  // SIGHUP reload keeps the previous dataset serving.
+  // Fresh stores, swapped in only on success so a bad SIGHUP reload
+  // keeps the previous dataset serving. The ping grid grows to the
+  // archive's last ping epoch as records arrive.
   auto timelines = std::make_unique<core::TimelineStore>(
       net_->topo(), net_->rib(),
       core::TimelineStoreConfig{config_.trace_start_day,
                                 config_.trace_interval_s});
   auto pings = std::make_unique<core::PingSeriesStore>(
-      config_.ping_start_day, config_.ping_interval_s, epochs);
-  auto ingest = io::ingest_record_file(
-      config_.archive_path,
-      [&](const probe::TracerouteRecord& r) { timelines->add(r); },
-      [&](const probe::PingRecord& r) { pings->add(r); });
-  if (!ingest.ok) {
-    error = "archive unreadable: " + ingest.error;
-    return false;
+      config_.ping_start_day, config_.ping_interval_s, 0,
+      core::PingSeriesStore::Grid::kGrow);
+  io::IngestResult ingest;
+  std::uint32_t crc = 0;
+  const std::uint64_t size = file.size();
+  std::shared_ptr<const io::BinRecordMmapReader> reader;
+  if (!io::is_binary_record_image(file.data(), file.size())) {
+    crc = io::crc32c(file.data(), file.size());
+    MemoryBuf buf(file.data(), file.size());
+    std::istream in(&buf);
+    ingest = io::read_records_auto(
+        in, [&](const probe::TracerouteRecord& r) { timelines->add(r); },
+        [&](const probe::PingRecord& r) { pings->add(r); });
+  } else {
+    reader = std::make_shared<const io::BinRecordMmapReader>(std::move(file));
+    if (!reader->ok()) {
+      error = "archive unreadable: " + reader->error();
+      return false;
+    }
+    const io::BlockPlan plan = reader->plan(&reader->file());
+    const IngestOutcome outcome = ingest_blocks(
+        {reader->data(), 0, reader->size(), 0, &reader->file()}, plan,
+        {timelines.get(), pings.get(), nullptr}, pool);
+    crc = outcome.crc;
+    ingest = binary_ingest(outcome, plan.footer);
   }
   timelines_ = std::move(timelines);
   pings_ = std::move(pings);
@@ -217,20 +254,15 @@ bool Dataset::load(std::string& error) {
   digest_crc_ = crc;
   digest_ = mix_digest(size, crc, -1);
   ingest_ = ingest;
-  ping_epochs_ = epochs;
   live_ = false;
   watermark_ = {};
   live_state_.reset();
-  // Retain the mapped image when the archive came through the mmap arm
-  // with a validated footer: archive_slice() serves raw block bytes
-  // straight out of this mapping.
+  // Keep the mapping when the archive has a validated footer:
+  // archive_slice() serves raw block bytes straight out of it. The
+  // ingest released its pages as it went, so holding it costs no RSS
+  // until a slice faults the bytes it sends back in.
   mmap_.reset();
-  if (ingest_.binary && ingest_.used_mmap &&
-      ingest_.footer == io::FooterStatus::kValid) {
-    auto reader =
-        std::make_shared<io::BinRecordMmapReader>(config_.archive_path);
-    if (reader->ok() && reader->has_index()) mmap_ = std::move(reader);
-  }
+  if (reader && reader->has_index()) mmap_ = std::move(reader);
   return true;
 }
 
@@ -245,7 +277,8 @@ live::IncrementalConfig Dataset::incremental_config() const {
   return c;
 }
 
-bool Dataset::load_live(const live::Watermark& wm, std::string& error) {
+bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
+                        std::string& error) {
   io::MmapFile file;
   if (!file.open(config_.archive_path)) {
     error = "cannot map open shard: " + file.error();
@@ -256,79 +289,51 @@ bool Dataset::load_live(const live::Watermark& wm, std::string& error) {
     return false;
   }
   const auto sealed = static_cast<std::size_t>(wm.sealed_bytes);
-
-  // Pass 1 over the sealed prefix only: the ping grid size. The grid is
-  // clamped up to the watermark epoch so record-free sealed epochs still
-  // count as missing samples.
-  std::int64_t max_ping_epoch = wm.epoch;
-  {
-    io::BinRecordMmapReader scan(file.data(), sealed);
-    if (!scan.ok()) {
-      error = "open shard unreadable: " + scan.error();
-      return false;
-    }
-    scan.read_all([](const probe::TracerouteRecord&) {},
-                  [&](const probe::PingRecord& r) {
-                    const std::int64_t e = net::grid_epoch(
-                        r.time, config_.ping_start_day, config_.ping_interval_s);
-                    if (e > max_ping_epoch) max_ping_epoch = e;
-                  });
+  const io::BinRecordMmapReader reader(file.data(), sealed);
+  if (!reader.ok()) {
+    error = "open shard unreadable: " + reader.error();
+    return false;
   }
-  const auto epochs =
-      static_cast<std::size_t>(max_ping_epoch < 0 ? 0 : max_ping_epoch + 1);
 
-  // Pass 2: fresh stores plus the incremental state, folded in archive
-  // order. Damage inside the sealed prefix is a hard error: the watermark
-  // protocol guarantees every sealed block was fsynced and CRC-valid, so
-  // a torn or corrupt block here means real data loss, not a live tail.
+  // Fresh stores plus the incremental state, folded in archive order.
+  // The ping grid starts at the watermark epoch, so record-free sealed
+  // epochs still count as missing samples, and grows past it with the
+  // records. Damage inside the sealed prefix is a hard error: the
+  // watermark protocol guarantees every sealed block was fsynced and
+  // CRC-valid, so a torn or corrupt block here means real data loss,
+  // not a live tail.
   auto timelines = std::make_unique<core::TimelineStore>(
       net_->topo(), net_->rib(),
       core::TimelineStoreConfig{config_.trace_start_day,
                                 config_.trace_interval_s});
   auto pings = std::make_unique<core::PingSeriesStore>(
-      config_.ping_start_day, config_.ping_interval_s, epochs);
+      config_.ping_start_day, config_.ping_interval_s,
+      static_cast<std::size_t>(std::max<std::int64_t>(wm.epoch + 1, 0)),
+      core::PingSeriesStore::Grid::kGrow);
   auto state = std::make_shared<live::IncrementalState>(incremental_config());
-  io::BinRecordMmapReader reader(file.data(), sealed);
-  if (!reader.ok()) {
-    error = "open shard unreadable: " + reader.error();
-    return false;
-  }
-  reader.read_all([&](const probe::TracerouteRecord& r) { timelines->add(r); },
-                  [&](const probe::PingRecord& r) {
-                    pings->add(r);
-                    state->add(r);
-                  });
-  if (reader.counters().truncated) {
+  const io::BlockPlan plan = reader.plan(&file);
+  const IngestOutcome outcome =
+      ingest_blocks({file.data(), 0, sealed, 0, &file}, plan,
+                    {timelines.get(), pings.get(), state.get()}, pool);
+  if (outcome.counters.truncated) {
     error = "open shard is torn inside its sealed watermark";
     return false;
   }
-  if (reader.corrupt_blocks() > 0) {
-    error = std::to_string(reader.corrupt_blocks()) +
+  if (outcome.counters.corrupt_blocks > 0) {
+    error = std::to_string(outcome.counters.corrupt_blocks) +
             " corrupt block(s) inside the sealed watermark";
     return false;
   }
   state->advance_watermark(wm.epoch);
-
-  io::IngestResult ingest;
-  ingest.binary = true;
-  ingest.used_mmap = file.mapped();
-  ingest.ok = true;
-  ingest.records = reader.records_read();
-  ingest.blocks_read = reader.blocks_read();
-  ingest.corrupt_blocks = reader.corrupt_blocks();
-  ingest.records_rejected = reader.counters().records_rejected;
-  ingest.truncated = false;
-  ingest.footer = reader.footer_status();
 
   timelines_ = std::move(timelines);
   pings_ = std::move(pings);
   live_state_ = std::move(state);
   live_ = true;
   watermark_ = wm;
-  ping_epochs_ = epochs;
-  ingest_ = ingest;
+  ingest_ = binary_ingest(outcome, plan.footer);
   digest_size_ = wm.sealed_bytes;
-  digest_crc_ = io::crc32c(0, file.data(), sealed);
+  digest_crc_ = outcome.crc;
   digest_ = mix_digest(digest_size_, digest_crc_, wm.epoch);
   // No retained mmap while live: the file is still growing underneath,
   // so archive_slice() is a batch-only feature (remove the sidecar after
@@ -373,66 +378,53 @@ std::shared_ptr<Dataset> Dataset::clone_advanced(std::string& error) const {
   const auto begin = static_cast<std::size_t>(watermark_.sealed_bytes);
   const auto end = static_cast<std::size_t>(wm.sealed_bytes);
 
-  // Pass 1 over just the delta: does the ping grid need to grow?
-  std::int64_t max_ping_epoch =
-      std::max<std::int64_t>(static_cast<std::int64_t>(ping_epochs_) - 1,
-                             wm.epoch);
-  io::BinReadCounters scan_counters;
-  io::decode_block_range(
-      file.data(), file.size(), begin, end,
-      [](const probe::TracerouteRecord&) {},
-      [&](const probe::PingRecord& r) {
-        const std::int64_t e = net::grid_epoch(r.time, config_.ping_start_day,
-                                               config_.ping_interval_s);
-        if (e > max_ping_epoch) max_ping_epoch = e;
-      },
-      scan_counters);
-  if (scan_counters.truncated) {
+  // Copy this snapshot's stores and fold ONLY the new tail, decoded once
+  // — O(new records), never a replay of the sealed prefix. The copies
+  // keep their dedup windows, so a block re-delivered across pickups
+  // cannot double-count. The ping grid extends to the new watermark
+  // epoch and grows past it with the records.
+  auto timelines = std::make_unique<core::TimelineStore>(*timelines_);
+  auto pings = std::make_unique<core::PingSeriesStore>(
+      *pings_, static_cast<std::size_t>(std::max<std::int64_t>(
+                   static_cast<std::int64_t>(ping_epochs()), wm.epoch + 1)));
+  auto state = std::make_shared<live::IncrementalState>(*live_state_);
+  const io::BlockPlan plan =
+      io::plan_block_range(file.data(), file.size(), begin, end, &file);
+  IngestOutcome outcome;
+  {
+    const exec::PoolLease lease;
+    outcome = ingest_blocks({file.data(), begin, end, digest_crc_, &file},
+                            plan, {timelines.get(), pings.get(), state.get()},
+                            lease.pool());
+  }
+  if (outcome.counters.truncated) {
     error = "sealed tail is torn inside the new watermark";
     return nullptr;
   }
-  if (scan_counters.corrupt_blocks > 0) {
-    error = std::to_string(scan_counters.corrupt_blocks) +
+  if (outcome.counters.corrupt_blocks > 0) {
+    error = std::to_string(outcome.counters.corrupt_blocks) +
             " corrupt block(s) in the sealed tail";
     return nullptr;
   }
-  const auto epochs =
-      static_cast<std::size_t>(max_ping_epoch < 0 ? 0 : max_ping_epoch + 1);
-
-  // Pass 2: copy this snapshot's stores and fold ONLY the new tail —
-  // O(new records), never a replay of the sealed prefix. The copies keep
-  // their dedup windows, so a block re-delivered across pickups cannot
-  // double-count.
-  auto next = std::make_shared<Dataset>(config_, net_);
-  next->timelines_ = std::make_unique<core::TimelineStore>(*timelines_);
-  next->pings_ = std::make_unique<core::PingSeriesStore>(*pings_, epochs);
-  auto state = std::make_shared<live::IncrementalState>(*live_state_);
-  io::BinReadCounters counters;
-  io::decode_block_range(
-      file.data(), file.size(), begin, end,
-      [&](const probe::TracerouteRecord& r) { next->timelines_->add(r); },
-      [&](const probe::PingRecord& r) {
-        next->pings_->add(r);
-        state->add(r);
-      },
-      counters);
   state->advance_watermark(wm.epoch);
+  auto next = std::make_shared<Dataset>(config_, net_);
+  next->timelines_ = std::move(timelines);
+  next->pings_ = std::move(pings);
   next->live_state_ = std::move(state);
   next->live_ = true;
   next->watermark_ = wm;
-  next->ping_epochs_ = epochs;
 
   // Ingest counters accumulate across pickups so summary_json keeps
   // reporting whole-shard totals.
   next->ingest_ = ingest_;
-  next->ingest_.records += counters.records_read;
-  next->ingest_.blocks_read += counters.blocks_read;
-  next->ingest_.records_rejected += counters.records_rejected;
+  next->ingest_.records += outcome.counters.records_read;
+  next->ingest_.blocks_read += outcome.counters.blocks_read;
+  next->ingest_.records_rejected += outcome.counters.records_rejected;
 
-  // Digest: continue the CRC over just the appended sealed bytes — same
+  // Digest: the CRC continued over just the appended sealed bytes — the
   // value a from-scratch load_live() of this growth state computes.
   next->digest_size_ = wm.sealed_bytes;
-  next->digest_crc_ = io::crc32c(digest_crc_, file.data() + begin, end - begin);
+  next->digest_crc_ = outcome.crc;
   next->digest_ = mix_digest(next->digest_size_, next->digest_crc_, wm.epoch);
   return next;
 }
@@ -636,7 +628,7 @@ Dataset::Response Dataset::congestion_verdict(const PairQuery& q) const {
   }
   core::CongestionDetectConfig cfg = config_.detect;
   cfg.min_samples = static_cast<std::size_t>(
-      config_.detect_min_fraction * static_cast<double>(ping_epochs_));
+      config_.detect_min_fraction * static_cast<double>(ping_epochs()));
   const auto ms = core::PingSeriesStore::to_ms_interpolated(*series);
   auto verdict = core::assess_series(ms, pings_->samples_per_day(), cfg);
   verdict.missing_samples = series->rtt_tenths.size() - series->valid;
@@ -844,7 +836,7 @@ void Dataset::summary_json(obs::json::Writer& w) const {
           loaded() ? timelines_->timeline_count() : 0));
   w.key("ping_pairs")
       .value(static_cast<std::uint64_t>(loaded() ? pings_->pair_count() : 0));
-  w.key("ping_epochs").value(static_cast<std::uint64_t>(ping_epochs_));
+  w.key("ping_epochs").value(static_cast<std::uint64_t>(ping_epochs()));
   if (live_) {
     w.key("live").value(true);
     w.key("watermark_epoch").value(watermark_.epoch);

@@ -85,9 +85,15 @@ class Dataset {
   Dataset(const Dataset&) = delete;
   Dataset& operator=(const Dataset&) = delete;
 
-  /// Ingests the archive (mmap arm by default) into fresh stores and
-  /// swaps them in; on failure the previous stores keep serving.
+  /// Ingests the archive into fresh stores in one pass over one mapping
+  /// and swaps them in; on failure the previous stores keep serving.
+  /// Blocks are decoded and prepared on the process-wide pipeline pool
+  /// (exec::PoolLease; width 1 while another load holds it) and
+  /// committed in archive order (DESIGN.md section 17).
   bool load(std::string& error);
+  /// load() on `pool`'s lanes: the same stores, digest and responses at
+  /// any pool width.
+  bool load(std::string& error, exec::ThreadPool& pool);
 
   bool loaded() const noexcept { return timelines_ != nullptr; }
   /// Cache-key half: splitmix64 over ((sealed size << 32) ^ CRC32C of
@@ -116,7 +122,9 @@ class Dataset {
   std::shared_ptr<Dataset> clone_advanced(std::string& error) const;
   const DatasetConfig& config() const noexcept { return config_; }
   const io::IngestResult& ingest() const noexcept { return ingest_; }
-  std::size_t ping_epochs() const noexcept { return ping_epochs_; }
+  std::size_t ping_epochs() const noexcept {
+    return pings_ ? pings_->epochs() : 0;
+  }
   const core::TimelineStore& timelines() const { return *timelines_; }
   const core::PingSeriesStore& pings() const { return *pings_; }
   const simnet::Network& net() const { return *net_; }
@@ -178,7 +186,9 @@ class Dataset {
   Response dualstack_delta(const DualStackQuery& q) const;
   Response figure_digest(const FigureQuery& q, exec::ThreadPool* pool) const;
 
-  bool load_live(const live::Watermark& wm, std::string& error);
+  bool load_on(exec::ThreadPool* pool, std::string& error);
+  bool load_live(const live::Watermark& wm, exec::ThreadPool* pool,
+                 std::string& error);
   live::IncrementalConfig incremental_config() const;
 
   DatasetConfig config_;
@@ -195,7 +205,6 @@ class Dataset {
   std::uint64_t digest_size_ = 0;
   std::uint32_t digest_crc_ = 0;
   io::IngestResult ingest_;
-  std::size_t ping_epochs_ = 0;
   bool live_ = false;
   live::Watermark watermark_;
   std::shared_ptr<const live::IncrementalState> live_state_;

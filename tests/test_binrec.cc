@@ -5,11 +5,13 @@
 // records — identical DataQualityReports, identical store contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -629,6 +631,78 @@ TEST(BinRecInterchange, FileIngestUsesTheMmapArm) {
   expect_same_sequence(g.pings, from_bin.pings);
   expect_same_sequence(g.traces, from_text.traces);
   expect_same_sequence(g.pings, from_text.pings);
+}
+
+TEST(BinRecFraming, ReleasingFramedPagesKeepsThePlanAndTheBytes) {
+  // Footerless, so the plan is a header walk, and several of the walk's
+  // 256 KiB release strides long.
+  const auto g = generate(515, 20000,
+                          io::BinWriterConfig{.block_records = 32,
+                                              .write_header = true,
+                                              .write_footer = false});
+  ASSERT_GT(g.image.size(), std::size_t{1} << 20);
+  const std::string path = ::testing::TempDir() + "/binrec_framing.s2sb";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << g.image;
+  }
+  io::MmapFile file;
+  ASSERT_TRUE(file.open(path)) << file.error();
+  const io::BinRecordMmapReader reader(file.data(), file.size());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_FALSE(reader.has_index());
+  const io::BlockPlan kept = reader.plan();
+  const io::BlockPlan released = reader.plan(&file);
+  EXPECT_EQ(released.offsets, kept.offsets);
+  EXPECT_EQ(released.end, kept.end);
+  EXPECT_EQ(released.truncated, kept.truncated);
+  EXPECT_EQ(released.footer, kept.footer);
+  const io::BlockPlan range =
+      io::plan_block_range(file.data(), file.size(), io::kBinFileHeaderBytes,
+                           file.size(), &file);
+  EXPECT_EQ(range.offsets, kept.offsets);
+  EXPECT_FALSE(range.truncated);
+
+  // The released pages fault back in from the file: a decode after the
+  // walk still reads every record.
+  Collected c;
+  io::BinReadCounters counters;
+  for (const std::size_t offset : released.offsets) {
+    io::decode_planned(
+        file.data(), released, offset,
+        [&](const TracerouteRecord& r) { c.traces.push_back(r); },
+        [&](const PingRecord& r) { c.pings.push_back(r); }, counters);
+  }
+  EXPECT_EQ(counters.corrupt_blocks, 0u);
+  expect_same_sequence(g.traces, c.traces);
+  expect_same_sequence(g.pings, c.pings);
+}
+
+TEST(Crc32c, CombineMatchesOneShotOverRandomSplits) {
+  std::mt19937_64 rng(7);
+  std::string bytes(70000, '\0');
+  for (auto& c : bytes) c = static_cast<char>(rng());
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::uint32_t whole = io::crc32c(data, bytes.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    // Cut points in ascending order, repeats allowed: empty pieces, a
+    // first or last piece of the whole image, tiny and huge pieces.
+    std::vector<std::size_t> cuts = {0, bytes.size()};
+    const int pieces = 1 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < pieces; ++i) {
+      cuts.push_back(rng() % 3 == 0 ? cuts[rng() % cuts.size()]
+                                    : rng() % (bytes.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t crc = 0;
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+      const std::size_t len = cuts[k + 1] - cuts[k];
+      crc = io::crc32c_combine(crc, io::crc32c(data + cuts[k], len), len);
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
+  }
+  EXPECT_EQ(io::crc32c_combine(whole, 0, 0), whole);
+  EXPECT_EQ(io::crc32c_combine(0, whole, bytes.size()), whole);
 }
 
 }  // namespace

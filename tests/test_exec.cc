@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/congestion_detect.h"
 #include "core/dualstack.h"
 #include "core/localize.h"
 #include "core/routing_study.h"
+#include "exec/ordered.h"
 #include "exec/parallel_for.h"
 #include "exec/pool.h"
 #include "obs/log.h"
@@ -138,6 +141,70 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
     });
   }
   EXPECT_EQ(total.load(), 50u * 97u);
+}
+
+TEST(OrderedPipeline, CommitsEveryItemInIndexOrderAtAnyWidth) {
+  constexpr std::size_t kItems = 2000;
+  for (const unsigned width : {1u, 2u, 8u}) {
+    exec::ThreadPool pool(width);
+    std::vector<std::size_t> committed;
+    std::vector<std::uint64_t> values;
+    struct Slot {
+      std::size_t item = 0;
+      std::uint64_t value = 0;
+    };
+    exec::ordered_pipeline<Slot>(
+        &pool, kItems,
+        [](std::size_t i, Slot& slot) {
+          // Uneven work, so lanes finish out of order.
+          if (i % 7 == 0) std::this_thread::yield();
+          slot.item = i;
+          slot.value = i * i + 1;
+        },
+        [&](std::size_t i, Slot& slot) {
+          // A committer that falls behind fills the ring, so preparing
+          // lanes wait for slots and reuse each one many times over.
+          if (i % 64 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+          EXPECT_EQ(slot.item, i);
+          committed.push_back(i);
+          values.push_back(slot.value);
+        });
+    ASSERT_EQ(committed.size(), kItems) << "width " << width;
+    for (std::size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(committed[i], i) << "width " << width;
+      ASSERT_EQ(values[i], i * i + 1);
+    }
+  }
+}
+
+TEST(OrderedPipeline, FirstExceptionStopsThePipelineAndIsRethrown) {
+  for (const unsigned width : {1u, 4u}) {
+    exec::ThreadPool pool(width);
+    std::size_t commits = 0;
+    struct Slot {
+      std::size_t item = 0;
+    };
+    EXPECT_THROW(
+        exec::ordered_pipeline<Slot>(
+            &pool, 500,
+            [](std::size_t i, Slot& slot) {
+              if (i == 137) throw std::runtime_error("bad block");
+              slot.item = i;
+            },
+            [&](std::size_t, Slot&) { ++commits; }),
+        std::runtime_error);
+    EXPECT_LE(commits, 137u) << "width " << width;
+  }
+}
+
+TEST(OrderedPipeline, ABusyLeaseRunsAtWidthOne) {
+  const exec::PoolLease first;
+  ASSERT_NE(first.pool(), nullptr);
+  EXPECT_EQ(first.pool()->thread_count(), exec::resolve_thread_count());
+  const exec::PoolLease second;
+  EXPECT_EQ(second.pool(), nullptr);
 }
 
 TEST(ParallelFor, NullPoolRunsInlineInShardOrder) {

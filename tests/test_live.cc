@@ -414,6 +414,53 @@ TEST(LiveDataset, DeltaPickupMatchesFreshLoadByteForByte) {
   live::remove_watermark_file(path);
 }
 
+std::string summary(const svc::Dataset& ds) {
+  obs::json::Writer w;
+  w.begin_object();
+  ds.summary_json(w);
+  w.end_object();
+  return w.str();
+}
+
+TEST(LiveDataset, LoadAtAnyWidthAndPickupChainMatchFreshLoad) {
+  const std::string path = temp_path("live_ds_widths");
+  auto writer = write_epochs(path, 48, 64);
+  svc::DatasetConfig cfg = world().cfg;
+  cfg.archive_path = path;
+  std::string error;
+
+  // load_live on one lane and on eight: same stores, same bytes.
+  exec::ThreadPool one(1), eight(8);
+  auto base = std::make_shared<svc::Dataset>(cfg, world().net.get());
+  ASSERT_TRUE(base->load(error, one)) << error;
+  svc::Dataset wide(cfg, world().net.get());
+  ASSERT_TRUE(wide.load(error, eight)) << error;
+  ASSERT_TRUE(base->live() && wide.live());
+  EXPECT_EQ(wide.digest(), base->digest());
+  EXPECT_EQ(summary(wide), summary(*base));
+  EXPECT_EQ(verdict_payloads(wide), verdict_payloads(*base));
+
+  // A chain of pickups, a few epochs each, ends where a fresh load of
+  // the final watermark starts.
+  std::shared_ptr<svc::Dataset> snap = base;
+  for (std::size_t e = 48; e < 96; e += 12) {
+    append_epochs(*writer, e, e + 12);
+    auto next = snap->clone_advanced(error);
+    ASSERT_NE(next, nullptr) << error;
+    snap = next;
+  }
+  svc::Dataset fresh(cfg, world().net.get());
+  ASSERT_TRUE(fresh.load(error)) << error;
+  EXPECT_EQ(snap->watermark().epoch, 95);
+  EXPECT_EQ(snap->ping_epochs(), fresh.ping_epochs());
+  EXPECT_EQ(snap->digest(), fresh.digest());
+  EXPECT_EQ(summary(*snap), summary(fresh));
+  EXPECT_EQ(verdict_payloads(*snap), verdict_payloads(fresh));
+
+  std::remove(path.c_str());
+  live::remove_watermark_file(path);
+}
+
 TEST(LiveDataset, DamagedSidecarRefusesLoad) {
   const std::string path = temp_path("live_ds_badwm");
   write_epochs(path, 4, 256);

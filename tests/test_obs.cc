@@ -93,6 +93,39 @@ TEST(Metrics, ConcurrentCountersSumExactly) {
   EXPECT_EQ(reg.snapshot().counters.at("n"), kThreads * kPerThread);
 }
 
+TEST(Metrics, ShortLivedThreadsRetireTheirShards) {
+  // Short-lived threads (a pool per load) must not leave a 32 KiB shard
+  // each behind: an exited thread folds into the registry's retired
+  // totals and hands its shard to the next thread.
+  MetricsRegistry reg;
+  const Counter counter = reg.counter("n");
+  const Histogram hist = reg.histogram("h", {1.0, 2.0});
+  constexpr int kThreads = 256;
+  constexpr int kWave = 16;
+  for (int wave = 0; wave < kThreads / kWave; ++wave) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWave; ++t) {
+      threads.emplace_back([&, t] {
+        counter.inc(static_cast<std::uint64_t>(t) + 1);
+        hist.record(1.5);
+      });
+    }
+    for (auto& t : threads) t.join();
+    // Every thread of the wave has exited; none is live but this one.
+    EXPECT_LE(reg.shard_count(), 2u) << "wave " << wave;
+  }
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("n"),
+            static_cast<std::uint64_t>(kThreads / kWave) * kWave *
+                (kWave + 1) / 2);
+  EXPECT_EQ(snap.histograms.at("h").total, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(snap.histograms.at("h").counts[1],
+            static_cast<std::uint64_t>(kThreads));
+  // reset() clears the retired totals too.
+  reg.reset();
+  EXPECT_EQ(reg.snapshot().counters.at("n"), 0u);
+}
+
 TEST(Metrics, DisabledRegistryAndDefaultHandlesAreNoOps) {
   MetricsRegistry reg;
   const Counter counter = reg.counter("n");
