@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: topology
 // generation, valley-free route computation, longest-prefix match over
-// real hop addresses, AS-path edit distance, the diurnal FFT detector,
-// traceroute simulation, and the record-ingest hot paths (traceroutes
-// with observability on vs off, and pings) — plus the edit-distance vs
-// exact-equality change-detection ablation.
+// real hop addresses, AS-path edit distance, the diurnal detector, the
+// served congestion verdict and its JSON doubles, traceroute simulation,
+// and the record-ingest hot paths (traceroutes with observability on vs
+// off, and pings) — plus the edit-distance vs exact-equality
+// change-detection ablation.
 //
 // After the benchmark table, main() prints a one-line JSON summary with
 // ingest throughput, the obs overhead percentage, p50/p99 of the
@@ -452,6 +453,58 @@ BENCHMARK(BM_SurveyCongestion)
     ->Arg(2)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// The served congestion verdict over a week of one series' slots (W =
+// 672), plus its JSON response body: the per-request cost of
+// kCongestionVerdict. Cycles through the survey store's series.
+void BM_SeriesVerdict(benchmark::State& state) {
+  const auto& store = survey_store();
+  std::vector<const core::PingSeriesStore::Series*> series;
+  store.for_each([&](topology::ServerId, topology::ServerId, net::Family,
+                     const core::PingSeriesStore::Series& s) {
+    series.push_back(&s);
+  });
+  const core::CongestionDetectConfig config;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto v = core::window_verdict(*series[i], store.samples_per_day(),
+                                        config, 0.6);
+    obs::json::Writer w;
+    w.begin_object();
+    w.key("samples").value(
+        static_cast<std::uint64_t>(v.samples - v.missing_samples));
+    w.key("missing_samples")
+        .value(static_cast<std::uint64_t>(v.missing_samples));
+    w.key("insufficient").value(v.insufficient);
+    w.key("variation_ms").value(v.variation_ms);
+    w.key("diurnal_ratio").value(v.diurnal_ratio);
+    w.key("consistent_congestion").value(v.consistent_congestion());
+    w.end_object();
+    benchmark::DoNotOptimize(w.str().data());
+    i = (i + 1) % series.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SeriesVerdict);
+
+// Shortest round-trip formatting of one double: variation-like values
+// with few digits and ratio-like values needing all 17.
+void BM_JsonDouble(benchmark::State& state) {
+  std::vector<double> values;
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(i * 0.1 + 12.0);
+    values.push_back(1.0 / (i + 3.0));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    obs::json::Writer w;
+    w.value(values[i]);
+    benchmark::DoNotOptimize(w.str().data());
+    i = (i + 1) % values.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_JsonDouble);
 
 /// Key fields of two surveys compared for the identical-output check.
 bool surveys_identical(const core::CongestionSurvey& a,

@@ -1,6 +1,8 @@
 #include "core/congestion_detect.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
@@ -9,34 +11,88 @@
 
 namespace s2s::core {
 
-SeriesVerdict assess_series(std::span<const double> rtt_ms,
-                            double samples_per_day,
-                            const CongestionDetectConfig& config) {
-  SeriesVerdict verdict;
-  verdict.samples = rtt_ms.size();
-  std::vector<double> usable;
-  usable.reserve(rtt_ms.size());
-  for (const double v : rtt_ms) {
-    if (std::isfinite(v)) {
-      usable.push_back(v);
-    } else {
-      ++verdict.invalid_samples;
-    }
-  }
+namespace {
+
+/// assess_series' statistics over samples known to be finite; fills the
+/// verdict in beside its sample counts.
+void assess_finite(std::span<const double> usable, double samples_per_day,
+                   const CongestionDetectConfig& config,
+                   SeriesVerdict& verdict) {
   if (usable.size() < 2) {
     verdict.insufficient = true;
-    return verdict;
+    return;
   }
-  const auto sorted = stats::sorted(usable);
-  verdict.variation_ms = stats::quantile_sorted(sorted, 0.95) -
-                         stats::quantile_sorted(sorted, 0.05);
+  const auto [p5, p95] = stats::quantile_pair(usable, 0.05, 0.95);
+  verdict.variation_ms = p95 - p5;
   verdict.high_variation =
       verdict.variation_ms > config.variation_threshold_ms;
   verdict.diurnal_ratio =
       stats::diurnal_power_ratio(usable, samples_per_day).ratio;
   verdict.strong_diurnal =
       verdict.diurnal_ratio >= config.diurnal_ratio_threshold;
+}
+
+}  // namespace
+
+SeriesVerdict assess_series(std::span<const double> rtt_ms,
+                            double samples_per_day,
+                            const CongestionDetectConfig& config) {
+  SeriesVerdict verdict;
+  verdict.samples = rtt_ms.size();
+  const auto finite = [](double v) { return std::isfinite(v); };
+  verdict.invalid_samples =
+      rtt_ms.size() - static_cast<std::size_t>(std::count_if(
+                          rtt_ms.begin(), rtt_ms.end(), finite));
+  if (verdict.invalid_samples == 0) {
+    assess_finite(rtt_ms, samples_per_day, config, verdict);
+    return verdict;
+  }
+  std::vector<double> usable;
+  std::copy_if(rtt_ms.begin(), rtt_ms.end(), std::back_inserter(usable),
+               finite);
+  assess_finite(usable, samples_per_day, config, verdict);
   return verdict;
+}
+
+SeriesVerdict window_verdict(const PingSeriesStore::Series& series,
+                             double samples_per_day,
+                             const CongestionDetectConfig& config,
+                             double min_fraction) {
+  const std::span<const std::uint16_t> grid = series.rtt_tenths;
+  const auto window = std::min(
+      grid.size(),
+      static_cast<std::size_t>(kVerdictWindowDays * samples_per_day));
+  const auto slots = grid.last(window);
+  const auto observed = static_cast<std::size_t>(std::count_if(
+      slots.begin(), slots.end(),
+      [](std::uint16_t t) { return t != PingSeriesStore::kMissing; }));
+  // The gap-filled slots are finite, so they skip assess_series' filter.
+  SeriesVerdict verdict;
+  assess_finite(PingSeriesStore::to_ms_interpolated(slots), samples_per_day,
+                config, verdict);
+  verdict.samples = window;
+  verdict.missing_samples = window - observed;
+  const auto min_samples =
+      static_cast<std::size_t>(min_fraction * static_cast<double>(window));
+  if (observed == 0 || observed < min_samples) verdict.insufficient = true;
+  return verdict;
+}
+
+WindowVerdictCounts count_window_verdicts(const PingSeriesStore& store,
+                                          const CongestionDetectConfig& config,
+                                          double min_fraction) {
+  WindowVerdictCounts counts;
+  store.for_each([&](topology::ServerId, topology::ServerId, net::Family,
+                     const PingSeriesStore::Series& series) {
+    const SeriesVerdict v =
+        window_verdict(series, store.samples_per_day(), config, min_fraction);
+    ++counts.pairs;
+    if (v.insufficient) return;
+    ++counts.assessed;
+    if (v.high_variation) ++counts.high_variation;
+    if (v.consistent_congestion()) ++counts.consistent;
+  });
+  return counts;
 }
 
 namespace {

@@ -45,10 +45,41 @@ struct SeriesVerdict {
 
 /// Assesses one (gap-free) RTT series in ms. Non-finite samples are
 /// filtered out (and counted) instead of poisoning the percentiles and
-/// the spectral estimate.
+/// the spectral estimate. The percentiles are type-7 quantiles found by
+/// selection, bit-identical to a sort.
 SeriesVerdict assess_series(std::span<const double> rtt_ms,
                             double samples_per_day,
                             const CongestionDetectConfig& config = {});
+
+/// Days of trailing pings the served verdict judges: the paper's
+/// one-week analysis horizon.
+inline constexpr double kVerdictWindowDays = 7.0;
+
+/// The served congestion verdict (DESIGN.md section 16), one function
+/// for batch archives and live shards: assess_series over the trailing
+/// kVerdictWindowDays of the series' grid (all of it when shorter). The
+/// window's slots are gap-filled on their own, so nothing before the
+/// window leaks in. `samples` is the window length and
+/// `missing_samples` its empty slots; the verdict is insufficient when
+/// fewer than `min_fraction` of the window was observed (the flags are
+/// still computed then, as long as one slot was). `config.min_samples`
+/// is not read.
+SeriesVerdict window_verdict(const PingSeriesStore::Series& series,
+                             double samples_per_day,
+                             const CongestionDetectConfig& config,
+                             double min_fraction);
+
+/// window_verdict counts over every series in a store.
+struct WindowVerdictCounts {
+  std::size_t pairs = 0;
+  std::size_t assessed = 0;  ///< not insufficient
+  std::size_t high_variation = 0;
+  std::size_t consistent = 0;
+};
+
+WindowVerdictCounts count_window_verdicts(const PingSeriesStore& store,
+                                          const CongestionDetectConfig& config,
+                                          double min_fraction);
 
 /// A flagged pair from the survey.
 struct FlaggedPair {

@@ -40,19 +40,19 @@ PreparedPing PingSeriesStore::prepare(const probe::PingRecord& record) const {
   return p;
 }
 
-void PingSeriesStore::commit(const PreparedPing& p) {
+bool PingSeriesStore::commit(const PreparedPing& p) {
   if (grid_ == Grid::kGrow && p.epoch >= 0) {
     grow(static_cast<std::size_t>(p.epoch) + 1);
   }
   if (dedup_.seen_or_insert(p.fingerprint)) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
-    return;
+    return false;
   }
   if (p.epoch < 0 || static_cast<std::size_t>(p.epoch) >= epochs_) {
     ++quality_.out_of_grid;
     obs_.drop_out_of_grid.inc();
-    return;
+    return false;
   }
   if (p.epoch < last_epoch_seen_) {
     ++quality_.reordered;
@@ -62,9 +62,9 @@ void PingSeriesStore::commit(const PreparedPing& p) {
   if (!p.valid) {
     ++quality_.invalid_rtt;
     obs_.drop_invalid_rtt.inc();
-    return;
+    return false;
   }
-  if (!p.success) return;
+  if (!p.success) return false;
 
   Series& series = series_[p.key];
   if (series.rtt_tenths.empty()) series.rtt_tenths.assign(epochs_, kMissing);
@@ -74,12 +74,13 @@ void PingSeriesStore::commit(const PreparedPing& p) {
   if (slot != kMissing) {
     ++quality_.duplicates_dropped;
     obs_.drop_duplicates.inc();
-    return;
+    return false;
   }
   obs_.records.inc();
   obs_.rtt_ms.record(p.rtt_ms);
   ++series.valid;
   slot = p.rtt_tenths;
+  return true;
 }
 
 const PingSeriesStore::Series* PingSeriesStore::find(
@@ -115,11 +116,9 @@ void PingSeriesStore::for_each_shard(
   }
 }
 
-std::vector<double> PingSeriesStore::to_ms_interpolated(const Series& series) {
-  std::vector<double> out;
-  if (series.valid == 0) return out;
-  const auto& raw = series.rtt_tenths;
-  out.resize(raw.size());
+std::vector<double> PingSeriesStore::to_ms_interpolated(
+    std::span<const std::uint16_t> raw) {
+  std::vector<double> out(raw.size());
   // Forward fill indexes of previous/next valid samples, then interpolate.
   std::ptrdiff_t prev = -1;
   for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -140,6 +139,7 @@ std::vector<double> PingSeriesStore::to_ms_interpolated(const Series& series) {
       prev = static_cast<std::ptrdiff_t>(i);
     }
   }
+  if (prev < 0) return {};
   // Trailing gap: copy the last valid sample.
   for (std::size_t i = static_cast<std::size_t>(prev) + 1; i < raw.size();
        ++i) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -62,8 +63,9 @@ class PingSeriesStore {
   PreparedPing prepare(const probe::PingRecord& record) const;
   /// The order-dependent half: grid growth, dedup window, reorder
   /// watermark, counters and the slot write. Commits must follow record
-  /// order for results identical to add().
-  void commit(const PreparedPing& prepared);
+  /// order for results identical to add(). True when the record filled
+  /// a slot.
+  bool commit(const PreparedPing& prepared);
 
   struct Series {
     std::vector<std::uint16_t> rtt_tenths;  ///< size = epochs; kMissing gaps
@@ -96,8 +98,12 @@ class PingSeriesStore {
   }
 
   /// Gap-filled copy in ms (linear interpolation; edge gaps copy the
-  /// nearest valid sample). Empty when the series has no valid samples.
-  static std::vector<double> to_ms_interpolated(const Series& series);
+  /// nearest valid sample). Empty when the slots hold no valid sample.
+  static std::vector<double> to_ms_interpolated(
+      std::span<const std::uint16_t> rtt_tenths);
+  static std::vector<double> to_ms_interpolated(const Series& series) {
+    return to_ms_interpolated(series.rtt_tenths);
+  }
 
  private:
   static std::uint64_t key(topology::ServerId src, topology::ServerId dst,

@@ -1,8 +1,9 @@
 #include "exec/pool.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <set>
+#include <deque>
 #include <string>
 
 #include "obs/log.h"
@@ -20,13 +21,16 @@ namespace {
 /// not a real machine, and each worker pins a stack.
 constexpr long kMaxEnvThreads = 4096;
 
-/// Warns once per distinct bad value, and stops entirely after a few so
-/// a hot loop resolving pools cannot flood the log.
+/// Warns once per bad value: a value among the last few distinct ones
+/// already warned is quiet, so a hot loop resolving pools cannot flood
+/// the log, while a new value always warns and memory stays bounded.
 void warn_bad_threads_env(const char* value) {
   static std::mutex mutex;
-  static std::set<std::string> seen;
+  static std::deque<std::string> recent;
   const std::lock_guard<std::mutex> lock(mutex);
-  if (seen.size() >= 8 || !seen.insert(value).second) return;
+  if (std::find(recent.begin(), recent.end(), value) != recent.end()) return;
+  if (recent.size() == 8) recent.pop_front();
+  recent.emplace_back(value);
   obs::logf(obs::LogLevel::kWarn,
             "S2S_THREADS=\"%s\" is not a positive integer <= %ld; "
             "falling back to hardware concurrency (%u)",

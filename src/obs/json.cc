@@ -1,14 +1,16 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace s2s::obs::json {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+/// Appends `s` to `out`, escaped for a JSON string literal.
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -29,8 +31,9 @@ std::string escape(std::string_view s) {
         }
     }
   }
-  return out;
 }
+
+}  // namespace
 
 void Writer::separate() {
   if (after_key_) {
@@ -72,7 +75,7 @@ Writer& Writer::end_array() {
 Writer& Writer::key(std::string_view name) {
   separate();
   out_ += '"';
-  out_ += escape(name);
+  append_escaped(out_, name);
   out_ += "\":";
   after_key_ = true;
   return *this;
@@ -81,7 +84,7 @@ Writer& Writer::key(std::string_view name) {
 Writer& Writer::value(std::string_view s) {
   separate();
   out_ += '"';
-  out_ += escape(s);
+  append_escaped(out_, s);
   out_ += '"';
   return *this;
 }
@@ -92,30 +95,42 @@ Writer& Writer::value(double v) {
     out_ += "null";
     return *this;
   }
+  // The lowest %g precision that round-trips. std::to_chars writes the
+  // shortest digit string that round-trips, so no lower precision can
+  // and the search starts at its digit count, usually ending at once.
+  // to_chars with a precision formats as printf's %.*g does.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[40];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) {
-      out_ += probe;
-      return *this;
-    }
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++digits;
   }
-  out_ += buf;
+  // 17 significant digits always round-trip.
+  for (int prec = digits;; ++prec) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v || prec >= 17) break;
+  }
+  out_.append(buf, end);
   return *this;
 }
 
 Writer& Writer::value(std::uint64_t v) {
   separate();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   return *this;
 }
 
 Writer& Writer::value(std::int64_t v) {
   separate();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   return *this;
 }
 

@@ -19,9 +19,6 @@
 
 namespace s2s::obs::json {
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
-std::string escape(std::string_view s);
-
 /// Streaming writer; calls must describe a well-formed document
 /// (object/array nesting balanced, key() before every object value).
 class Writer {

@@ -1,94 +1,79 @@
 #include "stats/fft.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 #include "stats/summary.h"
 
 namespace s2s::stats {
 
-void fft_radix2(std::vector<std::complex<double>>& data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  if ((n & (n - 1)) != 0) {
-    throw std::invalid_argument("fft_radix2: size must be a power of two");
-  }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const auto u = data[i + k];
-        const auto v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    for (auto& x : data) x /= static_cast<double>(n);
-  }
-}
+namespace {
 
-std::complex<double> goertzel_bin(std::span<const double> series, double k) {
-  const auto n = static_cast<double>(series.size());
-  if (series.empty()) return {0.0, 0.0};
-  const double omega = 2.0 * std::numbers::pi * k / n;
-  const double coeff = 2.0 * std::cos(omega);
-  double s_prev = 0.0, s_prev2 = 0.0;
-  for (double x : series) {
+/// Goertzel's state for one bin: the recurrence coefficient in, the last
+/// two terms out.
+struct GoertzelChain {
+  double omega = 0.0;
+  double coeff = 0.0;
+  double s_prev = 0.0;
+  double s_prev2 = 0.0;
+
+  GoertzelChain(double k, double n)
+      : omega(2.0 * std::numbers::pi * k / n), coeff(2.0 * std::cos(omega)) {}
+
+  void step(double x) noexcept {
     const double s = x + coeff * s_prev - s_prev2;
     s_prev2 = s_prev;
     s_prev = s;
   }
+
   // Forward-DFT convention (exp(-i...)): X_k = s_{N-1} e^{i omega} - s_{N-2}.
-  const std::complex<double> w(std::cos(omega), std::sin(omega));
-  return s_prev * w - s_prev2;
+  std::complex<double> coefficient() const {
+    const std::complex<double> w(std::cos(omega), std::sin(omega));
+    return s_prev * w - s_prev2;
+  }
+};
+
+}  // namespace
+
+std::complex<double> goertzel_bin(std::span<const double> series, double k) {
+  if (series.empty()) return {0.0, 0.0};
+  GoertzelChain chain(k, static_cast<double>(series.size()));
+  for (const double x : series) chain.step(x);
+  return chain.coefficient();
 }
 
-std::vector<double> power_spectrum(std::span<const double> series) {
-  std::size_t n = 1;
-  while (n < series.size()) n <<= 1;
-  std::vector<std::complex<double>> data(n, {0.0, 0.0});
-  for (std::size_t i = 0; i < series.size(); ++i) data[i] = series[i];
-  fft_radix2(data);
-  std::vector<double> power(n / 2 + 1);
-  for (std::size_t k = 0; k <= n / 2; ++k) power[k] = std::norm(data[k]);
-  return power;
-}
-
-DiurnalPower diurnalpower_impl(std::span<const double> series,
-                               double samples_per_day) {
+DiurnalPower diurnal_power_ratio(std::span<const double> series,
+                                 double samples_per_day) {
   DiurnalPower out;
   const std::size_t n = series.size();
   if (n == 0 || samples_per_day <= 0.0) return out;
   const double days = static_cast<double>(n) / samples_per_day;
   if (days < 2.0) return out;
 
-  // Remove the mean so the DC term does not dominate total power.
-  const double m = mean(series);
-  std::vector<double> centered(n);
-  for (std::size_t i = 0; i < n; ++i) centered[i] = series[i] - m;
-
-  // Total AC power via Parseval: sum_k |X_k|^2 = N * sum_n x_n^2.
-  double sum_sq = 0.0;
-  for (double x : centered) sum_sq += x * x;
-  const double total_power = static_cast<double>(n) * sum_sq;
-
   // The 1/day frequency falls at bin k = N / samples_per_day = #days.
   const int day_bin = static_cast<int>(std::lround(days));
   out.day_bin = day_bin;
+
+  // One pass over the mean-removed series (the DC term would otherwise
+  // dominate) runs the day bin's and both neighbours' recurrences beside
+  // Parseval's total AC power, sum_k |X_k|^2 = N * sum_n x_n^2. Every
+  // chain does goertzel_bin's operations in its order, so each bin is
+  // bit-identical to goertzel_bin over a centred copy.
+  const double m = mean(series);
+  GoertzelChain chains[3] = {
+      {static_cast<double>(day_bin - 1), static_cast<double>(n)},
+      {static_cast<double>(day_bin), static_cast<double>(n)},
+      {static_cast<double>(day_bin + 1), static_cast<double>(n)}};
+  double sum_sq = 0.0;
+  for (const double x : series) {
+    const double c = x - m;
+    sum_sq += c * c;
+    chains[0].step(c);
+    chains[1].step(c);
+    chains[2].step(c);
+  }
+  const double total_power = static_cast<double>(n) * sum_sq;
 
   // Power "around" f: the day bin plus its immediate neighbours, counting
   // both the positive and the (conjugate-symmetric) negative frequency.
@@ -97,10 +82,10 @@ DiurnalPower diurnalpower_impl(std::span<const double> series,
   // is self-conjugate, so doubling it would count its power twice.
   const std::size_t nyquist = n / 2;
   double diurnal = 0.0;
-  for (int k = day_bin - 1; k <= day_bin + 1; ++k) {
+  for (int j = 0; j < 3; ++j) {
+    const int k = day_bin - 1 + j;
     if (k <= 0 || static_cast<std::size_t>(k) > nyquist) continue;
-    const double power =
-        std::norm(goertzel_bin(centered, static_cast<double>(k)));
+    const double power = std::norm(chains[j].coefficient());
     const bool self_conjugate =
         n % 2 == 0 && static_cast<std::size_t>(k) == nyquist;
     diurnal += self_conjugate ? power : 2.0 * power;
@@ -109,11 +94,6 @@ DiurnalPower diurnalpower_impl(std::span<const double> series,
   out.total_power = total_power;
   out.ratio = total_power > 0.0 ? std::min(1.0, diurnal / total_power) : 0.0;
   return out;
-}
-
-DiurnalPower diurnal_power_ratio(std::span<const double> series,
-                                 double samples_per_day) {
-  return diurnalpower_impl(series, samples_per_day);
 }
 
 bool has_strong_diurnal_pattern(std::span<const double> series,

@@ -3,29 +3,19 @@
 // The paper applies an FFT at frequency f = 1/day to each RTT time series
 // and flags "consistent congestion" when the fraction of signal power that
 // sits at (and immediately around) the diurnal frequency is at least 0.3.
-//
-// We provide: an iterative radix-2 complex FFT (for tests and power-of-two
-// series), a Goertzel single-bin DFT (any series length), and the
-// diurnal-power-ratio detector built from Goertzel + Parseval.
+// Only three bins are ever read, so no FFT is run: each bin is a Goertzel
+// single-bin DFT (any series length), and the total power comes from
+// Parseval.
 #pragma once
 
 #include <complex>
 #include <span>
-#include <vector>
 
 namespace s2s::stats {
-
-/// In-place iterative radix-2 Cooley-Tukey FFT.
-/// Precondition: data.size() is a power of two (throws otherwise).
-void fft_radix2(std::vector<std::complex<double>>& data, bool inverse = false);
 
 /// DFT coefficient X_k of a real series at (possibly fractional) bin `k`
 /// via the Goertzel recurrence: X_k = sum_n x[n] * exp(-2*pi*i*k*n/N).
 std::complex<double> goertzel_bin(std::span<const double> series, double k);
-
-/// Power spectrum |X_k|^2 for k = 0..N/2 of a real series, via radix-2 FFT
-/// after zero-padding to a power of two (test/diagnostic helper).
-std::vector<double> power_spectrum(std::span<const double> series);
 
 /// Result of the diurnal-signal test.
 struct DiurnalPower {
@@ -39,7 +29,9 @@ struct DiurnalPower {
 /// 1/day frequency. `samples_per_day` is the sampling rate (e.g. 96 for the
 /// paper's 15-minute pings, 8 for 3-hour traceroutes). Power is summed over
 /// the day bin and its two neighbours ("around the frequency f", paper
-/// Section 5.1). Series shorter than two days yield ratio 0.
+/// Section 5.1). Series shorter than two days yield ratio 0. Bit-identical
+/// to goertzel_bin over a mean-removed copy, one call per bin, though the
+/// three recurrences share one pass.
 DiurnalPower diurnal_power_ratio(std::span<const double> series,
                                  double samples_per_day);
 

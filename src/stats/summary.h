@@ -2,6 +2,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace s2s::stats {
@@ -37,5 +38,15 @@ std::vector<double> sorted(std::span<const double> samples);
 
 /// Quantile on samples already sorted ascending (no copy).
 double quantile_sorted(std::span<const double> sorted_samples, double q);
+
+/// {quantile_sorted(sorted(samples), q_low), quantile_sorted(sorted(
+/// samples), q_high)} without the sort: selects just the order
+/// statistics the two interpolations read, so both are bit-identical.
+/// Built for a pair of tails (p5 and p95): one pass keeps the samples
+/// that every 16th sample places near each tail's ranks, and the
+/// selection runs on those few; any q is exact. Precondition: samples
+/// non-empty and NaN-free.
+std::pair<double, double> quantile_pair(std::span<const double> samples,
+                                        double q_low, double q_high);
 
 }  // namespace s2s::stats

@@ -189,10 +189,9 @@ bool Dataset::load(std::string& error, exec::ThreadPool& pool) {
 
 bool Dataset::load_on(exec::ThreadPool* pool, std::string& error) {
   // An archive with a watermark sidecar is an open shard: reads are
-  // bounded at the sealed watermark and verdicts come from the
-  // incremental state (DESIGN.md section 16). A damaged sidecar is a
-  // hard error — serving an unknown prefix of a live shard could expose
-  // a torn tail.
+  // bounded at the sealed watermark, whose epoch ends the ping grid
+  // (DESIGN.md section 16). A damaged sidecar is a hard error — serving
+  // an unknown prefix of a live shard could expose a torn tail.
   live::Watermark wm;
   switch (live::read_watermark_file(config_.archive_path, wm)) {
     case live::WatermarkStatus::kInvalid:
@@ -266,17 +265,6 @@ bool Dataset::load_on(exec::ThreadPool* pool, std::string& error) {
   return true;
 }
 
-live::IncrementalConfig Dataset::incremental_config() const {
-  live::IncrementalConfig c;
-  c.start_day = config_.ping_start_day;
-  c.interval_s = config_.ping_interval_s;
-  c.detect = config_.detect;
-  c.min_fraction = config_.detect_min_fraction;
-  c.window_epochs = static_cast<std::size_t>(
-      7 * 86400 / std::max<std::int64_t>(1, config_.ping_interval_s));
-  return c;
-}
-
 bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
                         std::string& error) {
   io::MmapFile file;
@@ -295,7 +283,7 @@ bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
     return false;
   }
 
-  // Fresh stores plus the incremental state, folded in archive order.
+  // Fresh stores plus the fold counters, filled in archive order.
   // The ping grid starts at the watermark epoch, so record-free sealed
   // epochs still count as missing samples, and grows past it with the
   // records. Damage inside the sealed prefix is a hard error: the
@@ -310,7 +298,7 @@ bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
       config_.ping_start_day, config_.ping_interval_s,
       static_cast<std::size_t>(std::max<std::int64_t>(wm.epoch + 1, 0)),
       core::PingSeriesStore::Grid::kGrow);
-  auto state = std::make_shared<live::IncrementalState>(incremental_config());
+  auto state = std::make_shared<live::IncrementalState>();
   const io::BlockPlan plan = reader.plan(&file);
   const IngestOutcome outcome =
       ingest_blocks({file.data(), 0, sealed, 0, &file}, plan,
@@ -324,7 +312,7 @@ bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
             " corrupt block(s) inside the sealed watermark";
     return false;
   }
-  state->advance_watermark(wm.epoch);
+  state->advance_watermark(wm.epoch, pings->pair_count());
 
   timelines_ = std::move(timelines);
   pings_ = std::move(pings);
@@ -406,7 +394,7 @@ std::shared_ptr<Dataset> Dataset::clone_advanced(std::string& error) const {
             " corrupt block(s) in the sealed tail";
     return nullptr;
   }
-  state->advance_watermark(wm.epoch);
+  state->advance_watermark(wm.epoch, pings->pair_count());
   auto next = std::make_shared<Dataset>(config_, net_);
   next->timelines_ = std::move(timelines);
   next->pings_ = std::move(pings);
@@ -596,43 +584,17 @@ Dataset::Response Dataset::path_prevalence(const PairQuery& q) const {
 }
 
 Dataset::Response Dataset::congestion_verdict(const PairQuery& q) const {
-  if (live_ && live_state_) {
-    // Live shards answer from the streaming sketches — O(window), and a
-    // pure function of (sealed record stream, watermark epoch), so every
-    // growth state is a distinct deterministic response under its own
-    // digest. Same JSON shape as the batch arm.
-    live::IncrementalState::Verdict v;
-    if (!live_state_->verdict(q.src, q.dst, q.family, v)) {
-      return error_response("not_found", "no ping series for this pair");
-    }
-    obs::json::Writer w;
-    w.begin_object();
-    w.key("type").value("congestion_verdict");
-    w.key("src").value(static_cast<std::uint64_t>(q.src));
-    w.key("dst").value(static_cast<std::uint64_t>(q.dst));
-    w.key("family").value(static_cast<std::uint64_t>(q.family));
-    w.key("samples").value(v.samples);
-    w.key("missing_samples").value(v.missing_samples);
-    w.key("insufficient").value(v.insufficient);
-    w.key("variation_ms").value(v.variation_ms);
-    w.key("diurnal_ratio").value(v.diurnal_ratio);
-    w.key("high_variation").value(v.high_variation);
-    w.key("strong_diurnal").value(v.strong_diurnal);
-    w.key("consistent_congestion").value(v.consistent_congestion());
-    w.end_object();
-    return {MsgType::kOk, w.str()};
-  }
+  // One arm for batch archives and live shards: the verdict over the
+  // trailing week of the ping grid (DESIGN.md section 16). A live
+  // shard's grid ends at its sealed watermark, so every growth state is
+  // a distinct deterministic response under its own digest.
   const auto* series = pings_->find(q.src, q.dst, to_family(q.family));
   if (series == nullptr) {
     return error_response("not_found", "no ping series for this pair");
   }
-  core::CongestionDetectConfig cfg = config_.detect;
-  cfg.min_samples = static_cast<std::size_t>(
-      config_.detect_min_fraction * static_cast<double>(ping_epochs()));
-  const auto ms = core::PingSeriesStore::to_ms_interpolated(*series);
-  auto verdict = core::assess_series(ms, pings_->samples_per_day(), cfg);
-  verdict.missing_samples = series->rtt_tenths.size() - series->valid;
-  if (series->valid < cfg.min_samples) verdict.insufficient = true;
+  const auto verdict =
+      core::window_verdict(*series, pings_->samples_per_day(), config_.detect,
+                           config_.detect_min_fraction);
 
   obs::json::Writer w;
   w.begin_object();
@@ -640,7 +602,8 @@ Dataset::Response Dataset::congestion_verdict(const PairQuery& q) const {
   w.key("src").value(static_cast<std::uint64_t>(q.src));
   w.key("dst").value(static_cast<std::uint64_t>(q.dst));
   w.key("family").value(static_cast<std::uint64_t>(q.family));
-  w.key("samples").value(static_cast<std::uint64_t>(series->valid));
+  w.key("samples").value(
+      static_cast<std::uint64_t>(verdict.samples - verdict.missing_samples));
   w.key("missing_samples")
       .value(static_cast<std::uint64_t>(verdict.missing_samples));
   w.key("insufficient").value(verdict.insufficient);

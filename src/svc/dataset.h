@@ -69,8 +69,9 @@ struct DatasetConfig {
     return r;
   }();
   core::CongestionDetectConfig detect;
-  /// Congestion verdicts require this fraction of the grid to be valid
-  /// (scales the paper's ">= 600 of 672" to the archive's actual epochs).
+  /// Congestion verdicts require this fraction of their window (the
+  /// grid's trailing week, or all of a shorter grid) to be valid: the
+  /// paper's ">= 600 of 672", scaled.
   double detect_min_fraction = 0.6;
 };
 
@@ -103,18 +104,17 @@ class Dataset {
   std::uint64_t digest() const noexcept { return digest_; }
 
   /// True when load() found a valid watermark sidecar: the archive is an
-  /// open shard, reads are bounded at the sealed watermark, and verdicts
-  /// come from the incremental state.
+  /// open shard and reads are bounded at the sealed watermark.
   bool live() const noexcept { return live_; }
   const live::Watermark& watermark() const noexcept { return watermark_; }
-  /// Streaming congestion state; null unless live().
+  /// The shard's fold counters at its watermark; null unless live().
   const live::IncrementalState* live_state() const noexcept {
     return live_state_.get();
   }
 
   /// Delta pickup: polls the watermark sidecar and, when it advanced,
-  /// returns a new Dataset that copies this one's stores and incremental
-  /// state and folds in ONLY the newly sealed tail blocks — O(new
+  /// returns a new Dataset that copies this one's stores and fold
+  /// counters and folds in ONLY the newly sealed tail blocks — O(new
   /// records), no SIGHUP, no full reload. Returns null with `error`
   /// empty when the watermark is unchanged (or the dataset is not live),
   /// null with a reason on failure. `this` must stay alive while the
@@ -189,7 +189,6 @@ class Dataset {
   bool load_on(exec::ThreadPool* pool, std::string& error);
   bool load_live(const live::Watermark& wm, exec::ThreadPool* pool,
                  std::string& error);
-  live::IncrementalConfig incremental_config() const;
 
   DatasetConfig config_;
   std::unique_ptr<simnet::Network> owned_net_;

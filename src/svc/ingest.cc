@@ -19,7 +19,6 @@ struct Slot {
   std::vector<core::PreparedTrace> traces;
   std::vector<net::Asn> paths;
   std::vector<core::PreparedPing> pings;
-  std::vector<live::IncrementalState::Prepared> folds;
   std::uint32_t crc = 0;
 };
 
@@ -54,7 +53,6 @@ IngestOutcome ingest_blocks(const IngestImage& image, const io::BlockPlan& plan,
         slot.traces.clear();
         slot.paths.clear();
         slot.pings.clear();
-        slot.folds.clear();
         io::decode_planned(
             image.data, plan, plan.offsets[k],
             [&](const probe::TracerouteRecord& r) {
@@ -62,17 +60,16 @@ IngestOutcome ingest_blocks(const IngestImage& image, const io::BlockPlan& plan,
             },
             [&](const probe::PingRecord& r) {
               slot.pings.push_back(targets.pings->prepare(r));
-              if (targets.state != nullptr) {
-                slot.folds.push_back(targets.state->prepare(r));
-              }
             },
             slot.counters);
         slot.crc = io::crc32c(image.data + cut[k], cut[k + 1] - cut[k]);
       },
       [&](std::size_t k, Slot& slot) {
         for (const auto& t : slot.traces) targets.timelines->commit(t, slot.paths);
-        for (const auto& p : slot.pings) targets.pings->commit(p);
-        for (const auto& f : slot.folds) targets.state->commit(f);
+        for (const auto& p : slot.pings) {
+          const bool folded = targets.pings->commit(p);
+          if (targets.state != nullptr) targets.state->count(folded);
+        }
         out.counters.blocks_read += slot.counters.blocks_read;
         out.counters.corrupt_blocks += slot.counters.corrupt_blocks;
         out.counters.records_read += slot.counters.records_read;

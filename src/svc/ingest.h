@@ -25,7 +25,8 @@
 
 namespace s2s::svc {
 
-/// The stores one ingest feeds; `state` is set for live shards only.
+/// The stores one ingest feeds; `state`, set for live shards only,
+/// counts the pings the store took in.
 struct IngestTargets {
   core::TimelineStore* timelines = nullptr;
   core::PingSeriesStore* pings = nullptr;

@@ -1331,13 +1331,12 @@ std::string Server::live_status_payload(const Dataset& dataset) const {
     w.key("pairs_tracked")
         .value(static_cast<std::uint64_t>(state ? state->pairs_tracked() : 0));
     w.key("records_folded").value(state ? state->records_folded() : 0);
-    if (state != nullptr) {
-      const auto summary = state->summarize(nullptr);
-      w.key("assessed_pairs")
-          .value(static_cast<std::uint64_t>(summary.assessed));
-      w.key("congested_pairs")
-          .value(static_cast<std::uint64_t>(summary.consistent));
-    }
+    const auto counts = core::count_window_verdicts(
+        dataset.pings(), dataset.config().detect,
+        dataset.config().detect_min_fraction);
+    w.key("assessed_pairs").value(static_cast<std::uint64_t>(counts.assessed));
+    w.key("congested_pairs")
+        .value(static_cast<std::uint64_t>(counts.consistent));
     // Unsealed bytes sitting past the watermark: the writer's in-flight
     // tail the serving path deliberately cannot see yet.
     struct stat st{};

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <numbers>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/congestion_detect.h"
 #include "core/localize.h"
 #include "core/segment_series.h"
 #include "stats/rng.h"
+#include "stats/summary.h"
 
 namespace s2s::core {
 namespace {
@@ -60,6 +68,205 @@ TEST(AssessSeries, SmallDiurnalBelowVariationThreshold) {
   EXPECT_TRUE(verdict.strong_diurnal);
   EXPECT_FALSE(verdict.high_variation);
   EXPECT_FALSE(verdict.consistent_congestion());
+}
+
+/// One Goertzel pass for bin k, as goertzel_bin computed it before the
+/// recurrences were fused (kept here so the reference does not share
+/// code with the kernel it checks).
+std::complex<double> reference_goertzel(std::span<const double> series,
+                                        double k) {
+  const auto n = static_cast<double>(series.size());
+  const double omega = 2.0 * std::numbers::pi * k / n;
+  const double coeff = 2.0 * std::cos(omega);
+  double s_prev = 0.0, s_prev2 = 0.0;
+  for (const double x : series) {
+    const double s = x + coeff * s_prev - s_prev2;
+    s_prev2 = s_prev;
+    s_prev = s;
+  }
+  const std::complex<double> w(std::cos(omega), std::sin(omega));
+  return s_prev * w - s_prev2;
+}
+
+/// assess_series as it was before selection and the fused recurrences:
+/// a full sort for the quantiles, and over a mean-removed copy one
+/// Goertzel pass per bin beside a separate Parseval pass.
+SeriesVerdict reference_assess(std::span<const double> rtt_ms,
+                               double samples_per_day) {
+  const CongestionDetectConfig config;
+  SeriesVerdict verdict;
+  verdict.samples = rtt_ms.size();
+  std::vector<double> usable;
+  for (const double v : rtt_ms) {
+    if (std::isfinite(v)) {
+      usable.push_back(v);
+    } else {
+      ++verdict.invalid_samples;
+    }
+  }
+  if (usable.size() < 2) {
+    verdict.insufficient = true;
+    return verdict;
+  }
+  const auto sorted = stats::sorted(usable);
+  verdict.variation_ms = stats::quantile_sorted(sorted, 0.95) -
+                         stats::quantile_sorted(sorted, 0.05);
+  verdict.high_variation =
+      verdict.variation_ms > config.variation_threshold_ms;
+  const std::size_t n = usable.size();
+  const double days = static_cast<double>(n) / samples_per_day;
+  if (days >= 2.0) {
+    const double m = stats::mean(usable);
+    std::vector<double> centered(n);
+    for (std::size_t i = 0; i < n; ++i) centered[i] = usable[i] - m;
+    double sum_sq = 0.0;
+    for (const double x : centered) sum_sq += x * x;
+    const double total = static_cast<double>(n) * sum_sq;
+    const int day_bin = static_cast<int>(std::lround(days));
+    double diurnal = 0.0;
+    for (int k = day_bin - 1; k <= day_bin + 1; ++k) {
+      if (k <= 0 || static_cast<std::size_t>(k) > n / 2) continue;
+      const double power =
+          std::norm(reference_goertzel(centered, static_cast<double>(k)));
+      diurnal += n % 2 == 0 && static_cast<std::size_t>(k) == n / 2
+                     ? power
+                     : 2.0 * power;
+    }
+    verdict.diurnal_ratio =
+        total > 0.0 ? std::min(1.0, diurnal / total) : 0.0;
+  }
+  verdict.strong_diurnal =
+      verdict.diurnal_ratio >= config.diurnal_ratio_threshold;
+  return verdict;
+}
+
+void expect_same_verdict(const SeriesVerdict& a, const SeriesVerdict& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.samples, b.samples) << what;
+  EXPECT_EQ(a.invalid_samples, b.invalid_samples) << what;
+  EXPECT_EQ(a.insufficient, b.insufficient) << what;
+  EXPECT_EQ(a.variation_ms, b.variation_ms) << what;  // bit for bit
+  EXPECT_EQ(a.diurnal_ratio, b.diurnal_ratio) << what;
+  EXPECT_EQ(a.high_variation, b.high_variation) << what;
+  EXPECT_EQ(a.strong_diurnal, b.strong_diurnal) << what;
+}
+
+TEST(AssessSeries, SelectionAndFusedKernelMatchSortAndThreePasses) {
+  stats::Rng rng(11);
+  std::vector<std::pair<std::string, std::vector<double>>> cases;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    cases.emplace_back("diurnal " + std::to_string(seed),
+                       diurnal_series(60, 5.0 * static_cast<double>(seed % 7),
+                                      0.2 + static_cast<double>(seed), 7, 96,
+                                      100 + seed));
+  }
+  for (int c = 0; c < 10; ++c) {  // heavy ties: a few 0.1 ms levels
+    std::vector<double> s(672);
+    for (auto& v : s) v = 40.0 + std::floor(rng.uniform() * 3.0) / 10.0;
+    cases.emplace_back("ties " + std::to_string(c), s);
+  }
+  cases.emplace_back("constant", std::vector<double>(672, 12.5));
+  {
+    auto s = diurnal_series(80, 20, 1.0, 7, 96, 3);
+    for (std::size_t i = 0; i < s.size(); i += 37) {
+      s[i] = i % 2 ? std::nan("") : HUGE_VAL;
+    }
+    cases.emplace_back("non-finite", s);
+  }
+  cases.emplace_back("under two days", diurnal_series(80, 20, 1.0, 1, 150, 4));
+  cases.emplace_back("n < W", diurnal_series(80, 20, 1.0, 5, 96, 5));
+  cases.emplace_back("odd n", diurnal_series(80, 20, 1.0, 7, 95, 6));
+  {
+    // samples_per_day = 2: the day bin is the even-n Nyquist bin.
+    std::vector<double> s(8);
+    for (auto& v : s) v = rng.normal(30.0, 8.0);
+    cases.emplace_back("nyquist", s);
+  }
+  cases.emplace_back("one sample", std::vector<double>{5.0});
+  cases.emplace_back("empty", std::vector<double>{});
+  for (const auto& [name, series] : cases) {
+    const double per_day =
+        name == "nyquist" ? 2.0 : (name == "under two days" ? 150.0 : 96.0);
+    expect_same_verdict(assess_series(series, per_day),
+                        reference_assess(series, per_day), name);
+  }
+}
+
+PingSeriesStore::Series slots_of(const std::vector<double>& ms,
+                                 std::size_t missing_every) {
+  PingSeriesStore::Series s;
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    const bool missing = missing_every > 0 && i % missing_every == 0;
+    s.rtt_tenths.push_back(missing ? PingSeriesStore::kMissing
+                                   : static_cast<std::uint16_t>(ms[i] * 10));
+    if (!missing) ++s.valid;
+  }
+  return s;
+}
+
+TEST(WindowVerdict, JudgesOnlyTheTrailingWeek) {
+  // Two weeks: a loud diurnal first week, a quiet second one. The verdict
+  // sees the second week alone, its gaps filled from inside the window.
+  auto ms = diurnal_series(80, 40, 0.5, 7, 96, 21);
+  const auto quiet = diurnal_series(80, 0, 0.5, 7, 96, 22);
+  ms.insert(ms.end(), quiet.begin(), quiet.end());
+  const auto series = slots_of(ms, 5);
+  const CongestionDetectConfig config;
+  const auto verdict = window_verdict(series, 96.0, config, 0.6);
+
+  const std::span<const std::uint16_t> week =
+      std::span<const std::uint16_t>(series.rtt_tenths).last(672);
+  const auto expected = assess_series(
+      PingSeriesStore::to_ms_interpolated(week), 96.0, config);
+  EXPECT_EQ(verdict.samples, 672u);
+  EXPECT_EQ(verdict.missing_samples,
+            static_cast<std::size_t>(std::count(week.begin(), week.end(),
+                                                PingSeriesStore::kMissing)));
+  EXPECT_FALSE(verdict.insufficient);
+  EXPECT_EQ(verdict.variation_ms, expected.variation_ms);
+  EXPECT_EQ(verdict.diurnal_ratio, expected.diurnal_ratio);
+  EXPECT_FALSE(verdict.consistent_congestion());
+  // The whole two weeks would have been flagged.
+  EXPECT_TRUE(assess_series(PingSeriesStore::to_ms_interpolated(series), 96.0)
+                  .high_variation);
+}
+
+TEST(WindowVerdict, ShortGridIsWholeSeries) {
+  const auto ms = diurnal_series(80, 25, 0.5, 5, 96, 23);
+  const auto series = slots_of(ms, 7);
+  const CongestionDetectConfig config;
+  const auto verdict = window_verdict(series, 96.0, config, 0.6);
+  const auto expected = assess_series(
+      PingSeriesStore::to_ms_interpolated(series), 96.0, config);
+  EXPECT_EQ(verdict.samples, ms.size());
+  EXPECT_EQ(verdict.missing_samples, ms.size() - series.valid);
+  EXPECT_EQ(verdict.variation_ms, expected.variation_ms);
+  EXPECT_EQ(verdict.diurnal_ratio, expected.diurnal_ratio);
+  EXPECT_TRUE(verdict.consistent_congestion());
+}
+
+TEST(WindowVerdict, SparseOrEmptyWindowIsInsufficient) {
+  const CongestionDetectConfig config;
+  // Observed only before the window: nothing to judge.
+  auto ms = diurnal_series(80, 25, 0.5, 8, 96, 24);
+  auto series = slots_of(ms, 0);
+  for (std::size_t i = 96; i < series.rtt_tenths.size(); ++i) {
+    series.rtt_tenths[i] = PingSeriesStore::kMissing;
+  }
+  series.valid = 96;
+  auto verdict = window_verdict(series, 96.0, config, 0.6);
+  EXPECT_TRUE(verdict.insufficient);
+  EXPECT_EQ(verdict.samples, 672u);
+  EXPECT_EQ(verdict.missing_samples, 672u);
+  EXPECT_EQ(verdict.variation_ms, 0.0);
+  EXPECT_FALSE(verdict.consistent_congestion());
+  // Half the window observed: under the 0.6 floor, statistics still set.
+  series = slots_of(ms, 2);
+  verdict = window_verdict(series, 96.0, config, 0.6);
+  EXPECT_TRUE(verdict.insufficient);
+  EXPECT_EQ(verdict.missing_samples, 336u);
+  EXPECT_GT(verdict.variation_ms, 10.0);
+  EXPECT_FALSE(window_verdict(series, 96.0, config, 0.5).insufficient);
 }
 
 TEST(PingSeriesStore, AccumulatesOnGrid) {

@@ -7,8 +7,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,53 +30,80 @@ namespace {
 
 using topology::ServerId;
 
+/// Sets S2S_THREADS for one case and puts back whatever the process
+/// had (the CI sets it for the whole binary), so later cases in the same
+/// process resolve the same width as before.
+class ScopedThreadsEnv {
+ public:
+  ScopedThreadsEnv() {
+    if (const char* v = std::getenv("S2S_THREADS")) saved_ = v;
+  }
+  ~ScopedThreadsEnv() {
+    if (saved_) {
+      ::setenv("S2S_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("S2S_THREADS");
+    }
+  }
+  void set(const char* value) const { ::setenv("S2S_THREADS", value, 1); }
+  void unset() const { ::unsetenv("S2S_THREADS"); }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 TEST(ResolveThreadCount, ExplicitRequestWins) {
-  ::setenv("S2S_THREADS", "3", 1);
+  const ScopedThreadsEnv env;
+  env.set("3");
   EXPECT_EQ(exec::resolve_thread_count(5), 5u);
-  ::unsetenv("S2S_THREADS");
 }
 
 TEST(ResolveThreadCount, EnvOverridesAuto) {
-  ::setenv("S2S_THREADS", "3", 1);
+  const ScopedThreadsEnv env;
+  env.set("3");
   EXPECT_EQ(exec::resolve_thread_count(0), 3u);
-  ::unsetenv("S2S_THREADS");
 }
 
 TEST(ResolveThreadCount, GarbageEnvFallsBackToHardware) {
+  const ScopedThreadsEnv env;
   for (const char* bad : {"abc", "-2", "0", "3x", ""}) {
-    ::setenv("S2S_THREADS", bad, 1);
+    env.set(bad);
     EXPECT_EQ(exec::resolve_thread_count(0), exec::hardware_threads()) << bad;
   }
-  ::unsetenv("S2S_THREADS");
+  env.unset();
   EXPECT_EQ(exec::resolve_thread_count(0), exec::hardware_threads());
   EXPECT_GE(exec::hardware_threads(), 1u);
 }
 
 TEST(ResolveThreadCount, OverflowAndHugeEnvValuesAreRejected) {
+  const ScopedThreadsEnv env;
   // strtol clamps overflow to LONG_MAX (> 0), so without an ERANGE check
   // these would silently coerce to absurd worker counts.
   for (const char* bad :
        {"99999999999999999999", "9223372036854775807", "4097", "1e3", "+",
         "--3"}) {
-    ::setenv("S2S_THREADS", bad, 1);
+    env.set(bad);
     EXPECT_EQ(exec::resolve_thread_count(0), exec::hardware_threads()) << bad;
   }
   // The cap itself is still accepted.
-  ::setenv("S2S_THREADS", "4096", 1);
+  env.set("4096");
   EXPECT_EQ(exec::resolve_thread_count(0), 4096u);
-  ::unsetenv("S2S_THREADS");
 }
 
 TEST(ResolveThreadCount, BadEnvWarnsOncePerValue) {
+  const ScopedThreadsEnv env;
+  // A value no earlier case (or earlier repeat of this one) has set, so
+  // the check holds in one process under --gtest_repeat and shuffling.
+  static int run = 0;
+  const std::string value = "bogus-once-" + std::to_string(++run);
   std::vector<std::string> messages;
   obs::set_log_sink([&](obs::LogLevel level, std::string_view message) {
     if (level == obs::LogLevel::kWarn) messages.emplace_back(message);
   });
-  ::setenv("S2S_THREADS", "bogus-once", 1);
+  env.set(value.c_str());
   exec::resolve_thread_count(0);
   exec::resolve_thread_count(0);
   exec::resolve_thread_count(0);
-  ::unsetenv("S2S_THREADS");
   obs::set_log_sink({});
   const auto mentions = [&](const std::string& needle) {
     std::size_t n = 0;
@@ -83,7 +112,7 @@ TEST(ResolveThreadCount, BadEnvWarnsOncePerValue) {
     }
     return n;
   };
-  EXPECT_EQ(mentions("bogus-once"), 1u);
+  EXPECT_EQ(mentions('"' + value + '"'), 1u);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

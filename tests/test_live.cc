@@ -1,8 +1,10 @@
 // Live ingest tests (DESIGN.md section 16): the watermark sidecar, the
 // open-shard writer's durability protocol (bounded reads, crash + resume
-// byte-identity), the incremental-vs-batch equivalence contract at every
-// watermark, and the serving path's delta pickup — a daemon that never
-// reloads yet converges on the same bytes a fresh batch load produces.
+// byte-identity), the fold that builds a live shard's ping store and
+// counters, one verdict for a live shard and its sealed prefix loaded as
+// a batch archive at every watermark, and the serving path's delta
+// pickup — a daemon that never reloads yet converges on the same bytes
+// a fresh batch load produces.
 //
 // One simulated deployment and one per-epoch record corpus are built
 // once and shared across every test (the topology build is the
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/congestion_detect.h"
+#include "core/ping_series.h"
 #include "exec/pool.h"
 #include "io/binrec.h"
 #include "io/mmap_file.h"
@@ -53,7 +58,9 @@ LiveWorld& world() {
     world->pairs = svc::fixture_pairs(world->net->topo(), 12);
     probe::PingCampaignConfig ping;
     ping.start_day = world->cfg.ping_start_day;
-    ping.days = 2.0;  // 192 epochs at 15 minutes
+    // 768 epochs at 15 minutes: past one week, so the verdict window
+    // slides over the last day.
+    ping.days = 8.0;
     ping.interval_s = world->cfg.ping_interval_s;
     ping.seed = 31;
     std::vector<probe::PingRecord> current;
@@ -63,7 +70,7 @@ LiveWorld& world() {
     };
     probe::PingCampaign campaign(*world->net, ping, world->pairs);
     campaign.run([&](const probe::PingRecord& r) { current.push_back(r); });
-    EXPECT_EQ(world->epochs.size(), 192u);
+    EXPECT_EQ(world->epochs.size(), 768u);
     return world;
   }();
   return *w;
@@ -104,25 +111,40 @@ std::string slurp(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-live::IncrementalConfig world_incremental_config() {
-  live::IncrementalConfig inc;
-  inc.start_day = world().cfg.ping_start_day;
-  inc.interval_s = world().cfg.ping_interval_s;
-  inc.detect = world().cfg.detect;
-  inc.min_fraction = world().cfg.detect_min_fraction;
-  return inc;
-}
+/// A live shard's congestion state as the ingest builds it: the ping
+/// store, whose grid reaches the sealed watermark, and the fold counters.
+struct LiveFold {
+  core::PingSeriesStore store{world().cfg.ping_start_day,
+                              world().cfg.ping_interval_s, 0,
+                              core::PingSeriesStore::Grid::kGrow};
+  live::IncrementalState state;
 
-using Verdicts = std::vector<
-    std::tuple<std::uint64_t, live::IncrementalState::Verdict>>;
+  void add(const probe::PingRecord& r) {
+    state.count(store.commit(store.prepare(r)));
+  }
+  /// Seals epoch `e`: the grid grows to cover it, as clone_advanced's
+  /// grow-copy does.
+  void seal(std::size_t e) {
+    store = core::PingSeriesStore(store, e + 1);
+    state.advance_watermark(static_cast<std::int64_t>(e), store.pair_count());
+  }
+};
 
-Verdicts all_verdicts(const live::IncrementalState& state) {
+using Verdicts = std::vector<std::tuple<std::uint64_t, core::SeriesVerdict>>;
+
+/// The served verdict of every pair, in key order.
+Verdicts all_verdicts(const core::PingSeriesStore& store) {
   Verdicts out;
-  state.for_each([&](std::uint32_t src, std::uint32_t dst, std::uint8_t fam,
-                     const live::IncrementalState::Verdict& v) {
-    out.emplace_back((std::uint64_t{src} << 40) | (std::uint64_t{dst} << 8) |
-                         fam,
-                     v);
+  store.for_each([&](topology::ServerId src, topology::ServerId dst,
+                     net::Family fam, const core::PingSeriesStore::Series& s) {
+    out.emplace_back(
+        (std::uint64_t{src} << 40) | (std::uint64_t{dst} << 8) |
+            (fam == net::Family::kIPv6 ? 6u : 4u),
+        core::window_verdict(s, store.samples_per_day(), world().cfg.detect,
+                             world().cfg.detect_min_fraction));
+  });
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return std::get<0>(a) < std::get<0>(b);
   });
   return out;
 }
@@ -302,57 +324,56 @@ TEST(LiveOpenShard, ResumeRefusesDamagedPrefix) {
 }
 
 TEST(LiveIncremental, MatchesBatchRefoldAtEveryWatermark) {
-  const auto inc = world_incremental_config();
-  live::IncrementalState streaming(inc);
-  exec::ThreadPool pool8(8);
-
+  // Folding epoch by epoch and refolding the whole prefix at once give
+  // the same store, counters and verdicts at every sampled watermark.
+  LiveFold streaming;
   for (std::size_t e = 0; e < world().epochs.size(); ++e) {
     for (const auto& r : world().epochs[e]) streaming.add(r);
-    streaming.advance_watermark(static_cast<std::int64_t>(e));
-    // Bit-exact refold check at a sample of watermarks (every 16th and
-    // the last) to keep the quadratic refold affordable.
-    if (e % 16 != 15 && e + 1 != world().epochs.size()) continue;
-    live::IncrementalState batch(inc);
+    streaming.seal(e);
+    // Every 64th watermark and the last keep the quadratic refold cheap.
+    if (e % 64 != 63 && e + 1 != world().epochs.size()) continue;
+    LiveFold batch;
     for (std::size_t b = 0; b <= e; ++b) {
       for (const auto& r : world().epochs[b]) batch.add(r);
     }
-    batch.advance_watermark(static_cast<std::int64_t>(e));
-    EXPECT_EQ(streaming.records_folded(), batch.records_folded());
-    expect_verdicts_equal(all_verdicts(streaming), all_verdicts(batch));
-
-    // Aggregates are thread-width independent (1 vs 8 threads).
-    const auto seq = streaming.summarize(nullptr);
-    const auto par = streaming.summarize(&pool8);
-    EXPECT_EQ(seq.pairs, par.pairs);
-    EXPECT_EQ(seq.assessed, par.assessed);
-    EXPECT_EQ(seq.high_variation, par.high_variation);
-    EXPECT_EQ(seq.consistent, par.consistent);
+    batch.seal(e);
+    EXPECT_EQ(streaming.state.records_folded(), batch.state.records_folded());
+    EXPECT_EQ(streaming.state.records_dropped(),
+              batch.state.records_dropped());
+    EXPECT_EQ(streaming.state.pairs_tracked(), batch.state.pairs_tracked());
+    expect_verdicts_equal(all_verdicts(streaming.store),
+                          all_verdicts(batch.store));
   }
-  EXPECT_GT(streaming.pairs_tracked(), 0u);
+  EXPECT_GT(streaming.state.pairs_tracked(), 0u);
+  EXPECT_EQ(streaming.state.watermark_epoch(),
+            static_cast<std::int64_t>(world().epochs.size()) - 1);
 }
 
 TEST(LiveIncremental, CopyThenFoldEqualsSequentialFold) {
-  // The delta-pickup primitive: clone the published state, fold the
-  // delta into the clone — must equal folding everything sequentially.
-  const auto inc = world_incremental_config();
+  // The delta-pickup primitive: copy the published store and counters,
+  // fold the delta into the copy — must equal folding everything
+  // sequentially.
   const std::size_t split = world().epochs.size() / 2;
-  live::IncrementalState prefix(inc);
+  LiveFold prefix;
   for (std::size_t e = 0; e < split; ++e) {
     for (const auto& r : world().epochs[e]) prefix.add(r);
-    prefix.advance_watermark(static_cast<std::int64_t>(e));
+    prefix.seal(e);
   }
-  live::IncrementalState clone(prefix);
+  LiveFold clone = prefix;
   for (std::size_t e = split; e < world().epochs.size(); ++e) {
     for (const auto& r : world().epochs[e]) clone.add(r);
-    clone.advance_watermark(static_cast<std::int64_t>(e));
+    clone.seal(e);
   }
-  live::IncrementalState full(inc);
+  LiveFold full;
   for (std::size_t e = 0; e < world().epochs.size(); ++e) {
     for (const auto& r : world().epochs[e]) full.add(r);
-    full.advance_watermark(static_cast<std::int64_t>(e));
+    full.seal(e);
   }
-  EXPECT_EQ(clone.records_folded(), full.records_folded());
-  expect_verdicts_equal(all_verdicts(clone), all_verdicts(full));
+  EXPECT_EQ(clone.state.records_folded(), full.state.records_folded());
+  EXPECT_EQ(clone.state.records_dropped(), full.state.records_dropped());
+  expect_verdicts_equal(all_verdicts(clone.store), all_verdicts(full.store));
+  // The prefix is untouched by the clone's folds.
+  EXPECT_EQ(prefix.store.epochs(), split);
 }
 
 /// Verdict responses for every ping pair, via the public execute path.
@@ -458,6 +479,73 @@ TEST(LiveDataset, LoadAtAnyWidthAndPickupChainMatchFreshLoad) {
   EXPECT_EQ(verdict_payloads(*snap), verdict_payloads(fresh));
 
   std::remove(path.c_str());
+  live::remove_watermark_file(path);
+}
+
+TEST(LiveDataset, VerdictMatchesFinalizedShardAtEveryWatermark) {
+  // At every sealed watermark, the live snapshot (a load, then one
+  // clone_advanced per epoch) serves every pair the same verdict bytes
+  // as a copy of that sealed prefix with no sidecar, loaded as a batch
+  // archive: one verdict, whatever the archive's state. Every epoch of
+  // the corpus carries pings, so both ping grids end at the watermark.
+  // The chain starts from a load at width 8, the batch loads alternate
+  // between widths 1 and 8, and the pickups run on the shared load
+  // pool, whose width S2S_THREADS sets. The shard carries the first
+  // three measured pairs (12 series), which keeps the 768 watermarks
+  // affordable in sanitizer builds.
+  const auto& measured = world().pairs;
+  const auto in_shard = [&](const probe::PingRecord& r) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto [a, b] = measured[i];
+      if ((r.src == a && r.dst == b) || (r.src == b && r.dst == a)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const std::string path = temp_path("live_ds_finalized");
+  const std::string batch_path = temp_path("live_ds_finalized_batch");
+  live::OpenShardWriter writer(path, live::OpenShardConfig{256});
+  ASSERT_TRUE(writer.ok()) << writer.error();
+  svc::DatasetConfig cfg = world().cfg;
+  cfg.archive_path = path;
+  svc::DatasetConfig batch_cfg = cfg;
+  batch_cfg.archive_path = batch_path;
+
+  exec::ThreadPool one(1), eight(8);
+  exec::ThreadPool* pools[] = {&one, &eight};
+  std::shared_ptr<svc::Dataset> snap;
+  std::string error;
+  for (std::size_t e = 0; e < world().epochs.size(); ++e) {
+    for (const auto& r : world().epochs[e]) {
+      if (in_shard(r)) writer.write(r);
+    }
+    ASSERT_TRUE(writer.seal(static_cast<std::int64_t>(e), error)) << error;
+    {
+      const std::string sealed =
+          slurp(path).substr(0, writer.watermark().sealed_bytes);
+      std::ofstream(batch_path, std::ios::binary | std::ios::trunc) << sealed;
+    }
+    svc::Dataset batch(batch_cfg, world().net.get());
+    ASSERT_TRUE(batch.load(error, *pools[e % 2])) << error;
+    ASSERT_FALSE(batch.live());
+    ASSERT_EQ(batch.ping_epochs(), e + 1);
+    if (snap == nullptr) {
+      snap = std::make_shared<svc::Dataset>(cfg, world().net.get());
+      ASSERT_TRUE(snap->load(error, eight)) << error;
+    } else {
+      auto next = snap->clone_advanced(error);
+      ASSERT_NE(next, nullptr) << "watermark " << e << ": " << error;
+      snap = next;
+    }
+    ASSERT_TRUE(snap->live());
+    ASSERT_EQ(snap->ping_epochs(), e + 1);
+    ASSERT_EQ(verdict_payloads(*snap), verdict_payloads(batch))
+        << "watermark " << e;
+  }
+
+  std::remove(path.c_str());
+  std::remove(batch_path.c_str());
   live::remove_watermark_file(path);
 }
 

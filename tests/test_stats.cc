@@ -9,7 +9,6 @@
 #include "stats/pearson.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
-#include "stats/welford.h"
 
 namespace s2s::stats {
 namespace {
@@ -274,39 +273,42 @@ TEST(BinnedEcdfMerge, GridMismatchThrows) {
   EXPECT_THROW(a.merge(wrong_range), std::invalid_argument);
 }
 
-TEST(WelfordMerge, MatchesBulkMoments) {
-  Rng rng(5);
-  Welford left, right, bulk;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(12.0, 3.0);
-    (i < 400 ? left : right).add(x);
-    bulk.add(x);
+TEST(Summary, QuantilePairMatchesSortBitForBit) {
+  // Random values, heavy ties and every small size, with the pair at the
+  // tails, in the middle and at the ends: the selected order statistics
+  // are the sorted ones, so the interpolations are identical.
+  Rng rng(9);
+  const std::pair<double, double> qs[] = {
+      {0.05, 0.95}, {0.0, 1.0}, {0.1, 0.9}, {0.5, 0.5}, {0.95, 0.05},
+      {0.01, 0.99}};
+  for (std::size_t n = 1; n <= 1400; n += (n < 40 ? 1 : 37)) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> v(n);
+      for (auto& x : v) {
+        x = ties ? std::floor(rng.uniform() * 4.0) * 2.5
+                 : rng.normal(40.0, 15.0);
+      }
+      const auto s = sorted(v);
+      for (const auto& [lo, hi] : qs) {
+        const auto [a, b] = quantile_pair(v, lo, hi);
+        EXPECT_EQ(a, quantile_sorted(s, lo)) << "n=" << n << " q=" << lo;
+        EXPECT_EQ(b, quantile_sorted(s, hi)) << "n=" << n << " q=" << hi;
+      }
+    }
   }
-  left.merge(right);
-  EXPECT_EQ(left.count(), bulk.count());
-  EXPECT_NEAR(left.mean(), bulk.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), bulk.variance(), 1e-9);
-}
-
-TEST(WelfordMerge, EmptyCases) {
-  Welford a, b;
-  a.merge(b);  // empty ⊕ empty
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-
-  Welford filled;
-  filled.add(2.0);
-  filled.add(4.0);
-  filled.merge(b);  // merging empty is a no-op
-  EXPECT_EQ(filled.count(), 2u);
-  EXPECT_DOUBLE_EQ(filled.mean(), 3.0);
-
-  Welford empty;
-  empty.merge(filled);  // merging into empty copies
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(empty.variance(), filled.variance());
+  // Samples the every-16th bracket misjudges: the sampled positions hold
+  // the smallest and largest values, so both brackets miss their ranks
+  // and fall back to every sample.
+  std::vector<double> v(672);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = i % 16 == 0 ? (i % 32 == 0 ? -1000.0 - i : 1000.0 + i)
+                       : rng.normal(40.0, 1.0);
+  }
+  const auto s = sorted(v);
+  const auto [p5, p95] = quantile_pair(v, 0.05, 0.95);
+  EXPECT_EQ(p5, quantile_sorted(s, 0.05));
+  EXPECT_EQ(p95, quantile_sorted(s, 0.95));
+  EXPECT_THROW(quantile_pair({}, 0.05, 0.95), std::invalid_argument);
 }
 
 TEST(Rng, NormalMomentsApproximate) {

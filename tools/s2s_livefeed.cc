@@ -20,9 +20,10 @@
 // Deployment provenance (must match the serving daemon's flags):
 //   --seed N --servers N --tier1 N --transit N --stub N
 //
-// The feeder first (unless --no-scan) folds the whole campaign through
-// an IncrementalState in memory and prints the first pair whose final
-// verdict is consistent congestion — the pair a smoke test should poll.
+// The feeder first (unless --no-scan) runs the whole campaign into a
+// ping store in memory and prints the first pair whose verdict at the
+// final watermark is consistent congestion — the pair a smoke test
+// should poll. The verdict is the daemon's: core::window_verdict.
 // It then replays the identical record stream (same seed, same world)
 // into the open shard, sealing one block per epoch: each seal fsyncs the
 // data and atomically advances the watermark sidecar, so the serving
@@ -31,13 +32,16 @@
 // observes the final watermark.
 #include <time.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
-#include "live/incremental.h"
+#include "core/congestion_detect.h"
 #include "live/open_shard.h"
 #include "probe/campaign.h"
 #include "simnet/network.h"
@@ -131,28 +135,36 @@ int main(int argc, char** argv) {
                                static_cast<double>(ping_cfg.interval_s));
 
   if (scan) {
-    // Dry-run the campaign through the same incremental fold the daemon
-    // uses and report the pair a smoke test should watch. Same seed =>
-    // the streamed shard below carries the identical records.
-    live::IncrementalConfig inc;
-    inc.start_day = dataset_cfg.ping_start_day;
-    inc.interval_s = dataset_cfg.ping_interval_s;
-    inc.detect = dataset_cfg.detect;
-    inc.min_fraction = dataset_cfg.detect_min_fraction;
-    live::IncrementalState state(inc);
+    // Dry-run the campaign into the store the daemon would build and
+    // report the pair a smoke test should watch. Same seed => the
+    // streamed shard below carries the identical records.
+    core::PingSeriesStore store(dataset_cfg.ping_start_day,
+                                ping_cfg.interval_s, total_epochs,
+                                core::PingSeriesStore::Grid::kGrow);
     probe::PingCampaign dry(net, ping_cfg, pairs);
-    dry.run([&](const probe::PingRecord& r) { state.add(r); });
-    state.advance_watermark(static_cast<std::int64_t>(total_epochs) - 1);
-    bool found = false;
-    state.for_each([&](std::uint32_t src, std::uint32_t dst,
-                       std::uint8_t family,
-                       const live::IncrementalState::Verdict& v) {
-      if (found || !v.consistent_congestion()) return;
-      found = true;
-      std::printf("s2s_livefeed: congested pair: src=%u dst=%u family=%u\n",
-                  src, dst, static_cast<unsigned>(family));
+    dry.run([&](const probe::PingRecord& r) { store.add(r); });
+    std::vector<svc::Dataset::PairKey> congested;
+    store.for_each([&](topology::ServerId src, topology::ServerId dst,
+                       net::Family family,
+                       const core::PingSeriesStore::Series& series) {
+      const auto v = core::window_verdict(series, store.samples_per_day(),
+                                          dataset_cfg.detect,
+                                          dataset_cfg.detect_min_fraction);
+      if (!v.consistent_congestion()) return;
+      congested.push_back(
+          {src, dst,
+           static_cast<std::uint8_t>(family == net::Family::kIPv6 ? 6 : 4)});
     });
-    if (!found) {
+    const auto first = std::min_element(
+        congested.begin(), congested.end(),
+        [](const svc::Dataset::PairKey& a, const svc::Dataset::PairKey& b) {
+          return std::tie(a.src, a.dst, a.family) <
+                 std::tie(b.src, b.dst, b.family);
+        });
+    if (first != congested.end()) {
+      std::printf("s2s_livefeed: congested pair: src=%u dst=%u family=%u\n",
+                  first->src, first->dst, static_cast<unsigned>(first->family));
+    } else {
       std::printf("s2s_livefeed: congested pair: none\n");
     }
     std::fflush(stdout);
