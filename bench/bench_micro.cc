@@ -2,9 +2,10 @@
 // generation, valley-free route computation, longest-prefix match over
 // real hop addresses, AS-path edit distance, the diurnal detector, the
 // served congestion verdict and its JSON doubles, traceroute simulation,
-// and the record-ingest hot paths (traceroutes with observability on vs
-// off, and pings) — plus the edit-distance vs exact-equality
-// change-detection ablation.
+// campaign epochs at 1 and 4 lanes, the `.s2sb` block encoder, and the
+// record-ingest hot paths (traceroutes with observability on vs off, and
+// pings) — plus the edit-distance vs exact-equality change-detection
+// ablation.
 //
 // After the benchmark table, main() prints a one-line JSON summary with
 // ingest throughput, the obs overhead percentage, p50/p99 of the
@@ -419,6 +420,56 @@ BENCHMARK(BM_ArchiveIngest_Load)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// A traceroute campaign over the shared mesh, epochs prepared on Arg(0)
+// lanes and drawn on the caller (DESIGN.md section 18): the time per
+// iteration over kEpochs is the per-epoch cost at that width. Each run
+// continues the engine's stream; the records are the same at every width.
+void BM_CampaignEpoch(benchmark::State& state) {
+  constexpr std::size_t kEpochs = 64;
+  simnet::Network& net = shared_network();
+  probe::TracerouteCampaignConfig cfg;
+  cfg.days = static_cast<double>(kEpochs * net::kThreeHours) / 86400.0;
+  cfg.downtime.monthly_window_prob = 0.0;
+  const auto pairs = mesh_pairs();
+  exec::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  probe::TracerouteCampaign campaign(net, cfg, pairs);
+  std::size_t records = 0;
+  for (auto _ : state) {
+    campaign.run([&](const probe::TracerouteRecord&) { ++records; }, {},
+                 nullptr, pool);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.counters["epochs"] = static_cast<double>(kEpochs);
+}
+BENCHMARK(BM_CampaignEpoch)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// BinRecordWriter's encode of whole blocks: Arg(0) = the 8192-traceroute
+// ingest set, Arg(1) = one day of mesh pings, into a reused buffer.
+void BM_EncodeBlock(benchmark::State& state) {
+  const bool pings = state.range(0) != 0;
+  const auto& traces = ingest_records();  // built before timing
+  const auto& ping_set = ping_ingest_set();
+  std::ostringstream out(std::ios::binary);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    out.str({});
+    io::BinRecordWriter writer(out);
+    if (pings) {
+      for (const auto& r : ping_set.records) writer.write(r);
+    } else {
+      for (const auto& r : traces) writer.write(r);
+    }
+    writer.finish();
+    bytes += writer.bytes_written();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeBlock)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// One week of 15-minute pings over the shared 40-server mesh: the
 /// pair-level workload for the parallel congestion-survey benchmark.

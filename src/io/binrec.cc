@@ -9,9 +9,7 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
-#include <map>
 #include <ostream>
-#include <tuple>
 
 #include "io/crc32c.h"
 #include "io/records_io.h"
@@ -54,17 +52,6 @@ std::uint8_t family_code(net::Family f) {
   return f == net::Family::kIPv4 ? 4 : 6;
 }
 
-void put_addr(std::string& out, const net::IPAddr& addr) {
-  if (addr.is_v4()) {
-    out.push_back(4);
-    put_u32le(out, addr.v4().value());
-  } else {
-    out.push_back(6);
-    const auto& b = addr.v6().bytes();
-    out.append(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-}
-
 bool get_addr(ByteCursor& cur, net::IPAddr& out) {
   std::uint8_t tag = 0;
   if (!cur.get_u8(tag)) return false;
@@ -82,35 +69,6 @@ bool get_addr(ByteCursor& cur, net::IPAddr& out) {
   }
   return false;
 }
-
-/// Per-block (src, dst, family) dictionary in first-appearance order, so
-/// a block's bytes are a pure function of its record sequence.
-class PairDict {
- public:
-  template <typename Record>
-  std::uint64_t intern(const Record& r) {
-    const auto key = std::make_tuple(r.src, r.dst, family_code(r.family));
-    const auto [it, inserted] = index_.emplace(key, entries_.size());
-    if (inserted) entries_.push_back(key);
-    return it->second;
-  }
-
-  void encode(std::string& out) const {
-    put_varint(out, entries_.size());
-    for (const auto& [src, dst, fam] : entries_) {
-      put_varint(out, src);
-      put_varint(out, dst);
-      out.push_back(static_cast<char>(fam));
-    }
-  }
-
- private:
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint8_t>,
-           std::uint64_t>
-      index_;
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint8_t>>
-      entries_;
-};
 
 struct PairEntry {
   std::uint32_t src = 0;
@@ -149,15 +107,6 @@ bool decode_pair_indices(ByteCursor& cur, std::size_t record_count,
   return true;
 }
 
-void encode_times(std::string& out,
-                  const std::vector<std::int64_t>& times) {
-  std::int64_t prev = 0;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    put_varint_signed(out, i == 0 ? times[0] : times[i] - prev);
-    prev = times[i];
-  }
-}
-
 bool decode_times(ByteCursor& cur, std::size_t record_count,
                   std::vector<std::int64_t>& times) {
   times.resize(record_count);
@@ -171,16 +120,6 @@ bool decode_times(ByteCursor& cur, std::size_t record_count,
   return true;
 }
 
-void encode_bitmap(std::string& out, const std::vector<bool>& bits) {
-  for (std::size_t i = 0; i < bits.size(); i += 8) {
-    std::uint8_t byte = 0;
-    for (std::size_t j = 0; j < 8 && i + j < bits.size(); ++j) {
-      if (bits[i + j]) byte |= static_cast<std::uint8_t>(1u << j);
-    }
-    out.push_back(static_cast<char>(byte));
-  }
-}
-
 bool decode_bitmap(ByteCursor& cur, std::size_t record_count,
                    std::vector<bool>& bits) {
   bits.resize(record_count);
@@ -192,77 +131,6 @@ bool decode_bitmap(ByteCursor& cur, std::size_t record_count,
     }
   }
   return true;
-}
-
-// -- Block payload encoders --------------------------------------------------
-
-std::string encode_ping_payload(const std::vector<probe::PingRecord>& recs,
-                                std::int64_t& first_time,
-                                std::int64_t& last_time) {
-  std::string out;
-  PairDict dict;
-  std::vector<std::uint64_t> idx;
-  std::vector<std::int64_t> times;
-  std::vector<bool> success;
-  idx.reserve(recs.size());
-  times.reserve(recs.size());
-  success.reserve(recs.size());
-  first_time = recs.empty() ? 0 : recs.front().time.seconds();
-  last_time = first_time;
-  for (const auto& r : recs) {
-    idx.push_back(dict.intern(r));
-    times.push_back(r.time.seconds());
-    success.push_back(r.success);
-    first_time = std::min(first_time, r.time.seconds());
-    last_time = std::max(last_time, r.time.seconds());
-  }
-  dict.encode(out);
-  for (const auto i : idx) put_varint(out, i);
-  encode_times(out, times);
-  encode_bitmap(out, success);
-  for (const auto& r : recs) put_u32le(out, encode_rtt_thousandths(r.rtt_ms));
-  return out;
-}
-
-std::string encode_trace_payload(
-    const std::vector<probe::TracerouteRecord>& recs,
-    std::int64_t& first_time, std::int64_t& last_time) {
-  std::string out;
-  PairDict dict;
-  std::vector<std::uint64_t> idx;
-  std::vector<std::int64_t> times;
-  std::vector<bool> paris, complete;
-  idx.reserve(recs.size());
-  times.reserve(recs.size());
-  first_time = recs.empty() ? 0 : recs.front().time.seconds();
-  last_time = first_time;
-  for (const auto& r : recs) {
-    idx.push_back(dict.intern(r));
-    times.push_back(r.time.seconds());
-    paris.push_back(r.method == probe::TracerouteMethod::kParis);
-    complete.push_back(r.complete);
-    first_time = std::min(first_time, r.time.seconds());
-    last_time = std::max(last_time, r.time.seconds());
-  }
-  dict.encode(out);
-  for (const auto i : idx) put_varint(out, i);
-  encode_times(out, times);
-  encode_bitmap(out, paris);
-  encode_bitmap(out, complete);
-  for (const auto& r : recs) put_addr(out, r.src_addr);
-  for (const auto& r : recs) put_addr(out, r.dst_addr);
-  for (const auto& r : recs) put_varint(out, r.hops.size());
-  for (const auto& r : recs) {
-    for (const auto& hop : r.hops) {
-      if (!hop.addr) {
-        out.push_back(0);  // unresponsive: no addr, no RTT (mirrors "*")
-        continue;
-      }
-      put_addr(out, *hop.addr);
-      put_u32le(out, encode_rtt_thousandths(hop.rtt_ms));
-    }
-  }
-  return out;
 }
 
 // -- Block payload decoders --------------------------------------------------
@@ -747,9 +615,198 @@ void decode_planned(const void* data, const BlockPlan& plan,
 // BinRecordWriter
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// An append-only byte column that hands out raw room to write into, so
+/// a hop row or a varint costs one capacity check, not one per byte.
+class ByteColumn {
+ public:
+  /// Room for `n` more bytes; write them, then commit() the end.
+  unsigned char* room(std::size_t n) {
+    if (size_ + n > cap_) grow(size_ + n);
+    return data_.get() + size_;
+  }
+  void commit(const unsigned char* end) {
+    size_ = static_cast<std::size_t>(end - data_.get());
+  }
+  void push(unsigned char byte) {
+    *room(1) = byte;
+    ++size_;
+  }
+  unsigned char& back() { return data_[size_ - 1]; }
+  void clear() { size_ = 0; }
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(data_.get()), size_};
+  }
+
+ private:
+  void grow(std::size_t need) {
+    cap_ = std::max({need, 2 * cap_, std::size_t{256}});
+    auto bigger = std::make_unique_for_overwrite<unsigned char[]>(cap_);
+    if (size_ > 0) std::memcpy(bigger.get(), data_.get(), size_);
+    data_ = std::move(bigger);
+  }
+
+  std::unique_ptr<unsigned char[]> data_;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
+};
+
+constexpr std::size_t kMaxVarintBytes = 10;
+constexpr std::size_t kMaxAddrBytes = 17;  ///< tag + IPv6 address
+
+unsigned char* put_varint(unsigned char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<unsigned char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<unsigned char>(v);
+  return p;
+}
+
+unsigned char* put_u32le(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<unsigned char>(v >> (8 * i));
+  return p;
+}
+
+/// A tagged address row.
+unsigned char* put_addr(unsigned char* p, const net::IPAddr& addr) {
+  if (addr.is_v4()) {
+    *p++ = 4;
+    return put_u32le(p, addr.v4().value());
+  }
+  *p++ = 6;
+  const auto& b = addr.v6().bytes();
+  std::memcpy(p, b.data(), b.size());
+  return p + b.size();
+}
+
+
+/// Per-block (src, dst, family) dictionary in first-appearance order, so
+/// a block's bytes are a pure function of its record sequence. A flat
+/// open-addressing table of entry indices: interning is one hash and a
+/// probe or two, and reset() keeps every buffer's capacity.
+class PairDict {
+ public:
+  /// Index of the pair in first-appearance order, added if new.
+  std::uint32_t intern(std::uint32_t src, std::uint32_t dst,
+                       std::uint8_t fam) {
+    if (2 * (entries_.size() + 1) > table_.size()) grow();
+    const Key key{src, dst, fam};
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t slot = table_[i];
+      if (slot == 0) {
+        entries_.push_back(key);
+        table_[i] = static_cast<std::uint32_t>(entries_.size());
+        return table_[i] - 1;
+      }
+      if (entries_[slot - 1] == key) return slot - 1;
+    }
+  }
+
+  void encode(ByteColumn& out) const {
+    unsigned char* p =
+        out.room((2 * entries_.size() + 1) * kMaxVarintBytes + entries_.size());
+    p = put_varint(p, entries_.size());
+    for (const Key& e : entries_) {
+      p = put_varint(put_varint(p, e.src), e.dst);
+      *p++ = e.fam;
+    }
+    out.commit(p);
+  }
+
+  void reset() {
+    std::fill(table_.begin(), table_.end(), 0u);
+    entries_.clear();
+  }
+
+ private:
+  struct Key {
+    std::uint32_t src;
+    std::uint32_t dst;
+    std::uint8_t fam;
+    bool operator==(const Key&) const = default;
+  };
+
+  static std::size_t hash(const Key& k) {
+    std::uint64_t h = (std::uint64_t{k.src} << 32 | k.dst) + k.fam;
+    h *= 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(h >> 32 ^ h);
+  }
+
+  void grow() {
+    table_.assign(std::max<std::size_t>(64, 2 * table_.size()), 0u);
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+      std::size_t i = hash(entries_[e]) & mask;
+      while (table_[i] != 0) i = (i + 1) & mask;
+      table_[i] = static_cast<std::uint32_t>(e + 1);
+    }
+  }
+
+  std::vector<std::uint32_t> table_;  ///< entry index + 1; 0 = empty
+  std::vector<Key> entries_;
+};
+
+}  // namespace
+
+/// One open block of one record kind, encoded column by column as its
+/// records arrive (DESIGN.md section 10): a record leaves nothing behind
+/// but its column bytes, and every column keeps its capacity from block
+/// to block.
+struct BinRecordWriter::Columns {
+  PairDict dict;
+  ByteColumn idx;     ///< varint dictionary indices
+  ByteColumn times;   ///< zigzag-varint time deltas
+  ByteColumn flags;   ///< ping: success; traceroute: paris
+  ByteColumn flags2;  ///< traceroute: complete
+  ByteColumn rtts;    ///< ping: fixed-point RTTs
+  ByteColumn src_addrs;
+  ByteColumn dst_addrs;
+  ByteColumn hop_counts;
+  ByteColumn hops;  ///< traceroute hop rows
+  ByteColumn dict_bytes;  ///< the encoded dictionary, at flush
+  std::size_t count = 0;
+  std::int64_t prev_time = 0;
+  std::int64_t first_time = 0;
+  std::int64_t last_time = 0;
+
+  /// The columns every kind has: pair index and time delta.
+  template <typename Record>
+  void begin(const Record& r) {
+    const std::int64_t time = r.time.seconds();
+    idx.commit(put_varint(idx.room(kMaxVarintBytes),
+                          dict.intern(r.src, r.dst, family_code(r.family))));
+    times.commit(put_varint(times.room(kMaxVarintBytes),
+                            zigzag(count == 0 ? time : time - prev_time)));
+    prev_time = time;
+    first_time = count == 0 ? time : std::min(first_time, time);
+    last_time = count == 0 ? time : std::max(last_time, time);
+  }
+
+  /// Sets bit `count` of an LSB-first bitmap column.
+  void put_bit(ByteColumn& bits, bool on) const {
+    if (count % 8 == 0) bits.push(0);
+    if (on) bits.back() |= static_cast<unsigned char>(1u << (count % 8));
+  }
+
+  void reset() {
+    dict.reset();
+    for (ByteColumn* col : {&idx, &times, &flags, &flags2, &rtts, &src_addrs,
+                            &dst_addrs, &hop_counts, &hops, &dict_bytes}) {
+      col->clear();
+    }
+    count = 0;
+  }
+};
+
 BinRecordWriter::BinRecordWriter(std::ostream& out,
                                  const BinWriterConfig& config)
-    : out_(out), config_(config) {
+    : out_(out),
+      config_(config),
+      traces_(std::make_unique<Columns>()),
+      pings_(std::make_unique<Columns>()) {
   config_.block_records = std::min(config_.block_records, kMaxBlockRecords);
   if (config_.block_records == 0) config_.block_records = 1;
   if (!config_.resume_index.empty() || config_.resume_offset > 0) {
@@ -777,53 +834,78 @@ BinRecordWriter::~BinRecordWriter() {
 }
 
 void BinRecordWriter::write(const probe::TracerouteRecord& record) {
-  pending_traces_.push_back(record);
-  ++written_;
-  if (pending_traces_.size() >= config_.block_records) {
-    flush_kind(BlockKind::kTraceroute);
+  Columns& c = *traces_;
+  c.begin(record);
+  c.put_bit(c.flags, record.method == probe::TracerouteMethod::kParis);
+  c.put_bit(c.flags2, record.complete);
+  c.src_addrs.commit(
+      put_addr(c.src_addrs.room(kMaxAddrBytes), record.src_addr));
+  c.dst_addrs.commit(
+      put_addr(c.dst_addrs.room(kMaxAddrBytes), record.dst_addr));
+  c.hop_counts.commit(
+      put_varint(c.hop_counts.room(kMaxVarintBytes), record.hops.size()));
+  // Hop rows: a tag alone for an unresponsive hop (mirrors "*"), else the
+  // tagged address and the fixed-point RTT.
+  unsigned char* p = c.hops.room(record.hops.size() * (kMaxAddrBytes + 4));
+  for (const probe::Hop& hop : record.hops) {
+    if (!hop.addr) {
+      *p++ = 0;
+      continue;
+    }
+    p = put_u32le(put_addr(p, *hop.addr), encode_rtt_thousandths(hop.rtt_ms));
   }
+  c.hops.commit(p);
+  ++written_;
+  if (++c.count >= config_.block_records) flush_kind(BlockKind::kTraceroute);
 }
 
 void BinRecordWriter::write(const probe::PingRecord& record) {
-  pending_pings_.push_back(record);
+  Columns& c = *pings_;
+  c.begin(record);
+  c.put_bit(c.flags, record.success);
+  c.rtts.commit(
+      put_u32le(c.rtts.room(4), encode_rtt_thousandths(record.rtt_ms)));
   ++written_;
-  if (pending_pings_.size() >= config_.block_records) {
-    flush_kind(BlockKind::kPing);
-  }
+  if (++c.count >= config_.block_records) flush_kind(BlockKind::kPing);
 }
 
 void BinRecordWriter::flush_kind(BlockKind kind) {
-  std::int64_t first_time = 0, last_time = 0;
-  std::string payload;
-  std::size_t count = 0;
+  Columns& c = kind == BlockKind::kTraceroute ? *traces_ : *pings_;
+  if (c.count == 0) return;
+  c.dict.encode(c.dict_bytes);
+  // The payload is the columns in the block layout's order.
   if (kind == BlockKind::kTraceroute) {
-    if (pending_traces_.empty()) return;
-    count = pending_traces_.size();
-    payload = encode_trace_payload(pending_traces_, first_time, last_time);
-    pending_traces_.clear();
+    emit_block(kind,
+               {c.dict_bytes.view(), c.idx.view(), c.times.view(),
+                c.flags.view(), c.flags2.view(), c.src_addrs.view(), c.dst_addrs.view(),
+                c.hop_counts.view(), c.hops.view()},
+               c.count, c.first_time, c.last_time);
   } else {
-    if (pending_pings_.empty()) return;
-    count = pending_pings_.size();
-    payload = encode_ping_payload(pending_pings_, first_time, last_time);
-    pending_pings_.clear();
+    emit_block(kind,
+               {c.dict_bytes.view(), c.idx.view(), c.times.view(),
+                c.flags.view(), c.rtts.view()},
+               c.count, c.first_time, c.last_time);
   }
-  emit_block(kind, payload, count, first_time, last_time);
+  c.reset();
 }
 
-void BinRecordWriter::emit_block(BlockKind kind, const std::string& payload,
-                                 std::size_t record_count,
-                                 std::int64_t first_time,
-                                 std::int64_t last_time) {
+void BinRecordWriter::emit_block(
+    BlockKind kind, std::initializer_list<std::string_view> payload,
+    std::size_t record_count, std::int64_t first_time,
+    std::int64_t last_time) {
+  std::size_t payload_bytes = 0;
+  for (const std::string_view part : payload) payload_bytes += part.size();
   std::string header;
   put_u32le(header, kBinBlockMagic);
   header.push_back(static_cast<char>(kind));
   header.push_back(0);  // reserved
   put_u16le(header, static_cast<std::uint16_t>(record_count));
-  put_u32le(header, static_cast<std::uint32_t>(payload.size()));
-  const std::uint32_t crc =
-      block_crc(reinterpret_cast<const unsigned char*>(header.data()),
-                reinterpret_cast<const unsigned char*>(payload.data()),
-                payload.size());
+  put_u32le(header, static_cast<std::uint32_t>(payload_bytes));
+  // block_crc over the parts in order: header fields, then the payload.
+  std::uint32_t crc = crc32c(0, header.data() + 4, 8);
+  for (const std::string_view part : payload) {
+    crc = crc32c(crc, part.data(), part.size());
+  }
   put_u32le(header, crc);
 
   BlockIndexEntry entry;
@@ -835,8 +917,10 @@ void BinRecordWriter::emit_block(BlockKind kind, const std::string& payload,
   index_.push_back(entry);
 
   out_.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  bytes_written_ += header.size() + payload.size();
+  for (const std::string_view part : payload) {
+    out_.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
+  bytes_written_ += header.size() + payload_bytes;
   obs_blocks_written_.inc();
 }
 

@@ -39,9 +39,12 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/mmap_file.h"
@@ -133,10 +136,11 @@ struct BinWriterConfig {
 };
 
 /// Streaming `.s2sb` writer with bounded memory: at most one open block
-/// per record kind is buffered. Usable directly as a campaign sink;
-/// call flush_block() at epoch/checkpoint boundaries so blocks align
-/// with epochs (that is what makes the footer an epoch index and a
-/// truncate-to-boundary resume byte-exact), then finish() once.
+/// per record kind is buffered, as its encoded columns. Usable directly
+/// as a campaign sink; call flush_block() at epoch/checkpoint boundaries
+/// so blocks align with epochs (that is what makes the footer an epoch
+/// index and a truncate-to-boundary resume byte-exact), then finish()
+/// once.
 class BinRecordWriter {
  public:
   explicit BinRecordWriter(std::ostream& out, const BinWriterConfig& config = {});
@@ -163,15 +167,20 @@ class BinRecordWriter {
   std::size_t bytes_written() const noexcept { return bytes_written_; }
 
  private:
+  /// An open block's columns (binrec.cc).
+  struct Columns;
+
   void flush_kind(BlockKind kind);
-  void emit_block(BlockKind kind, const std::string& payload,
+  /// Writes one block whose payload is `payload`'s parts, in order.
+  void emit_block(BlockKind kind,
+                  std::initializer_list<std::string_view> payload,
                   std::size_t record_count, std::int64_t first_time,
                   std::int64_t last_time);
 
   std::ostream& out_;
   BinWriterConfig config_;
-  std::vector<probe::TracerouteRecord> pending_traces_;
-  std::vector<probe::PingRecord> pending_pings_;
+  std::unique_ptr<Columns> traces_;
+  std::unique_ptr<Columns> pings_;
   std::vector<BlockIndexEntry> index_;
   std::size_t written_ = 0;
   std::size_t bytes_written_ = 0;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 
+#include "exec/ordered.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,6 +23,7 @@ struct CampaignObs {
   obs::Histogram epoch_us;
   obs::Histogram checkpoint_us;
   obs::Gauge records_per_sec;
+  obs::Gauge lanes;
 
   static CampaignObs make() {
     auto& reg = obs::MetricsRegistry::global();
@@ -33,6 +35,7 @@ struct CampaignObs {
     o.checkpoint_us = reg.histogram("s2s.campaign.checkpoint_us",
                                     obs::MetricsRegistry::latency_us_bounds());
     o.records_per_sec = reg.gauge("s2s.campaign.records_per_sec");
+    o.lanes = reg.gauge("s2s.campaign.lanes");
     return o;
   }
 
@@ -70,6 +73,119 @@ class ScopedEvents {
   simnet::Network& net_;
   const simnet::EventSchedule* prev_;
 };
+
+/// One epoch's probe facts, prepared on some lane and drawn from on the
+/// calling thread. Slots are reused round-robin; each keeps its resolver
+/// (and so its fallback caches) across the epochs it prepares.
+template <typename Facts>
+struct EpochSlot {
+  std::optional<simnet::Network::Resolver> resolver;
+  std::vector<Facts> probes;     ///< in the campaign's probing order
+  std::vector<double> partials;  ///< traceroute per-hop latencies
+  /// Set when preparing failed after `probes`; rethrown on delivery.
+  std::exception_ptr error;
+};
+
+/// Thrown from the commit half to stop the pipeline once the sink threw.
+struct EpochAborted {};
+
+/// What both campaign kinds' run loops share.
+struct RunSpec {
+  const char* kind;  ///< "traceroute" / "ping", for the abort log line
+  const char* span;  ///< the run's trace span
+  simnet::Network& net;
+  const simnet::EventSchedule* events;
+  std::size_t total;  ///< epochs in the campaign
+  const std::function<void(std::size_t)>& on_epoch;
+  const ProgressFn& progress;
+};
+
+/// The run loop of both campaign kinds: `prepare(epoch, slot)` fills a
+/// slot's facts on any lane of `pool`; `deliver(slot, count)` draws and
+/// sinks the records on the calling thread, calling count() per record
+/// the sink accepted. Epochs commit in order, so the engine's RNG stream,
+/// the sink's records and the checkpoints are the same at any width.
+template <typename Facts, typename Engine, typename Prepare,
+          typename Deliver>
+CampaignRunResult run_epochs(const RunSpec& spec, Engine& engine,
+                             exec::ThreadPool* pool,
+                             const CampaignCheckpoint* resume,
+                             Prepare&& prepare, Deliver&& deliver) {
+  CampaignRunResult result;
+  std::size_t first = 0;
+  if (resume) {
+    first = resume->next_epoch;
+    engine.set_rng_state(resume->rng_state);
+  }
+  const std::size_t n = first < spec.total ? spec.total - first : 0;
+  const CampaignObs cobs = CampaignObs::make();
+  cobs.lanes.set(static_cast<double>(
+      pool == nullptr ? 1 : std::clamp<std::size_t>(n, 1, pool->thread_count())));
+  const ScopedEvents scoped_events(spec.net, spec.events);
+  const obs::TraceSpan run_span(spec.span);
+  const auto run_start = std::chrono::steady_clock::now();
+  std::size_t epoch = first;
+  std::size_t epoch_records = 0;
+  try {
+    exec::ordered_pipeline<EpochSlot<Facts>>(
+        pool, n,
+        [&](std::size_t i, EpochSlot<Facts>& slot) {
+          if (!slot.resolver) slot.resolver.emplace(spec.net);
+          slot.probes.clear();
+          slot.partials.clear();
+          slot.error = nullptr;
+          try {
+            prepare(first + i, slot);
+          } catch (...) {
+            slot.error = std::current_exception();
+          }
+        },
+        [&](std::size_t i, EpochSlot<Facts>& slot) {
+          epoch = first + i;
+          const obs::TraceSpan epoch_span("epoch");
+          const obs::ScopedTimer epoch_timer(cobs.epoch_us);
+          // Checkpoint at the epoch boundary: if the sink fails below, the
+          // whole epoch is replayed on resume (at-least-once delivery).
+          {
+            const obs::ScopedTimer ckpt_timer(cobs.checkpoint_us);
+            result.checkpoint.next_epoch = epoch;
+            result.checkpoint.rng_state = engine.rng_state();
+          }
+          epoch_records = 0;
+          try {
+            deliver(slot, [&] {
+              ++result.records_delivered;
+              ++epoch_records;
+            });
+            if (slot.error) std::rethrow_exception(slot.error);
+          } catch (const std::exception& e) {
+            result.aborted = true;
+            result.error = e.what();
+            throw EpochAborted{};
+          }
+          cobs.records.inc(epoch_records);
+          cobs.epochs.inc();
+          ++result.epochs_completed;
+          if (spec.on_epoch) spec.on_epoch(epoch);
+          if (spec.progress) {
+            spec.progress(static_cast<double>(epoch + 1) /
+                          static_cast<double>(spec.total));
+          }
+        });
+  } catch (const EpochAborted&) {
+    cobs.records.inc(epoch_records);
+    obs::logf(obs::LogLevel::kWarn, "%s campaign aborted at epoch %zu/%zu: %s",
+              spec.kind, epoch, spec.total, result.error.c_str());
+    return result;
+  }
+  result.checkpoint.next_epoch = spec.total;
+  result.checkpoint.rng_state = engine.rng_state();
+  cobs.finish(result.records_delivered,
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            run_start)
+                  .count());
+  return result;
+}
 
 /// Sort windows, drop empty ones, merge overlaps/adjacency, so down()
 /// can binary-search on the start instant alone (an earlier long window
@@ -179,81 +295,60 @@ std::size_t TracerouteCampaign::epochs() const {
 CampaignRunResult TracerouteCampaign::run(const TraceSink& sink,
                                           const ProgressFn& progress,
                                           const CampaignCheckpoint* resume) {
-  CampaignRunResult result;
-  const std::size_t total = epochs();
-  std::size_t first = 0;
-  if (resume) {
-    first = resume->next_epoch;
-    engine_.set_rng_state(resume->rng_state);
-  }
-  const CampaignObs cobs = CampaignObs::make();
-  const ScopedEvents scoped_events(net_, config_.events);
-  const obs::TraceSpan run_span("campaign.traceroute");
-  const auto run_start = std::chrono::steady_clock::now();
+  const exec::PoolLease lease;
+  return run_on(lease.pool(), sink, progress, resume);
+}
+
+CampaignRunResult TracerouteCampaign::run(const TraceSink& sink,
+                                          const ProgressFn& progress,
+                                          const CampaignCheckpoint* resume,
+                                          exec::ThreadPool& pool) {
+  return run_on(&pool, sink, progress, resume);
+}
+
+CampaignRunResult TracerouteCampaign::run_on(exec::ThreadPool* pool,
+                                             const TraceSink& sink,
+                                             const ProgressFn& progress,
+                                             const CampaignCheckpoint* resume) {
   const auto start_s =
       static_cast<std::int64_t>(config_.start_day * 86400.0);
-  for (std::size_t epoch = first; epoch < total; ++epoch) {
-    const obs::TraceSpan epoch_span("epoch");
-    const obs::ScopedTimer epoch_timer(cobs.epoch_us);
-    // Checkpoint at the epoch boundary: if the sink fails below, the
-    // whole epoch is replayed on resume (at-least-once delivery).
-    {
-      const obs::ScopedTimer ckpt_timer(cobs.checkpoint_us);
-      result.checkpoint.next_epoch = epoch;
-      result.checkpoint.rng_state = engine_.rng_state();
-    }
-    const net::SimTime t(start_s +
-                         static_cast<std::int64_t>(epoch) *
-                             config_.interval_s);
-    const bool v4_paris = config_.paris_switch_day >= 0.0 &&
-                          t.days() >= config_.paris_switch_day;
-    std::size_t epoch_records = 0;
-    try {
-      for (const auto& [src, dst] : pairs_) {
-        if (downtime_.down(src, t) || downtime_.down(dst, t)) continue;
-        if (config_.probe_ipv4) {
-          const auto method = v4_paris ? TracerouteMethod::kParis
-                                       : TracerouteMethod::kClassic;
-          if (auto rec =
-                  engine_.run(src, dst, net::Family::kIPv4, t, method)) {
-            sink(*rec);
-            ++result.records_delivered;
-            ++epoch_records;
+  const RunSpec spec{"traceroute", "campaign.traceroute", net_,
+                     config_.events, epochs(), config_.on_epoch, progress};
+  TracerouteRecord record;  // reused: the sink sees a const&
+  return run_epochs<TracerouteFacts>(
+      spec, engine_, pool, resume,
+      [&](std::size_t epoch, EpochSlot<TracerouteFacts>& slot) {
+        const net::SimTime t(start_s + static_cast<std::int64_t>(epoch) *
+                                           config_.interval_s);
+        const bool v4_paris = config_.paris_switch_day >= 0.0 &&
+                              t.days() >= config_.paris_switch_day;
+        const auto probe = [&](ServerId src, ServerId dst, net::Family family,
+                               TracerouteMethod method) {
+          auto& facts = slot.probes.emplace_back();
+          if (!engine_.prepare(*slot.resolver, src, dst, family, t, method,
+                               facts, slot.partials)) {
+            slot.probes.pop_back();
+          }
+        };
+        for (const auto& [src, dst] : pairs_) {
+          if (downtime_.down(src, t) || downtime_.down(dst, t)) continue;
+          if (config_.probe_ipv4) {
+            probe(src, dst, net::Family::kIPv4,
+                  v4_paris ? TracerouteMethod::kParis
+                           : TracerouteMethod::kClassic);
+          }
+          if (config_.probe_ipv6) {
+            probe(src, dst, net::Family::kIPv6, TracerouteMethod::kClassic);
           }
         }
-        if (config_.probe_ipv6) {
-          if (auto rec = engine_.run(src, dst, net::Family::kIPv6, t,
-                                     TracerouteMethod::kClassic)) {
-            sink(*rec);
-            ++result.records_delivered;
-            ++epoch_records;
-          }
+      },
+      [&](const EpochSlot<TracerouteFacts>& slot, const auto& count) {
+        for (const TracerouteFacts& facts : slot.probes) {
+          engine_.draw(facts, slot.partials, record);
+          sink(record);
+          count();
         }
-      }
-    } catch (const std::exception& e) {
-      result.aborted = true;
-      result.error = e.what();
-      cobs.records.inc(epoch_records);
-      obs::logf(obs::LogLevel::kWarn,
-                "traceroute campaign aborted at epoch %zu/%zu: %s", epoch,
-                total, e.what());
-      return result;
-    }
-    cobs.records.inc(epoch_records);
-    cobs.epochs.inc();
-    ++result.epochs_completed;
-    if (config_.on_epoch) config_.on_epoch(epoch);
-    if (progress) {
-      progress(static_cast<double>(epoch + 1) / static_cast<double>(total));
-    }
-  }
-  result.checkpoint.next_epoch = total;
-  result.checkpoint.rng_state = engine_.rng_state();
-  cobs.finish(result.records_delivered,
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            run_start)
-                  .count());
-  return result;
+      });
 }
 
 PingCampaign::PingCampaign(
@@ -276,73 +371,49 @@ std::size_t PingCampaign::epochs() const {
 CampaignRunResult PingCampaign::run(const PingSink& sink,
                                     const ProgressFn& progress,
                                     const CampaignCheckpoint* resume) {
-  CampaignRunResult result;
-  const std::size_t total = epochs();
-  std::size_t first = 0;
-  if (resume) {
-    first = resume->next_epoch;
-    engine_.set_rng_state(resume->rng_state);
-  }
-  const CampaignObs cobs = CampaignObs::make();
-  const ScopedEvents scoped_events(net_, config_.events);
-  const obs::TraceSpan run_span("campaign.ping");
-  const auto run_start = std::chrono::steady_clock::now();
+  const exec::PoolLease lease;
+  return run_on(lease.pool(), sink, progress, resume);
+}
+
+CampaignRunResult PingCampaign::run(const PingSink& sink,
+                                    const ProgressFn& progress,
+                                    const CampaignCheckpoint* resume,
+                                    exec::ThreadPool& pool) {
+  return run_on(&pool, sink, progress, resume);
+}
+
+CampaignRunResult PingCampaign::run_on(exec::ThreadPool* pool,
+                                       const PingSink& sink,
+                                       const ProgressFn& progress,
+                                       const CampaignCheckpoint* resume) {
   const auto start_s =
       static_cast<std::int64_t>(config_.start_day * 86400.0);
-  for (std::size_t epoch = first; epoch < total; ++epoch) {
-    const obs::TraceSpan epoch_span("epoch");
-    const obs::ScopedTimer epoch_timer(cobs.epoch_us);
-    {
-      const obs::ScopedTimer ckpt_timer(cobs.checkpoint_us);
-      result.checkpoint.next_epoch = epoch;
-      result.checkpoint.rng_state = engine_.rng_state();
-    }
-    const net::SimTime t(start_s +
-                         static_cast<std::int64_t>(epoch) *
-                             config_.interval_s);
-    std::size_t epoch_records = 0;
-    try {
-      for (const auto& [src, dst] : pairs_) {
-        if (downtime_.down(src, t) || downtime_.down(dst, t)) continue;
-        if (config_.probe_ipv4) {
-          if (auto rec = engine_.run(src, dst, net::Family::kIPv4, t)) {
-            sink(*rec);
-            ++result.records_delivered;
-            ++epoch_records;
+  const RunSpec spec{"ping", "campaign.ping", net_, config_.events,
+                     epochs(), config_.on_epoch, progress};
+  return run_epochs<PingFacts>(
+      spec, engine_, pool, resume,
+      [&](std::size_t epoch, EpochSlot<PingFacts>& slot) {
+        const net::SimTime t(start_s + static_cast<std::int64_t>(epoch) *
+                                           config_.interval_s);
+        const auto probe = [&](ServerId src, ServerId dst,
+                               net::Family family) {
+          auto& facts = slot.probes.emplace_back();
+          if (!engine_.prepare(*slot.resolver, src, dst, family, t, facts)) {
+            slot.probes.pop_back();
           }
+        };
+        for (const auto& [src, dst] : pairs_) {
+          if (downtime_.down(src, t) || downtime_.down(dst, t)) continue;
+          if (config_.probe_ipv4) probe(src, dst, net::Family::kIPv4);
+          if (config_.probe_ipv6) probe(src, dst, net::Family::kIPv6);
         }
-        if (config_.probe_ipv6) {
-          if (auto rec = engine_.run(src, dst, net::Family::kIPv6, t)) {
-            sink(*rec);
-            ++result.records_delivered;
-            ++epoch_records;
-          }
+      },
+      [&](const EpochSlot<PingFacts>& slot, const auto& count) {
+        for (const PingFacts& facts : slot.probes) {
+          sink(engine_.draw(facts));
+          count();
         }
-      }
-    } catch (const std::exception& e) {
-      result.aborted = true;
-      result.error = e.what();
-      cobs.records.inc(epoch_records);
-      obs::logf(obs::LogLevel::kWarn,
-                "ping campaign aborted at epoch %zu/%zu: %s", epoch, total,
-                e.what());
-      return result;
-    }
-    cobs.records.inc(epoch_records);
-    cobs.epochs.inc();
-    ++result.epochs_completed;
-    if (config_.on_epoch) config_.on_epoch(epoch);
-    if (progress) {
-      progress(static_cast<double>(epoch + 1) / static_cast<double>(total));
-    }
-  }
-  result.checkpoint.next_epoch = total;
-  result.checkpoint.rng_state = engine_.rng_state();
-  cobs.finish(result.records_delivered,
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            run_start)
-                  .count());
-  return result;
+      });
 }
 
 }  // namespace s2s::probe

@@ -19,6 +19,13 @@
 // epoch cleanly — the result reports how much was flushed and where to
 // resume (the start of the aborted epoch, so delivery is at-least-once
 // with epoch-boundary checkpoints).
+//
+// Epochs run through exec::ordered_pipeline (DESIGN.md section 18): the
+// pool's lanes prepare whole epochs of probe facts — the non-random half
+// of every probe — while the calling thread draws each record from the
+// engine's one RNG stream and runs the sink, on_epoch, progress and the
+// checkpoint, epoch by epoch in order. Every record, and so every archive
+// byte, is the same at any pool width.
 #pragma once
 
 #include <array>
@@ -30,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/pool.h"
 #include "probe/ping.h"
 #include "probe/traceroute.h"
 
@@ -124,12 +132,21 @@ class TracerouteCampaign {
   /// Pass `resume` to continue an interrupted run from its checkpoint.
   /// A sink that throws std::exception aborts the current epoch: the
   /// result reports how much was flushed and carries the resume point.
+  /// Epochs are prepared on the process-wide pool (exec::PoolLease).
   CampaignRunResult run(const TraceSink& sink, const ProgressFn& progress = {},
                         const CampaignCheckpoint* resume = nullptr);
+  /// Same, preparing on `pool`'s lanes.
+  CampaignRunResult run(const TraceSink& sink, const ProgressFn& progress,
+                        const CampaignCheckpoint* resume,
+                        exec::ThreadPool& pool);
 
   std::size_t epochs() const;
 
  private:
+  CampaignRunResult run_on(exec::ThreadPool* pool, const TraceSink& sink,
+                           const ProgressFn& progress,
+                           const CampaignCheckpoint* resume);
+
   simnet::Network& net_;
   TracerouteCampaignConfig config_;
   std::vector<std::pair<topology::ServerId, topology::ServerId>> pairs_;
@@ -164,10 +181,17 @@ class PingCampaign {
   /// Same contract as TracerouteCampaign::run.
   CampaignRunResult run(const PingSink& sink, const ProgressFn& progress = {},
                         const CampaignCheckpoint* resume = nullptr);
+  CampaignRunResult run(const PingSink& sink, const ProgressFn& progress,
+                        const CampaignCheckpoint* resume,
+                        exec::ThreadPool& pool);
 
   std::size_t epochs() const;
 
  private:
+  CampaignRunResult run_on(exec::ThreadPool* pool, const PingSink& sink,
+                           const ProgressFn& progress,
+                           const CampaignCheckpoint* resume);
+
   simnet::Network& net_;
   PingCampaignConfig config_;
   std::vector<std::pair<topology::ServerId, topology::ServerId>> pairs_;

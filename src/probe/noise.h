@@ -32,28 +32,38 @@ struct NoiseConfig {
   double probe_loss_prob = 0.00005;
 };
 
-/// Noise on an end-to-end RTT sample (ping or final traceroute hop).
-inline double end_to_end_noise_ms(const NoiseConfig& cfg, stats::Rng& rng) {
-  double noise =
-      rng.lognormal(std::log(cfg.jitter_median_ms), cfg.jitter_sigma);
-  if (rng.chance(cfg.spike_prob)) {
-    noise += rng.exponential_mean(cfg.spike_mean_ms);
-  }
-  return noise;
-}
+/// The noise draws of both engines. The lognormal's location,
+/// log(jitter_median_ms), is taken once here rather than per sample.
+class NoiseModel {
+ public:
+  explicit NoiseModel(const NoiseConfig& cfg)
+      : cfg_(cfg), jitter_mu_(std::log(cfg.jitter_median_ms)) {}
 
-/// Noise on an intermediate traceroute hop's RTT sample.
-inline double hop_noise_ms(const NoiseConfig& cfg, stats::Rng& rng) {
-  double noise =
-      rng.lognormal(std::log(cfg.jitter_median_ms), cfg.jitter_sigma) +
-      rng.uniform(cfg.hop_proc_min_ms, cfg.hop_proc_max_ms);
-  if (rng.chance(cfg.slow_path_prob)) {
-    noise += rng.exponential_mean(cfg.slow_path_mean_ms);
+  /// Noise on an end-to-end RTT sample (ping or final traceroute hop).
+  double end_to_end_ms(stats::Rng& rng) const {
+    double noise = rng.lognormal(jitter_mu_, cfg_.jitter_sigma);
+    if (rng.chance(cfg_.spike_prob)) {
+      noise += rng.exponential_mean(cfg_.spike_mean_ms);
+    }
+    return noise;
   }
-  if (rng.chance(cfg.spike_prob)) {
-    noise += rng.exponential_mean(cfg.spike_mean_ms);
+
+  /// Noise on an intermediate traceroute hop's RTT sample.
+  double hop_ms(stats::Rng& rng) const {
+    double noise = rng.lognormal(jitter_mu_, cfg_.jitter_sigma) +
+                   rng.uniform(cfg_.hop_proc_min_ms, cfg_.hop_proc_max_ms);
+    if (rng.chance(cfg_.slow_path_prob)) {
+      noise += rng.exponential_mean(cfg_.slow_path_mean_ms);
+    }
+    if (rng.chance(cfg_.spike_prob)) {
+      noise += rng.exponential_mean(cfg_.spike_mean_ms);
+    }
+    return noise;
   }
-  return noise;
-}
+
+ private:
+  NoiseConfig cfg_;
+  double jitter_mu_;
+};
 
 }  // namespace s2s::probe

@@ -5,37 +5,44 @@ namespace s2s::probe {
 std::optional<PingRecord> PingEngine::run(topology::ServerId src,
                                           topology::ServerId dst,
                                           net::Family family, net::SimTime t) {
+  PingFacts facts;
+  if (!prepare(resolver_, src, dst, family, t, facts)) return std::nullopt;
+  return draw(facts);
+}
+
+bool PingEngine::prepare(simnet::Network::Resolver& resolver,
+                         topology::ServerId src, topology::ServerId dst,
+                         net::Family family, net::SimTime t,
+                         PingFacts& facts) const {
   const auto& topo = net_.topo();
-  const auto& source = topo.servers.at(src);
-  const auto& target = topo.servers.at(dst);
-  if (family == net::Family::kIPv6 &&
-      (!source.dual_stack() || !target.dual_stack())) {
-    return std::nullopt;
+  if (family == net::Family::kIPv6 && (!topo.servers.at(src).dual_stack() ||
+                                       !topo.servers.at(dst).dual_stack())) {
+    return false;
   }
-
-  PingRecord record;
-  record.src = src;
-  record.dst = dst;
-  record.family = family;
-  record.time = t;
-
-  if (rng_.chance(config_.loss_prob)) return record;  // lost probe
-
-  auto fwd = net_.resolve(src, dst, family, t);
-  if (!fwd) return record;
+  facts = PingFacts{src, dst, family, t};
+  const auto fwd = resolver.resolve(src, dst, family, t);
   // Event overlay (maintenance windows, failed links): a blocked hop drops
   // the probe in transit. The check draws no randomness, so installing an
-  // event schedule never perturbs the engine's RNG stream. The forward
-  // path must be consumed before the reverse resolve (fallback scratch).
-  if (net_.path_event_blocked(*fwd->path, family, t)) return record;
-  const double fwd_one_way = net_.one_way_ms(*fwd->path, family, t);
-  auto rev = net_.resolve(dst, src, family, t);
-  if (!rev) return record;
-  if (net_.path_event_blocked(*rev->path, family, t)) return record;
-  const double rev_one_way = net_.one_way_ms(*rev->path, family, t);
+  // event schedule never perturbs the engine's RNG stream.
+  if (!fwd || net_.path_event_blocked(*fwd->path, family, t)) return true;
+  const auto rev = resolver.resolve(dst, src, family, t);
+  if (!rev || net_.path_event_blocked(*rev->path, family, t)) return true;
+  facts.fwd_one_way_ms = net_.one_way_ms(*fwd->path, family, t);
+  facts.rev_one_way_ms = net_.one_way_ms(*rev->path, family, t);
+  facts.reachable = true;
+  return true;
+}
 
-  record.rtt_ms =
-      fwd_one_way + rev_one_way + end_to_end_noise_ms(config_.noise, rng_);
+PingRecord PingEngine::draw(const PingFacts& facts) {
+  PingRecord record;
+  record.src = facts.src;
+  record.dst = facts.dst;
+  record.family = facts.family;
+  record.time = facts.t;
+  if (rng_.chance(config_.loss_prob)) return record;  // lost probe
+  if (!facts.reachable) return record;
+  record.rtt_ms = facts.fwd_one_way_ms + facts.rev_one_way_ms +
+                  noise_.end_to_end_ms(rng_);
   record.success = true;
   return record;
 }

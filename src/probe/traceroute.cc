@@ -21,7 +21,11 @@ net::IPAddr pick_addr(const topology::LinkEnd& end, net::Family family) {
 TracerouteEngine::TracerouteEngine(simnet::Network& net,
                                    const TracerouteConfig& config,
                                    stats::Rng rng)
-    : net_(net), config_(config), rng_(rng) {
+    : net_(net),
+      config_(config),
+      noise_(config.noise),
+      rng_(rng),
+      resolver_(net) {
   const auto& topo = net_.topo();
   internal_by_router_.resize(topo.routers.size());
   for (LinkId id = 0; id < topo.links.size(); ++id) {
@@ -37,63 +41,106 @@ std::optional<TracerouteRecord> TracerouteEngine::run(ServerId src,
                                                       net::Family family,
                                                       net::SimTime t,
                                                       TracerouteMethod method) {
-  const auto& topo = net_.topo();
-  const auto& source = topo.servers.at(src);
-  const auto& target = topo.servers.at(dst);
-  const bool v6 = family == net::Family::kIPv6;
-  if (v6 && (!source.dual_stack() || !target.dual_stack())) {
+  TracerouteFacts facts;
+  partials_.clear();
+  if (!prepare(resolver_, src, dst, family, t, method, facts, partials_)) {
     return std::nullopt;  // no probe can be sent on this plane
   }
-
   TracerouteRecord record;
-  record.src = src;
-  record.dst = dst;
-  record.family = family;
-  record.time = t;
-  record.method = method;
+  draw(facts, partials_, record);
+  return record;
+}
+
+bool TracerouteEngine::prepare(simnet::Network::Resolver& resolver,
+                               ServerId src, ServerId dst, net::Family family,
+                               net::SimTime t, TracerouteMethod method,
+                               TracerouteFacts& facts,
+                               std::vector<double>& partials) const {
+  const auto& topo = net_.topo();
+  if (family == net::Family::kIPv6 && (!topo.servers.at(src).dual_stack() ||
+                                       !topo.servers.at(dst).dual_stack())) {
+    return false;
+  }
+  facts = TracerouteFacts{};
+  facts.src = src;
+  facts.dst = dst;
+  facts.family = family;
+  facts.t = t;
+  facts.method = method;
+
+  const auto fwd = resolver.resolve(src, dst, family, t);
+  if (!fwd) return true;  // kNoForward
+  const RouterPath& fpath = *fwd->path;
+  const auto rev = resolver.resolve(dst, src, family, t);
+  if (!rev || net_.path_event_blocked(*rev->path, family, t)) {
+    facts.outcome = TracerouteFacts::Outcome::kNoReply;
+    return true;
+  }
+  // Event overlay: a hop whose link an active event blocks (maintenance
+  // window, failed link of a cascade) kills forward probes there — hops
+  // before it answer, the run truncates at the gap limit.
+  const auto blocked_hop = net_.first_event_blocked_hop(fpath, family, t);
+  facts.outcome = TracerouteFacts::Outcome::kReached;
+  facts.fpath = &fpath;
+  facts.event_blocked = blocked_hop.has_value();
+  facts.hop_limit = static_cast<std::uint32_t>(
+      blocked_hop ? *blocked_hop : fpath.hops.size());
+  // Each hop's queueing and event delay, once; the one-way latency and
+  // every partial latency add them in the engine's fixed order.
+  thread_local std::vector<simnet::Network::HopDelay> delays;
+  net_.hop_delays(fpath, family, t, delays);
+  facts.fwd_one_way_ms = simnet::Network::one_way_ms(fpath, delays);
+  facts.partial_begin = static_cast<std::uint32_t>(partials.size());
+  for (std::size_t i = 0; i < facts.hop_limit; ++i) {
+    partials.push_back(simnet::Network::partial_one_way_ms(fpath, i, delays));
+  }
+  facts.rev_one_way_ms = net_.one_way_ms(*rev->path, family, t);
+  return true;
+}
+
+void TracerouteEngine::draw(const TracerouteFacts& facts,
+                            std::span<const double> partials,
+                            TracerouteRecord& record) {
+  const auto& topo = net_.topo();
+  const auto& source = topo.servers[facts.src];
+  const auto& target = topo.servers[facts.dst];
+  const bool v6 = facts.family == net::Family::kIPv6;
+  record.src = facts.src;
+  record.dst = facts.dst;
+  record.family = facts.family;
+  record.time = facts.t;
+  record.method = facts.method;
   record.src_addr = v6 ? net::IPAddr(*source.addr6) : net::IPAddr(source.addr4);
   record.dst_addr = v6 ? net::IPAddr(*target.addr6) : net::IPAddr(target.addr4);
+  record.complete = false;
+  record.hops.clear();
+  // Room for every answering hop plus the longest tail: a ghost hop and
+  // the five-star gap, or up to nine stars for an unroutable run.
+  record.hops.reserve(std::max<std::size_t>(facts.hop_limit + 6, 10));
 
-  auto fwd = net_.resolve(src, dst, family, t);
-  if (!fwd) {
+  using Outcome = TracerouteFacts::Outcome;
+  if (facts.outcome == Outcome::kNoForward) {
     // No forward route: the gateway answers, then the probes die.
     record.hops.push_back(
         {v6 ? net::IPAddr(*source.gateway_addr6)
             : net::IPAddr(source.gateway_addr4),
          2.0 * simnet::RouterPathExpander::kAccessDelayMs +
-             hop_noise_ms(config_.noise, rng_)});
+             noise_.hop_ms(rng_)});
     const int stars = 3 + static_cast<int>(rng_.below(5));
     for (int i = 0; i < stars; ++i) record.hops.push_back({std::nullopt, 0.0});
-    return record;
+    return;
   }
-  // The fallback expansion lives in scratch storage invalidated by the
-  // next resolve(); copy it before resolving the reverse direction.
-  RouterPath fallback_copy;
-  const RouterPath* fpath = fwd->path;
-  if (fwd->from_fallback) {
-    fallback_copy = *fwd->path;
-    fpath = &fallback_copy;
-  }
-  const double fwd_one_way = net_.one_way_ms(*fpath, family, t);
-  // Event overlay: a hop whose link an active event blocks (maintenance
-  // window, failed link of a cascade) kills forward probes there — hops
-  // before it answer, the run truncates at the gap limit below.
-  const auto blocked_hop = net_.first_event_blocked_hop(*fpath, family, t);
-
-  auto rev = net_.resolve(dst, src, family, t);
-  if (!rev || net_.path_event_blocked(*rev->path, family, t)) {
+  if (facts.outcome == Outcome::kNoReply) {
     // Replies cannot return: the whole run reads as unresponsive.
     const int stars = 4 + static_cast<int>(rng_.below(6));
     for (int i = 0; i < stars; ++i) record.hops.push_back({std::nullopt, 0.0});
-    return record;
+    return;
   }
-  const double rev_one_way = net_.one_way_ms(*rev->path, family, t);
 
   // Intermediate hops: the routers of the forward expansion.
-  const std::size_t hop_limit =
-      blocked_hop ? *blocked_hop : fpath->hops.size();
-  for (std::size_t i = 0; i < hop_limit; ++i) {
-    const auto& hop = fpath->hops[i];
+  const RouterPath& fpath = *facts.fpath;
+  for (std::size_t i = 0; i < facts.hop_limit; ++i) {
+    const auto& hop = fpath.hops[i];
     Hop out;
     const auto& router = topo.routers[hop.router];
     const bool responsive = rng_.uniform() < router.icmp_response_rate &&
@@ -104,22 +151,22 @@ std::optional<TracerouteRecord> TracerouteEngine::run(ServerId src,
                       : net::IPAddr(source.gateway_addr4);
       } else {
         const auto& link = topo.links[hop.link];
-        out.addr = pick_addr(topo.near_end(link, hop.router), family);
+        out.addr = pick_addr(topo.near_end(link, hop.router), facts.family);
       }
-      out.rtt_ms = 2.0 * net_.partial_one_way_ms(*fpath, i, family, t) +
-                   hop_noise_ms(config_.noise, rng_);
+      out.rtt_ms = 2.0 * partials[facts.partial_begin + i] +
+                   noise_.hop_ms(rng_);
     }
     record.hops.push_back(std::move(out));
   }
 
-  if (blocked_hop) {
+  if (facts.event_blocked) {
     const int stars = 5;  // gap limit before the prober gives up
     for (int i = 0; i < stars; ++i) record.hops.push_back({std::nullopt, 0.0});
-    return record;
+    return;
   }
 
-  if (method == TracerouteMethod::kClassic) {
-    apply_classic_artifacts(record, *fpath);
+  if (facts.method == TracerouteMethod::kClassic) {
+    apply_classic_artifacts(record, fpath);
   }
 
   // Filtering / rate limiting / transient loss kills some runs mid-path.
@@ -128,17 +175,16 @@ std::optional<TracerouteRecord> TracerouteEngine::run(ServerId src,
     record.hops.resize(keep);
     const int stars = 5;  // gap limit before the prober gives up
     for (int i = 0; i < stars; ++i) record.hops.push_back({std::nullopt, 0.0});
-    return record;
+    return;
   }
 
   // Destination hop: true forward + reverse one-way delays.
   Hop last;
   last.addr = record.dst_addr;
-  last.rtt_ms =
-      fwd_one_way + rev_one_way + end_to_end_noise_ms(config_.noise, rng_);
+  last.rtt_ms = facts.fwd_one_way_ms + facts.rev_one_way_ms +
+                noise_.end_to_end_ms(rng_);
   record.hops.push_back(std::move(last));
   record.complete = true;
-  return record;
 }
 
 void TracerouteEngine::apply_classic_artifacts(TracerouteRecord& record,

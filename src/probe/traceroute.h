@@ -17,9 +17,18 @@
 // uses the true forward + reverse one-way delays, so end-to-end series
 // reflect reverse-path routing changes too. See DESIGN.md for the
 // asymmetry discussion.
+//
+// A probe splits into two halves (DESIGN.md section 18). prepare() is the
+// non-random half: forward and reverse routes, event blocking, one-way
+// latencies and per-hop partial latencies. It only reads the network, so
+// any thread may run it with its own Network::Resolver. draw() is the
+// random half: every RNG draw, in the engine's one stream, and building
+// the record. run() is draw(prepare(...)).
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "probe/noise.h"
 #include "probe/records.h"
@@ -43,6 +52,32 @@ struct TracerouteConfig {
   int max_ttl = 64;
 };
 
+/// The non-random half of one traceroute.
+struct TracerouteFacts {
+  enum class Outcome : std::uint8_t {
+    kNoForward,  ///< no forward route: the gateway answers, then nothing
+    kNoReply,    ///< replies cannot return: every hop reads unresponsive
+    kReached,    ///< the forward path answers up to `hop_limit`
+  };
+  topology::ServerId src = topology::kInvalidId;
+  topology::ServerId dst = topology::kInvalidId;
+  net::Family family = net::Family::kIPv4;
+  net::SimTime t;
+  TracerouteMethod method = TracerouteMethod::kClassic;
+  Outcome outcome = Outcome::kNoForward;
+  /// Forward expansion (kReached); owned by the network's memo or by the
+  /// resolver prepare() ran on.
+  const simnet::RouterPath* fpath = nullptr;
+  /// Hops before the first event-blocked one (all of them when none is).
+  std::uint32_t hop_limit = 0;
+  bool event_blocked = false;
+  /// Offset of hops [0, hop_limit)'s partial one-way latencies in the
+  /// caller's latency buffer.
+  std::uint32_t partial_begin = 0;
+  double fwd_one_way_ms = 0.0;
+  double rev_one_way_ms = 0.0;
+};
+
 class TracerouteEngine {
  public:
   TracerouteEngine(simnet::Network& net, const TracerouteConfig& config,
@@ -54,6 +89,21 @@ class TracerouteEngine {
                                       topology::ServerId dst,
                                       net::Family family, net::SimTime t,
                                       TracerouteMethod method);
+
+  /// The non-random half: fills `facts`, appending the partial one-way
+  /// latencies to `partials`. False (and nothing appended) when the family
+  /// is not configured on either endpoint. Draws nothing; safe on any
+  /// thread, each with its own resolver and buffers.
+  bool prepare(simnet::Network::Resolver& resolver, topology::ServerId src,
+               topology::ServerId dst, net::Family family, net::SimTime t,
+               TracerouteMethod method, TracerouteFacts& facts,
+               std::vector<double>& partials) const;
+
+  /// The random half: draws `facts`' record from the engine's stream into
+  /// `record` (overwritten; its hop capacity is reused). `partials` is
+  /// the buffer prepare() appended to.
+  void draw(const TracerouteFacts& facts, std::span<const double> partials,
+            TracerouteRecord& record);
 
   /// Engine RNG state, for campaign checkpointing: restoring it replays
   /// the probe stream from exactly the captured point.
@@ -70,9 +120,13 @@ class TracerouteEngine {
 
   simnet::Network& net_;
   TracerouteConfig config_;
+  NoiseModel noise_;
   stats::Rng rng_;
   /// Internal links adjacent to each router (sibling-interface artifacts).
   std::vector<std::vector<topology::LinkId>> internal_by_router_;
+  // run()'s state: its own resolver and buffers.
+  simnet::Network::Resolver resolver_;
+  std::vector<double> partials_;
 };
 
 }  // namespace s2s::probe

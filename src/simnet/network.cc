@@ -45,9 +45,6 @@ void Network::prepare(
   candidates6_ = std::make_unique<CandidateTable>(router_, net::Family::kIPv6,
                                                   as_pairs6_);
   if (!outages_) calibrate_and_schedule();
-  // Candidate tables changed: cached epoch state may reference stale sets.
-  mask_time_ = net::SimTime(-1);
-  exact_cache_.clear();
 }
 
 void Network::prepare_full_mesh(std::span<const ServerId> servers) {
@@ -118,80 +115,143 @@ double Network::severity_ms(topology::AdjacencyId id) const {
   return severity_.empty() ? 0.0 : severity_.at(id);
 }
 
-void Network::refresh_masks(net::SimTime t) {
-  if (t == mask_time_) return;
-  outages_->failed_mask(net::Family::kIPv4, t, failed4_);
-  outages_->failed_mask(net::Family::kIPv6, t, failed6_);
-  exact_cache_.clear();
-  mask_time_ = t;
+Network::Resolver::Resolver(const Network& net)
+    : net_(&net),
+      routes_computed_(
+          obs::MetricsRegistry::global().counter("s2s.simnet.routes_computed")) {}
+
+void Network::Resolver::refresh_plane(net::Family family, net::SimTime t,
+                                      Plane& plane) {
+  net_->outages_->failed_mask(family, t, next_);
+  if (next_ == plane.failed) return;
+  // The routes and expansions derived from the old mask are stale; the
+  // candidate-slot index is mask-independent and stays.
+  plane.failed.swap(next_);
+  plane.routes.clear();
+  plane.fallbacks.clear();
 }
 
-std::optional<Network::Resolution> Network::resolve(ServerId src,
-                                                    ServerId dst,
-                                                    net::Family family,
-                                                    net::SimTime t) {
-  if (!prepared()) {
+void Network::Resolver::refresh(net::SimTime t) {
+  if (t == time_) return;
+  refresh_plane(net::Family::kIPv4, t, v4_);
+  refresh_plane(net::Family::kIPv6, t, v6_);
+  time_ = t;
+}
+
+std::optional<Network::Resolution> Network::Resolver::resolve(
+    ServerId src, ServerId dst, net::Family family, net::SimTime t) {
+  if (!net_->prepared()) {
     throw std::logic_error("Network::resolve before prepare()");
   }
-  refresh_masks(t);
-  const auto& mask =
-      family == net::Family::kIPv4 ? failed4_ : failed6_;
-  const AsId src_as = topo_.servers.at(src).as_id;
-  const AsId dst_as = topo_.servers.at(dst).as_id;
-  const auto* set = candidates(family).find(src_as, dst_as);
+  refresh(t);
+  Plane& plane = family == net::Family::kIPv4 ? v4_ : v6_;
+  const auto& topo = net_->topo_;
+  const AsId src_as = topo.servers.at(src).as_id;
+  const AsId dst_as = topo.servers.at(dst).as_id;
+  const auto* set = net_->candidates(family).find(src_as, dst_as);
   if (set == nullptr) {
     throw std::logic_error("Network::resolve on unprepared pair");
   }
 
-  if (const Candidate* cand = set->resolve(mask)) {
+  if (const Candidate* cand = set->resolve(plane.failed)) {
     const auto slot = static_cast<std::uint32_t>(cand - set->candidates.data());
-    if (const RouterPath* path =
-            expander_.expand(src, dst, cand->path, family, slot)) {
-      return Resolution{cand->path, path, false};
+    const std::uint64_t key =
+        RouterPathExpander::memo_key(src, dst, slot, family);
+    auto it = slot_paths_.find(key);
+    if (it == slot_paths_.end()) {
+      it = slot_paths_
+               .emplace(key, net_->expander_.expand(src, dst, cand->path,
+                                                    family, slot))
+               .first;
+    }
+    if (it->second != nullptr) {
+      return Resolution{cand->path, it->second, false};
     }
   }
+  return fallback(src, dst, family, plane);
+}
 
-  // Exact fallback: every candidate (or the expansion) was blocked.
-  const std::uint64_t key = (std::uint64_t{dst_as} << 1) |
-                            (family == net::Family::kIPv6 ? 1u : 0u);
-  auto it = exact_cache_.find(key);
-  if (it == exact_cache_.end()) {
-    it = exact_cache_.emplace(key, router_.compute(dst_as, family, &mask))
-             .first;
+std::optional<Network::Resolution> Network::Resolver::fallback(
+    ServerId src, ServerId dst, net::Family family, Plane& plane) {
+  // Exact fallback: every candidate (or the expansion) was blocked. The
+  // answer depends only on the pair and the plane's mask, so it is kept
+  // until the mask changes.
+  const std::uint64_t pair_key = (std::uint64_t{src} << 32) | dst;
+  auto found = plane.fallbacks.find(pair_key);
+  if (found == plane.fallbacks.end()) {
+    const auto& topo = net_->topo_;
+    const AsId src_as = topo.servers[src].as_id;
+    const AsId dst_as = topo.servers[dst].as_id;
+    auto route = plane.routes.find(dst_as);
+    if (route == plane.routes.end()) {
+      route = plane.routes
+                  .emplace(dst_as, net_->router_.compute(dst_as, family,
+                                                         &plane.failed))
+                  .first;
+      routes_computed_.inc();
+    }
+    std::optional<Fallback> entry;
+    if (auto as_path = net_->router_.extract(route->second, src_as)) {
+      Fallback fb{std::move(*as_path), {}};
+      if (net_->expander_.expand_into(src, dst, fb.as_path, family,
+                                      fb.path)) {
+        entry = std::move(fb);
+      }
+    }
+    found = plane.fallbacks.emplace(pair_key, std::move(entry)).first;
   }
-  auto as_path = router_.extract(it->second, src_as);
-  if (!as_path) return std::nullopt;
-  const RouterPath* path = expander_.expand(src, dst, *as_path, family,
-                                            RouterPathExpander::kNoCache);
-  if (path == nullptr) return std::nullopt;
-  return Resolution{std::move(*as_path), path, true};
+  if (!found->second) return std::nullopt;
+  return Resolution{found->second->as_path, &found->second->path, true};
+}
+
+Network::HopDelay Network::hop_delay(const RouterHop& hop, net::Family family,
+                                     net::SimTime t) const {
+  HopDelay d;
+  if (hop.link == topology::kInvalidId) return d;
+  d.queue_ms = congestion_.queue_delay_ms(hop.link, family, t);
+  if (events_ != nullptr) d.event_ms = events_->delay_ms(hop.link, family, t);
+  return d;
+}
+
+void Network::hop_delays(const RouterPath& path, net::Family family,
+                         net::SimTime t, std::vector<HopDelay>& out) const {
+  out.resize(path.hops.size());
+  for (std::size_t i = 0; i < path.hops.size(); ++i) {
+    out[i] = hop_delay(path.hops[i], family, t);
+  }
+}
+
+// Every sum adds each hop's queue term, then its event term, in hop order:
+// the same sequence of additions whether or not a term is present, since
+// adding +0.0 to the (non-negative) running total leaves it unchanged.
+double Network::one_way_ms(const RouterPath& path,
+                           std::span<const HopDelay> delays) {
+  double total = path.total_delay_ms;
+  for (const HopDelay& d : delays) {
+    total += d.queue_ms;
+    total += d.event_ms;
+  }
+  return total;
+}
+
+double Network::partial_one_way_ms(const RouterPath& path,
+                                   std::size_t hop_index,
+                                   std::span<const HopDelay> delays) {
+  double total = path.hops.at(hop_index).cumulative_delay_ms;
+  for (std::size_t i = 0; i <= hop_index; ++i) {
+    total += delays[i].queue_ms;
+    total += delays[i].event_ms;
+  }
+  return total;
 }
 
 double Network::one_way_ms(const RouterPath& path, net::Family family,
                            net::SimTime t) const {
   double total = path.total_delay_ms;
   for (const RouterHop& hop : path.hops) {
-    if (hop.link != topology::kInvalidId) {
-      total += congestion_.queue_delay_ms(hop.link, family, t);
-      if (events_ != nullptr) {
-        total += events_->delay_ms(hop.link, family, t);
-      }
-    }
-  }
-  return total;
-}
-
-double Network::partial_one_way_ms(const RouterPath& path,
-                                   std::size_t hop_index, net::Family family,
-                                   net::SimTime t) const {
-  double total = path.hops.at(hop_index).cumulative_delay_ms;
-  for (std::size_t i = 0; i <= hop_index; ++i) {
-    if (path.hops[i].link != topology::kInvalidId) {
-      total += congestion_.queue_delay_ms(path.hops[i].link, family, t);
-      if (events_ != nullptr) {
-        total += events_->delay_ms(path.hops[i].link, family, t);
-      }
-    }
+    const HopDelay d = hop_delay(hop, family, t);
+    total += d.queue_ms;
+    total += d.event_ms;
   }
   return total;
 }

@@ -11,7 +11,13 @@
 // ordered server pair a campaign will probe, then resolve()/one_way_ms()
 // per measurement. Resolution is exact: when multiple simultaneous
 // failures block every precomputed candidate, the valley-free routes are
-// recomputed on the fly (cached per epoch).
+// recomputed on the fly, cached until the failure mask changes.
+//
+// After prepare(), the network is read-only: every per-call state of a
+// resolution (failure masks at t, fallback routes, fallback expansions)
+// lives in a Network::Resolver, one per thread, over the one shared
+// candidate-slot path memo (DESIGN.md section 18). Network::resolve is the
+// single-thread convenience wrapper over an internal Resolver.
 #pragma once
 
 #include <memory>
@@ -21,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "bgp/relationships.h"
 #include "bgp/rib.h"
 #include "net/timebase.h"
@@ -85,27 +92,96 @@ class Network {
       std::span<const std::pair<topology::ServerId, topology::ServerId>> pairs);
   void prepare_full_mesh(std::span<const topology::ServerId> servers);
 
+  /// A resolved route. Candidate routes point into the network's shared
+  /// memo and live as long as it; fallback routes (`from_fallback`) live
+  /// in the resolver that returned them, until it next sees a different
+  /// failure mask (so at least until it resolves at another t).
   struct Resolution {
-    std::vector<topology::AsId> as_path;
-    /// Router-level expansion; invalidated by the next resolve() call when
-    /// `from_fallback` is true (consume before resolving again).
+    std::span<const topology::AsId> as_path;
     const RouterPath* path = nullptr;
     bool from_fallback = false;
   };
 
-  /// Active route at time t, or nullopt when the destination is
-  /// unreachable (every policy-compliant path crosses a failed adjacency,
-  /// or the destination is not in the requested plane).
+  /// Per-thread resolution state over a prepared network: the failure
+  /// masks at the last t, the exact-fallback route tables and expansions
+  /// (kept while the masks stay the same, across any number of t), and a
+  /// private index into the shared candidate-slot memo, so a memo hit
+  /// takes no lock. Any number of resolvers may run at once on one
+  /// network; one resolver is not itself thread-safe.
+  class Resolver {
+   public:
+    explicit Resolver(const Network& net);
+
+    /// Active route at time t, or nullopt when the destination is
+    /// unreachable (every policy-compliant path crosses a failed
+    /// adjacency, or the destination is not in the requested plane).
+    std::optional<Resolution> resolve(topology::ServerId src,
+                                      topology::ServerId dst,
+                                      net::Family family, net::SimTime t);
+
+   private:
+    struct Fallback {
+      std::vector<topology::AsId> as_path;
+      RouterPath path;
+    };
+    /// One protocol plane's failure mask and what was derived from it.
+    struct Plane {
+      routing::AdjacencyMask failed;
+      /// Exact routes toward a destination AS under `failed`.
+      std::unordered_map<topology::AsId, routing::RouteTable> routes;
+      /// (src, dst) server pair -> fallback route (nullopt: unreachable).
+      std::unordered_map<std::uint64_t, std::optional<Fallback>> fallbacks;
+    };
+    void refresh(net::SimTime t);
+    void refresh_plane(net::Family family, net::SimTime t, Plane& plane);
+    std::optional<Resolution> fallback(topology::ServerId src,
+                                       topology::ServerId dst,
+                                       net::Family family, Plane& plane);
+
+    const Network* net_;
+    net::SimTime time_{-1};
+    Plane v4_;
+    Plane v6_;
+    routing::AdjacencyMask next_;  ///< refresh() buffer
+    /// (src, dst, candidate slot, family) -> shared memo entry (or null
+    /// when the candidate has no expansion in its plane).
+    std::unordered_map<std::uint64_t, const RouterPath*> slot_paths_;
+    obs::Counter routes_computed_;  ///< s2s.simnet.routes_computed
+  };
+
+  /// Network::Resolver::resolve on the network's own resolver; for one
+  /// thread at a time.
   std::optional<Resolution> resolve(topology::ServerId src,
                                     topology::ServerId dst, net::Family family,
-                                    net::SimTime t);
+                                    net::SimTime t) {
+    return resolver_.resolve(src, dst, family, t);
+  }
 
-  /// Deterministic one-way latency: propagation plus diurnal queueing.
+  /// Queueing and event delay of one hop at some t: the two terms the
+  /// latency functions below add for it, in this order.
+  struct HopDelay {
+    double queue_ms = 0.0;
+    double event_ms = 0.0;
+  };
+  /// One hop's delays at t (zero for the gateway hop, and event_ms zero
+  /// with no event schedule installed).
+  HopDelay hop_delay(const RouterHop& hop, net::Family family,
+                     net::SimTime t) const;
+  /// Every hop's delays of `path` at t, in hop order.
+  void hop_delays(const RouterPath& path, net::Family family, net::SimTime t,
+                  std::vector<HopDelay>& out) const;
+  /// One-way latency from precomputed hop delays.
+  static double one_way_ms(const RouterPath& path,
+                           std::span<const HopDelay> delays);
+  /// Same, truncated at hop index (inclusive); used for per-hop RTTs.
+  static double partial_one_way_ms(const RouterPath& path,
+                                   std::size_t hop_index,
+                                   std::span<const HopDelay> delays);
+
+  /// Deterministic one-way latency: propagation plus diurnal queueing
+  /// (and event delay), without a delay buffer.
   double one_way_ms(const RouterPath& path, net::Family family,
                     net::SimTime t) const;
-  /// Same, truncated at hop index (inclusive); used for per-hop RTTs.
-  double partial_one_way_ms(const RouterPath& path, std::size_t hop_index,
-                            net::Family family, net::SimTime t) const;
 
   /// Mean RTT regression (ms) caused by losing the adjacency, as estimated
   /// during prepare(); 0 for adjacencies no prepared pair crosses.
@@ -115,7 +191,6 @@ class Network {
   const routing::CandidateTable& candidates(net::Family family) const {
     return family == net::Family::kIPv4 ? *candidates4_ : *candidates6_;
   }
-  void refresh_masks(net::SimTime t);
   void calibrate_and_schedule();
 
   NetworkConfig config_;
@@ -123,7 +198,8 @@ class Network {
   routing::ValleyFreeRouter router_;
   CongestionModel congestion_;
   bgp::Rib rib_;
-  RouterPathExpander expander_;
+  /// The shared candidate-slot memo; thread-safe (router_path.h).
+  mutable RouterPathExpander expander_;
 
   std::vector<std::pair<topology::AsId, topology::AsId>> as_pairs4_;
   std::vector<std::pair<topology::AsId, topology::AsId>> as_pairs6_;
@@ -132,12 +208,7 @@ class Network {
   std::unique_ptr<routing::OutageSchedule> outages_;
   std::vector<double> severity_;
   const EventSchedule* events_ = nullptr;
-
-  // Per-epoch state.
-  net::SimTime mask_time_{-1};
-  routing::AdjacencyMask failed4_;
-  routing::AdjacencyMask failed6_;
-  std::unordered_map<std::uint64_t, routing::RouteTable> exact_cache_;
+  Resolver resolver_{*this};  ///< behind Network::resolve
 };
 
 }  // namespace s2s::simnet

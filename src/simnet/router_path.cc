@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 #include <queue>
 
 #include "net/geo.h"
@@ -166,24 +167,26 @@ const RouterPath* RouterPathExpander::expand(ServerId src, ServerId dst,
                                              net::Family family,
                                              std::uint32_t cache_slot) {
   if (as_path.empty()) return nullptr;
-  const bool cacheable = cache_slot != kNoCache;
-  std::uint64_t key = 0;
-  if (cacheable) {
-    // Disjoint bit fields: servers < 2^20, candidate slots < 2^19.
-    key = (std::uint64_t{src} << 40) | (std::uint64_t{dst} << 20) |
-          (std::uint64_t{cache_slot} << 1) |
-          (family == net::Family::kIPv6 ? 1u : 0u);
+  const std::uint64_t key = memo_key(src, dst, cache_slot, family);
+  {
+    const std::shared_lock<std::shared_mutex> lock(mutex_);
     const auto it = path_cache_.find(key);
     if (it != path_cache_.end()) return &it->second;
   }
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
+  const auto it = path_cache_.find(key);
+  if (it != path_cache_.end()) return &it->second;
   RouterPath path;
   if (!build(src, dst, as_path, family, path)) return nullptr;
-  if (!cacheable) {
-    scratch_ = std::move(path);
-    return &scratch_;
-  }
-  auto [slot, inserted] = path_cache_.emplace(key, std::move(path));
-  return &slot->second;
+  return &path_cache_.emplace(key, std::move(path)).first->second;
+}
+
+bool RouterPathExpander::expand_into(ServerId src, ServerId dst,
+                                     std::span<const AsId> as_path,
+                                     net::Family family, RouterPath& out) {
+  if (as_path.empty()) return false;
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
+  return build(src, dst, as_path, family, out);
 }
 
 }  // namespace s2s::simnet

@@ -91,7 +91,9 @@ TEST_P(FailoverFixture, PrimaryUsedWheneverFullyUp) {
         if (!fully_up) continue;
         const auto r = net_->resolve(a, b, net::Family::kIPv4, t);
         ASSERT_TRUE(r.has_value());
-        EXPECT_EQ(r->as_path, *primary);
+        EXPECT_EQ(std::vector<topology::AsId>(r->as_path.begin(),
+                                              r->as_path.end()),
+                  *primary);
         ++checked;
       }
     }
@@ -110,8 +112,10 @@ TEST_P(FailoverFixture, OutagesChangeObservedPathsOverTime) {
         const auto r = net_->resolve(a, b, net::Family::kIPv4,
                                      net::SimTime::from_days(day));
         if (!r) continue;
-        if (std::find(seen.begin(), seen.end(), r->as_path) == seen.end()) {
-          seen.push_back(r->as_path);
+        std::vector<topology::AsId> path(r->as_path.begin(),
+                                         r->as_path.end());
+        if (std::find(seen.begin(), seen.end(), path) == seen.end()) {
+          seen.push_back(std::move(path));
         }
       }
       pairs_with_changes += seen.size() > 1;

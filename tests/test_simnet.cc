@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "simnet/congestion.h"
 #include "simnet/network.h"
 #include "simnet/router_path.h"
@@ -253,10 +255,11 @@ TEST_F(NetworkFixture, OneWayIncludesCongestionQueues) {
 TEST_F(NetworkFixture, PartialOneWayIsMonotone) {
   const auto r = net_->resolve(0, 15, net::Family::kIPv4, net::SimTime(0));
   if (!r) GTEST_SKIP() << "pair unroutable in this seed";
+  std::vector<Network::HopDelay> delays;
+  net_->hop_delays(*r->path, net::Family::kIPv4, net::SimTime(0), delays);
   double prev = 0.0;
   for (std::size_t i = 0; i < r->path->hops.size(); ++i) {
-    const double v = net_->partial_one_way_ms(*r->path, i, net::Family::kIPv4,
-                                              net::SimTime(0));
+    const double v = Network::partial_one_way_ms(*r->path, i, delays);
     EXPECT_GE(v, prev);
     prev = v;
   }
@@ -279,20 +282,115 @@ TEST_F(NetworkFixture, ResolveThrowsOnUnpreparedUse) {
                std::logic_error);
 }
 
+/// A prepared full-mesh network for the memo tests.
+std::unique_ptr<Network> prepared_network(std::uint64_t seed) {
+  auto net = std::make_unique<Network>(small_network_config(seed));
+  std::vector<ServerId> servers;
+  for (ServerId s = 0; s < net->topo().servers.size(); ++s) {
+    servers.push_back(s);
+  }
+  net->prepare_full_mesh(servers);
+  return net;
+}
+
 TEST(RouterPathExpander, CachesByCandidateSlot) {
-  const NetworkConfig cfg = small_network_config(35);
-  Topology topo = topology::generate(cfg.topology);
+  const auto net = prepared_network(35);
+  const Topology& topo = net->topo();
+  // A real multi-AS path between dual-stack servers in different ASes.
+  ServerId src = topology::kInvalidId, dst = topology::kInvalidId;
+  std::vector<topology::AsId> as_path;
+  for (ServerId a = 0; a < topo.servers.size() && as_path.empty(); ++a) {
+    for (ServerId b = 0; b < topo.servers.size(); ++b) {
+      if (topo.servers[a].as_id == topo.servers[b].as_id ||
+          !topo.servers[a].dual_stack() || !topo.servers[b].dual_stack()) {
+        continue;
+      }
+      const auto r = net->resolve(a, b, net::Family::kIPv4, net::SimTime(0));
+      if (!r || r->from_fallback) continue;
+      src = a;
+      dst = b;
+      as_path.assign(r->as_path.begin(), r->as_path.end());
+      break;
+    }
+  }
+  ASSERT_GE(as_path.size(), 2u) << "no multi-AS pair in this topology";
+
   RouterPathExpander expander(topo);
-  const auto& s0 = topo.servers[0];
-  const auto& s1 = topo.servers[1];
-  // A trivial one-AS "path" when both servers share an AS is rare; instead
-  // expand the same AS pair twice and require pointer equality (cache hit).
-  std::vector<topology::AsId> as_path{s0.as_id};
-  if (s0.as_id != s1.as_id) as_path = {};  // only valid same-AS
-  if (as_path.empty()) GTEST_SKIP() << "servers in different ASes";
-  const auto* p1 = expander.expand(0, 1, as_path, net::Family::kIPv4, 0);
-  const auto* p2 = expander.expand(0, 1, as_path, net::Family::kIPv4, 0);
-  EXPECT_EQ(p1, p2);
+  const RouterPath* p1 =
+      expander.expand(src, dst, as_path, net::Family::kIPv4, 0);
+  ASSERT_NE(p1, nullptr);
+  EXPECT_EQ(expander.expand(src, dst, as_path, net::Family::kIPv4, 0), p1);
+  // Another slot is its own entry, with the same expansion.
+  const RouterPath* p2 =
+      expander.expand(src, dst, as_path, net::Family::kIPv4, 1);
+  ASSERT_NE(p2, nullptr);
+  EXPECT_NE(p2, p1);
+  ASSERT_EQ(p2->hops.size(), p1->hops.size());
+  for (std::size_t i = 0; i < p1->hops.size(); ++i) {
+    EXPECT_EQ(p2->hops[i].router, p1->hops[i].router);
+    EXPECT_EQ(p2->hops[i].link, p1->hops[i].link);
+  }
+  // So is the other family (when the path exists in the IPv6 plane).
+  if (const RouterPath* p6 =
+          expander.expand(src, dst, as_path, net::Family::kIPv6, 0)) {
+    EXPECT_NE(p6, p1);
+    EXPECT_NE(p6, p2);
+  }
+  // The network's resolutions point into its own memo: a repeat is the
+  // same entry.
+  const auto r1 = net->resolve(src, dst, net::Family::kIPv4, net::SimTime(0));
+  const auto r2 = net->resolve(src, dst, net::Family::kIPv4, net::SimTime(0));
+  ASSERT_TRUE(r1 && r2);
+  EXPECT_EQ(r1->path, r2->path);
+}
+
+TEST(RouterPathExpander, ResolversAgreeAcrossThreads) {
+  const auto net = prepared_network(35);
+  const std::size_t servers = net->topo().servers.size();
+  // Every pair from server 0..7, both families, at a spread of times: one
+  // line per resolution (the router sequence, or "-" when unreachable).
+  const auto resolve_all = [&](Network::Resolver& resolver) {
+    std::vector<std::vector<topology::RouterId>> out;
+    for (int day = 0; day < 480; day += 40) {
+      const auto t = net::SimTime::from_days(day);
+      for (ServerId a = 0; a < 8; ++a) {
+        for (ServerId b = 0; b < servers; ++b) {
+          if (a == b) continue;
+          for (const auto fam : {net::Family::kIPv4, net::Family::kIPv6}) {
+            if (fam == net::Family::kIPv6 &&
+                (!net->topo().servers[a].dual_stack() ||
+                 !net->topo().servers[b].dual_stack())) {
+              continue;
+            }
+            std::vector<topology::RouterId> routers;
+            if (const auto r = resolver.resolve(a, b, fam, t)) {
+              for (const RouterHop& hop : r->path->hops) {
+                routers.push_back(hop.router);
+              }
+            }
+            out.push_back(std::move(routers));
+          }
+        }
+      }
+    }
+    return out;
+  };
+  Network::Resolver reference_resolver(*net);
+  const auto want = resolve_all(reference_resolver);
+  ASSERT_GT(want.size(), 1000u);
+
+  std::vector<std::vector<std::vector<topology::RouterId>>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&, i] {
+      Network::Resolver resolver(*net);
+      got[i] = resolve_all(resolver);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want) << "thread " << i;
+  }
 }
 
 }  // namespace
