@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
     std::vector<double> rtts;
     for (const auto& o : tl.obs) rtts.push_back(o.rtt_ms());
     const double diurnal = stats::diurnal_power_ratio(rtts, 8.0).ratio;
-    const double changes = static_cast<double>(core::count_changes(tl));
+    const double changes = static_cast<double>(
+        core::detect_changes(tl, store.interner()).size());
     const double score = changes + 20.0 * diurnal;
     if (score > best.score) best = {s, d, score};
   });
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
       const auto& o = tl->obs[i];
       std::printf("%u\t%.1f\t%u\n", o.epoch, o.rtt_ms(), tl->global_path(o));
     }
-    const auto changes = core::count_changes(*tl);
+    const auto changes = core::detect_changes(*tl, store.interner()).size();
     std::vector<double> rtts;
     for (const auto& o : tl->obs) rtts.push_back(o.rtt_ms());
     std::printf("# unique AS paths: %zu, changes: %zu, diurnal ratio: %.2f\n",

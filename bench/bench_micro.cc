@@ -324,9 +324,9 @@ const IngestImages& ingest_images() {
 }
 
 // Archive-ingest formats, full decode of the same 8192 traceroutes per
-// iteration: text parsing vs the binary columnar block format, streamed
-// and memory-mapped. main() reports the binary arms' speedup over text —
-// the `.s2sb` acceptance bar is >= 5x for the mmap arm.
+// iteration: text parsing vs the memory-mapped binary columnar block
+// format. main() reports the binary reader's speedup over text — the
+// `.s2sb` acceptance bar is >= 5x.
 void BM_ArchiveIngest_Text(benchmark::State& state) {
   const auto& images = ingest_images();
   std::size_t n = 0;
@@ -342,22 +342,6 @@ void BM_ArchiveIngest_Text(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ArchiveIngest_Text)->Unit(benchmark::kMillisecond);
-
-void BM_ArchiveIngest_BinStream(benchmark::State& state) {
-  const auto& images = ingest_images();
-  std::size_t n = 0;
-  for (auto _ : state) {
-    std::istringstream in(images.binary, std::ios::binary);
-    io::BinRecordReader reader(in);
-    reader.read_all([&](const probe::TracerouteRecord& r) {
-                      benchmark::DoNotOptimize(r.time);
-                      ++n;
-                    },
-                    [](const probe::PingRecord&) {});
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ArchiveIngest_BinStream)->Unit(benchmark::kMillisecond);
 
 void BM_ArchiveIngest_BinMmap(benchmark::State& state) {
   const auto& images = ingest_images();
@@ -613,8 +597,6 @@ int main(int argc, char** argv) {
   const double off_s = reporter.seconds_per_iter("BM_TimelineIngest/0");
   const double on_s = reporter.seconds_per_iter("BM_TimelineIngest/1");
   const double text_s = reporter.seconds_per_iter("BM_ArchiveIngest_Text");
-  const double bstream_s =
-      reporter.seconds_per_iter("BM_ArchiveIngest_BinStream");
   const double bmmap_s = reporter.seconds_per_iter("BM_ArchiveIngest_BinMmap");
   const double survey_1t = reporter.seconds_per_iter("BM_SurveyCongestion/1");
   const double survey_2t = reporter.seconds_per_iter("BM_SurveyCongestion/2");
@@ -644,13 +626,9 @@ int main(int argc, char** argv) {
   if (text_s > 0.0) {
     // Archive-format speedups: whole-archive decode time relative to the
     // text parser over the identical record set (>= 5x is the `.s2sb`
-    // acceptance bar for the mmap arm).
+    // acceptance bar).
     w.key("archive_ingest_records_per_sec_text");
     w.value(8192.0 / text_s);
-    if (bstream_s > 0.0) {
-      w.key("binrec_stream_speedup_vs_text");
-      w.value(text_s / bstream_s);
-    }
     if (bmmap_s > 0.0) {
       w.key("binrec_mmap_speedup_vs_text");
       w.value(text_s / bmmap_s);

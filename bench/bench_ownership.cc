@@ -49,17 +49,9 @@ int main(int argc, char** argv) {
   std::vector<std::vector<net::IPAddr>> runs;
   std::vector<net::IPAddr> run;
   campaign.run([&](const probe::TracerouteRecord& r) {
-    if (!r.complete) return;
-    run.clear();
-    for (const auto& hop : r.hops) {
-      if (hop.addr) {
-        run.push_back(*hop.addr);
-        continue;
-      }
-      if (run.size() >= 2) runs.push_back(run);
-      run.clear();
-    }
-    if (run.size() >= 2) runs.push_back(run);
+    core::for_each_responsive_run(r, run, [&](std::span<const net::IPAddr> p) {
+      runs.emplace_back(p.begin(), p.end());
+    });
   });
   std::printf("path corpus: %zu responsive runs\n", runs.size());
 

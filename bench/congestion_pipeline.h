@@ -68,26 +68,11 @@ inline CongestionPipeline run_congestion_pipeline(
                                     net::kThirtyMinutes, followup.epochs());
   const auto rels = bgp::RelationshipTable::from_topology(d.topo());
   core::OwnershipInference ownership(d.net->rib(), rels);
-  std::vector<net::IPAddr> run;
   obs::logf(obs::LogLevel::kInfo, "follow-up campaign: %zu flagged pairs",
             flagged.size());
-  auto feed_ownership = [&](const probe::TracerouteRecord& r) {
-    if (!r.complete) return;
-    // Feed maximal responsive runs to the ownership heuristics.
-    run.clear();
-    for (const auto& hop : r.hops) {
-      if (hop.addr) {
-        run.push_back(*hop.addr);
-        continue;
-      }
-      if (run.size() >= 2) ownership.observe_path(run);
-      run.clear();
-    }
-    if (run.size() >= 2) ownership.observe_path(run);
-  };
   followup.run([&](const probe::TracerouteRecord& r) {
     segments.add(r);
-    feed_ownership(r);
+    ownership.observe_trace(r);
   });
   if (ObsSession* session = ObsSession::active()) {
     session->note_quality(segments.quality());
@@ -102,7 +87,9 @@ inline CongestionPipeline run_congestion_pipeline(
     sweep_cfg.paris_switch_day = 0.0;
     sweep_cfg.seed = opt.seed + 41;
     probe::TracerouteCampaign sweep(*d.net, sweep_cfg, d.pairs);
-    sweep.run(feed_ownership);
+    sweep.run([&](const probe::TracerouteRecord& r) {
+      ownership.observe_trace(r);
+    });
   }
   ownership.finalize();
   out.ownership_stats = ownership.stats();

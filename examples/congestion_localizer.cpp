@@ -75,22 +75,11 @@ int main(int argc, char** argv) {
   core::OwnershipInference ownership(net.rib(), rels);
   std::printf("step 2: re-probing %zu flagged pairs for three weeks...\n",
               flagged.size());
-  std::vector<net::IPAddr> run;
   followup.run([&](const probe::TracerouteRecord& r) {
     segments.add(r);
-    if (!r.complete) return;
-    // Feed maximal responsive runs; skipping an unresponsive hop would
+    // Maximal responsive runs only: skipping an unresponsive hop would
     // fabricate router adjacencies and poison the heuristics.
-    run.clear();
-    for (const auto& hop : r.hops) {
-      if (hop.addr) {
-        run.push_back(*hop.addr);
-        continue;
-      }
-      if (run.size() >= 2) ownership.observe_path(run);
-      run.clear();
-    }
-    if (run.size() >= 2) ownership.observe_path(run);
+    ownership.observe_trace(r);
   });
   ownership.finalize();
 

@@ -164,9 +164,8 @@ int main(int argc, char** argv) {
     // drop-in interchangeable at the ingest seam (same records, bit for
     // bit — DESIGN.md section 10); binary decodes several times faster
     // and mmap ingest skips the read copy entirely for on-disk archives.
-    std::stringstream campaign_file;
-    std::stringstream campaign_bin(std::ios::in | std::ios::out |
-                                   std::ios::binary);
+    std::ostringstream campaign_file;
+    std::ostringstream campaign_bin(std::ios::binary);
     io::RecordWriter campaign_writer(campaign_file);
     io::BinRecordWriter campaign_bin_writer(campaign_bin);
     campaign.run([&](const probe::TracerouteRecord& r) {
@@ -176,13 +175,15 @@ int main(int argc, char** argv) {
     campaign_bin_writer.finish();
 
     const obs::TraceSpan ingest_span("ingest");
-    // Feed the analysis from the binary archive; read_records_auto sniffs
-    // the format, so a text stream would work unchanged here.
-    const auto ingest = io::read_records_auto(
-        campaign_bin, [&](const probe::TracerouteRecord& r) { store.add(r); },
+    // Feed the analysis from the binary archive; ingest_record_image
+    // sniffs the format, so a text image would work unchanged here.
+    const std::string bin_image = campaign_bin.str();
+    const auto ingest = io::ingest_record_image(
+        bin_image.data(), bin_image.size(),
+        [&](const probe::TracerouteRecord& r) { store.add(r); },
         [](const probe::PingRecord&) {});
     const auto text_bytes = campaign_file.str().size();
-    const auto bin_bytes = campaign_bin.str().size();
+    const auto bin_bytes = bin_image.size();
     std::printf("\ncampaign ingested (%s): %zu records -> %zu timelines\n",
                 ingest.binary ? "binary" : "text", ingest.records,
                 store.timeline_count());

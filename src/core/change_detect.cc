@@ -47,16 +47,4 @@ std::vector<ChangeEvent> detect_changes(const TraceTimeline& timeline,
   return events;
 }
 
-std::size_t count_changes(const TraceTimeline& timeline) {
-  std::size_t count = 0;
-  std::size_t last = 0;
-  for (std::size_t i = 1; i < timeline.obs.size(); ++i) {
-    if (timeline.obs[i].epoch == timeline.obs[last].epoch) continue;
-    count += timeline.global_path(timeline.obs[last]) !=
-             timeline.global_path(timeline.obs[i]);
-    last = i;
-  }
-  return count;
-}
-
 }  // namespace s2s::core

@@ -28,7 +28,4 @@ struct ChangeEvent {
 std::vector<ChangeEvent> detect_changes(const TraceTimeline& timeline,
                                         const PathInterner& interner);
 
-/// Just the count (no allocation); equals detect_changes().size().
-std::size_t count_changes(const TraceTimeline& timeline);
-
 }  // namespace s2s::core

@@ -8,13 +8,15 @@
 
 namespace s2s::core {
 
-namespace {
-
-std::size_t addr_hash(const net::IPAddr& a) {
-  return std::hash<net::IPAddr>{}(a);
+std::size_t OwnershipInference::TripleHash::operator()(
+    const Triple& t) const noexcept {
+  std::size_t h = 0;
+  for (const net::IPAddr& a : t) {
+    h ^= std::hash<net::IPAddr>{}(a) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+         (h >> 2);
+  }
+  return h;
 }
-
-}  // namespace
 
 void OwnershipInference::label(const net::IPAddr& addr, net::Asn owner,
                                OwnershipHeuristic heuristic) {
@@ -62,9 +64,7 @@ void OwnershipInference::observe_path(std::span<const net::IPAddr> hops) {
       const auto& x = hops[i - 1];
       const auto& y = hops[i];
       const auto& z = hops[i + 1];
-      const std::uint64_t triple_key =
-          (addr_hash(x) * 1000003) ^ (addr_hash(y) * 31) ^ addr_hash(z);
-      if (!seen_triples_.insert(triple_key).second) continue;
+      if (!seen_triples_.insert({x, y, z}).second) continue;
       const auto mx = map(x);
       const auto my = map(y);
       const auto mz = map(z);
@@ -80,6 +80,13 @@ void OwnershipInference::observe_path(std::span<const net::IPAddr> hops) {
       }
     }
   }
+}
+
+void OwnershipInference::observe_trace(
+    const probe::TracerouteRecord& record) {
+  for_each_responsive_run(
+      record, run_,
+      [this](std::span<const net::IPAddr> run) { observe_path(run); });
 }
 
 void OwnershipInference::finalize() {

@@ -32,8 +32,30 @@
 #include "bgp/relationships.h"
 #include "bgp/rib.h"
 #include "net/ip.h"
+#include "probe/records.h"
 
 namespace s2s::core {
+
+/// Calls `fn(std::span<const net::IPAddr>)` with each maximal run of two
+/// or more consecutive responsive hops of a complete traceroute, in hop
+/// order; an incomplete trace has none. An unresponsive hop ends a run:
+/// bridging it would fabricate a router adjacency and poison the
+/// ownership heuristics. `scratch` holds the run being built.
+template <typename Fn>
+void for_each_responsive_run(const probe::TracerouteRecord& record,
+                             std::vector<net::IPAddr>& scratch, Fn&& fn) {
+  if (!record.complete) return;
+  scratch.clear();
+  for (const auto& hop : record.hops) {
+    if (hop.addr) {
+      scratch.push_back(*hop.addr);
+      continue;
+    }
+    if (scratch.size() >= 2) fn(std::span<const net::IPAddr>(scratch));
+    scratch.clear();
+  }
+  if (scratch.size() >= 2) fn(std::span<const net::IPAddr>(scratch));
+}
 
 enum class OwnershipHeuristic : std::uint8_t {
   kFirst,
@@ -55,6 +77,11 @@ class OwnershipInference {
   /// address list with gaps removed but adjacency preserved only across
   /// single responsive runs (use observe_path per gap-free run).
   void observe_path(std::span<const net::IPAddr> hops);
+
+  /// Feeds every maximal responsive run of a complete traceroute to
+  /// observe_path (for_each_responsive_run); incomplete traces are
+  /// ignored.
+  void observe_trace(const probe::TracerouteRecord& record);
 
   /// Runs the triple heuristics, the back/forward propagation, and the
   /// election. Call once after all paths are observed.
@@ -96,10 +123,17 @@ class OwnershipInference {
   std::vector<std::pair<net::IPAddr, net::IPAddr>> links_;
   std::unordered_map<net::IPAddr, LabelSet> labels_;
   std::unordered_map<net::IPAddr, net::Asn> owners_;
-  /// Dedup of observed triple windows to avoid frequency bias.
+  /// Each address's observed next and previous hops.
   std::unordered_map<net::IPAddr, std::vector<net::IPAddr>> out_links_;
   std::unordered_map<net::IPAddr, std::vector<net::IPAddr>> in_links_;
-  std::unordered_set<std::uint64_t> seen_triples_;
+  using Triple = std::array<net::IPAddr, 3>;
+  struct TripleHash {
+    std::size_t operator()(const Triple& t) const noexcept;
+  };
+  /// Triple windows already labelled, by their exact addresses, so a
+  /// repeated window does not bias the election counts.
+  std::unordered_set<Triple, TripleHash> seen_triples_;
+  std::vector<net::IPAddr> run_;  ///< observe_trace's scratch run
   Stats stats_;
   bool finalized_ = false;
 };

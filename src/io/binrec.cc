@@ -8,8 +8,8 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <iterator>
 #include <ostream>
+#include <streambuf>
 
 #include "io/crc32c.h"
 #include "io/records_io.h"
@@ -1070,26 +1070,7 @@ RecoverResult recover_archive(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// BinRecordReader (buffered istream arm)
-// ---------------------------------------------------------------------------
-
-BinRecordReader::BinRecordReader(std::istream& in)
-    : image_(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>()) {
-  ok_ = parse_file_header(bytes(), image_.size(), version_, error_);
-}
-
-void BinRecordReader::read_all_impl(const TraceRecordFn& on_trace,
-                                    const PingRecordFn& on_ping) {
-  if (!ok_) return;
-  read_planned(bytes(),
-               plan_walk(bytes(), kBinFileHeaderBytes, image_.size(),
-                         /*resync=*/true),
-               on_trace, on_ping, counters_);
-}
-
-// ---------------------------------------------------------------------------
-// BinRecordMmapReader (zero-copy arm)
+// BinRecordMmapReader
 // ---------------------------------------------------------------------------
 
 BinRecordMmapReader::BinRecordMmapReader(const std::string& path) {
@@ -1157,12 +1138,6 @@ void BinRecordMmapReader::init(const void* data, std::size_t size) {
   footer_status_ = FooterStatus::kValid;
 }
 
-void BinRecordMmapReader::decode_at(std::size_t offset,
-                                    const TraceRecordFn& on_trace,
-                                    const PingRecordFn& on_ping) {
-  consume(read_block(data_, size_, offset), on_trace, on_ping, counters_);
-}
-
 BlockPlan BinRecordMmapReader::plan(const MmapFile* mapping) const {
   BlockPlan plan;
   bool footer_seen = false;
@@ -1195,17 +1170,6 @@ void BinRecordMmapReader::read_all_impl(const TraceRecordFn& on_trace,
   footer_status_ = p.footer;
 }
 
-bool BinRecordMmapReader::read_range_impl(std::int64_t t0_s, std::int64_t t1_s,
-                                          const TraceRecordFn& on_trace,
-                                          const PingRecordFn& on_ping) {
-  if (!ok_ || index_.empty()) return false;
-  for (const auto& entry : index_) {
-    if (entry.last_time_s < t0_s || entry.first_time_s > t1_s) continue;
-    decode_at(static_cast<std::size_t>(entry.offset), on_trace, on_ping);
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Format sniffing and the interchangeable-ingest seam
 // ---------------------------------------------------------------------------
@@ -1225,32 +1189,25 @@ bool sniff_binary_header(const unsigned char* data, std::size_t size) {
   return version >= 1 && version <= 255;
 }
 
+/// A read-only istream buffer over bytes already in memory (a text
+/// archive's mapping), so the text reader parses them without a copy.
+class MemoryBuf : public std::streambuf {
+ public:
+  MemoryBuf(const char* data, std::size_t size) {
+    char* p = const_cast<char*>(data);
+    setg(p, p, p + size);
+  }
+};
+
 }  // namespace
-
-bool is_binary_record_stream(std::istream& in) {
-  const auto pos = in.tellg();
-  unsigned char head[6];
-  in.read(reinterpret_cast<char*>(head), sizeof(head));
-  const bool binary =
-      sniff_binary_header(head, static_cast<std::size_t>(in.gcount()));
-  in.clear();
-  in.seekg(pos);
-  return binary;
-}
-
-bool is_binary_record_file(const std::string& path) {
-  MmapFile probe;
-  if (!probe.open(path)) return false;
-  return sniff_binary_header(probe.data(), probe.size());
-}
 
 bool is_binary_record_image(const void* data, std::size_t size) {
   return sniff_binary_header(static_cast<const unsigned char*>(data), size);
 }
 
-IngestResult read_records_auto(std::istream& in,
-                               const TraceRecordFn& on_trace,
-                               const PingRecordFn& on_ping) {
+IngestResult ingest_record_image(const void* data, std::size_t size,
+                                 const TraceRecordFn& on_trace,
+                                 const PingRecordFn& on_ping) {
   IngestResult result;
   std::size_t delivered = 0;
   const auto count_trace = [&](const probe::TracerouteRecord& r) {
@@ -1261,45 +1218,9 @@ IngestResult read_records_auto(std::istream& in,
     ++delivered;
     on_ping(r);
   };
-  if (is_binary_record_stream(in)) {
+  if (is_binary_record_image(data, size)) {
     result.binary = true;
-    BinRecordReader reader(in);
-    if (!reader.ok()) {
-      result.ok = false;
-      result.error = reader.error();
-      return result;
-    }
-    reader.read_all(count_trace, count_ping);
-    result.blocks_read = reader.blocks_read();
-    result.corrupt_blocks = reader.corrupt_blocks();
-    result.records_rejected = reader.counters().records_rejected;
-    result.truncated = reader.counters().truncated;
-  } else {
-    RecordReader reader(in);
-    reader.read_all(count_trace, count_ping);
-    result.malformed_lines = reader.errors();
-  }
-  result.records = delivered;
-  return result;
-}
-
-IngestResult ingest_record_file(const std::string& path,
-                                const TraceRecordFn& on_trace,
-                                const PingRecordFn& on_ping) {
-  IngestResult result;
-  std::size_t delivered = 0;
-  const auto count_trace = [&](const probe::TracerouteRecord& r) {
-    ++delivered;
-    on_trace(r);
-  };
-  const auto count_ping = [&](const probe::PingRecord& r) {
-    ++delivered;
-    on_ping(r);
-  };
-  if (is_binary_record_file(path)) {
-    result.binary = true;
-    result.used_mmap = true;
-    BinRecordMmapReader reader(path);
+    BinRecordMmapReader reader(data, size);
     if (!reader.ok()) {
       result.ok = false;
       result.error = reader.error();
@@ -1311,17 +1232,29 @@ IngestResult ingest_record_file(const std::string& path,
     result.records_rejected = reader.counters().records_rejected;
     result.truncated = reader.counters().truncated;
     result.footer = reader.footer_status();
-    result.records = delivered;
-    return result;
+  } else {
+    MemoryBuf buf(static_cast<const char*>(data), size);
+    std::istream in(&buf);
+    RecordReader reader(in);
+    reader.read_all(count_trace, count_ping);
+    result.malformed_lines = reader.errors();
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.ok = false;
-    result.error = path + ": open failed";
-    return result;
-  }
-  result = read_records_auto(in, on_trace, on_ping);
+  result.records = delivered;
   return result;
+}
+
+IngestResult ingest_record_file(const std::string& path,
+                                const TraceRecordFn& on_trace,
+                                const PingRecordFn& on_ping) {
+  MmapFile file;
+  if (!file.open(path)) {
+    IngestResult result;
+    result.ok = false;
+    result.error = file.error();
+    return result;
+  }
+  obs_bytes_mapped().inc(file.size());
+  return ingest_record_image(file.data(), file.size(), on_trace, on_ping);
 }
 
 }  // namespace s2s::io

@@ -30,10 +30,10 @@
 // footer index gives O(1) seek to the block covering any epoch. Every
 // walk over the blocks (readers, indexer, repair, corruptor scan) goes
 // through one block parser and one loop in binrec.cc; callers differ only
-// in what they do on damage. Two reader arms — std::istream and mmap
-// zero-copy — funnel into the same Record callbacks as the text
-// RecordReader, so text and binary archives are drop-in interchangeable
-// at every call site.
+// in what they do on damage. One reader, over a mapping or a borrowed
+// image, funnels into the same Record callbacks as the text RecordReader,
+// so text and binary archives are drop-in interchangeable at every call
+// site.
 #pragma once
 
 #include <cstdint>
@@ -260,7 +260,7 @@ RecoverResult recover_archive(const std::string& path);
 using TraceRecordFn = std::function<void(const probe::TracerouteRecord&)>;
 using PingRecordFn = std::function<void(const probe::PingRecord&)>;
 
-/// Counters shared by both reader arms; the text RecordReader's
+/// The `.s2sb` reader's counters; the text RecordReader's
 /// lines()/errors() analog at block granularity.
 struct BinReadCounters {
   std::size_t blocks_read = 0;      ///< CRC-verified and decoded
@@ -331,53 +331,12 @@ BlockPlan plan_block_range(const void* data, std::size_t size,
                            std::size_t begin_offset, std::size_t end_offset,
                            const MmapFile* mapping = nullptr);
 
-/// std::istream arm. Reads the rest of the stream into memory and checks
-/// the file header (ok() / error() report version problems before any
-/// block is touched); read_all() then walks the buffered image exactly
-/// like the mmap arm's footerless walk. Damaged blocks are counted and
-/// skipped — an unframeable header triggers a resync scan to the next
-/// block magic, so one damaged block is exactly one corrupt block.
-class BinRecordReader {
- public:
-  explicit BinRecordReader(std::istream& in);
-
-  /// False when the stream is not an `.s2sb` file or the version is
-  /// unsupported; read_all() then delivers nothing.
-  bool ok() const noexcept { return ok_; }
-  const std::string& error() const noexcept { return error_; }
-  std::uint16_t version() const noexcept { return version_; }
-
-  template <typename TraceFn, typename PingFn>
-  void read_all(TraceFn&& on_trace, PingFn&& on_ping) {
-    read_all_impl(TraceRecordFn(std::forward<TraceFn>(on_trace)),
-                  PingRecordFn(std::forward<PingFn>(on_ping)));
-  }
-
-  const BinReadCounters& counters() const noexcept { return counters_; }
-  std::size_t blocks_read() const noexcept { return counters_.blocks_read; }
-  std::size_t corrupt_blocks() const noexcept {
-    return counters_.corrupt_blocks;
-  }
-  std::size_t records_read() const noexcept { return counters_.records_read; }
-
- private:
-  void read_all_impl(const TraceRecordFn& on_trace,
-                     const PingRecordFn& on_ping);
-  const unsigned char* bytes() const noexcept {
-    return reinterpret_cast<const unsigned char*>(image_.data());
-  }
-
-  std::string image_;
-  bool ok_ = false;
-  std::uint16_t version_ = 0;
-  std::string error_;
-  BinReadCounters counters_;
-};
-
-/// mmap zero-copy arm. Uses the footer index when it validates (exact
-/// per-block offsets survive even header corruption); otherwise falls
-/// back to the same sequential walk as the stream arm. Column segments
-/// are decoded in place — no line strings, no payload copies.
+/// The `.s2sb` reader, over a mapping or a borrowed in-memory image. Uses
+/// the footer index when it validates (exact per-block offsets survive
+/// even header corruption); otherwise walks the blocks in sequence,
+/// resyncing past an unframeable header to the next block magic, so one
+/// damaged block is exactly one corrupt block. Column segments are
+/// decoded in place — no line strings, no payload copies.
 class BinRecordMmapReader {
  public:
   explicit BinRecordMmapReader(const std::string& path);
@@ -420,17 +379,6 @@ class BinRecordMmapReader {
   /// points into) the walk releases the pages it has framed.
   BlockPlan plan(const MmapFile* mapping = nullptr) const;
 
-  /// O(1)-seek arm: decodes only the blocks whose [first, last] time
-  /// span intersects [t0_s, t1_s]. Requires the footer index (returns
-  /// false without one — callers fall back to read_all + filtering).
-  template <typename TraceFn, typename PingFn>
-  bool read_time_range(std::int64_t t0_s, std::int64_t t1_s,
-                       TraceFn&& on_trace, PingFn&& on_ping) {
-    return read_range_impl(t0_s, t1_s,
-                           TraceRecordFn(std::forward<TraceFn>(on_trace)),
-                           PingRecordFn(std::forward<PingFn>(on_ping)));
-  }
-
   const BinReadCounters& counters() const noexcept { return counters_; }
   std::size_t blocks_read() const noexcept { return counters_.blocks_read; }
   std::size_t corrupt_blocks() const noexcept {
@@ -442,11 +390,6 @@ class BinRecordMmapReader {
   void init(const void* data, std::size_t size);
   void read_all_impl(const TraceRecordFn& on_trace,
                      const PingRecordFn& on_ping);
-  bool read_range_impl(std::int64_t t0_s, std::int64_t t1_s,
-                       const TraceRecordFn& on_trace,
-                       const PingRecordFn& on_ping);
-  void decode_at(std::size_t offset, const TraceRecordFn& on_trace,
-                 const PingRecordFn& on_ping);
 
   MmapFile file_;  ///< owns the mapping for the path constructor
   const unsigned char* data_ = nullptr;
@@ -463,21 +406,18 @@ class BinRecordMmapReader {
 // Format interchangeability helpers
 // ---------------------------------------------------------------------------
 
-/// True when the stream starts with the `.s2sb` magic followed by a
-/// plausible version (1..255); the stream is rewound either way. This is
-/// the sniff every ingest call site uses to accept text and binary
-/// archives interchangeably — the version guard keeps text files that
-/// merely begin with the magic bytes on the text arm.
-bool is_binary_record_stream(std::istream& in);
-bool is_binary_record_file(const std::string& path);
+/// True when the image starts with the `.s2sb` magic followed by a
+/// plausible version (1..255). This is the sniff every ingest entry uses
+/// to accept text and binary archives interchangeably — the version
+/// guard keeps text files that merely begin with the magic bytes on the
+/// text arm.
 bool is_binary_record_image(const void* data, std::size_t size);
 
-/// Result of a format-agnostic ingest pass (read_records_auto /
+/// Result of a format-agnostic ingest pass (ingest_record_image /
 /// ingest_record_file): the union of the text reader's line counters and
-/// the binary readers' block counters, whichever arm actually ran.
+/// the binary reader's block counters, whichever arm actually ran.
 struct IngestResult {
   bool binary = false;       ///< which arm ran
-  bool used_mmap = false;    ///< binary arm only
   bool ok = true;            ///< false: unreadable header/unsupported version
   std::string error;
   std::size_t records = 0;   ///< delivered to callbacks
@@ -486,21 +426,20 @@ struct IngestResult {
   std::size_t corrupt_blocks = 0;    ///< binary arm
   std::size_t records_rejected = 0;  ///< binary arm
   bool truncated = false;            ///< binary arm: EOF hit mid-block
-  /// Binary mmap arm only; the stream arm stops at the footer without
-  /// validating it and leaves kAbsent.
-  FooterStatus footer = FooterStatus::kAbsent;
+  FooterStatus footer = FooterStatus::kAbsent;  ///< binary arm
 };
 
-/// Sniffs the format and streams every record to the callbacks: text
-/// lines through io::RecordReader, binary blocks through
-/// io::BinRecordReader. Campaigns, stores, benches and examples all
-/// ingest through this seam, which is what makes the two formats
-/// drop-in interchangeable.
-IngestResult read_records_auto(std::istream& in, const TraceRecordFn& on_trace,
-                               const PingRecordFn& on_ping);
+/// Sniffs the format of an in-memory image and streams every record to
+/// the callbacks: `.s2sb` blocks through BinRecordMmapReader over the
+/// borrowed image, text lines through io::RecordReader over the same
+/// bytes, with no copy. Campaigns, stores, benches and examples all
+/// ingest through this seam, which is what makes the two formats drop-in
+/// interchangeable.
+IngestResult ingest_record_image(const void* data, std::size_t size,
+                                 const TraceRecordFn& on_trace,
+                                 const PingRecordFn& on_ping);
 
-/// File variant: binary files take the mmap zero-copy arm, text files
-/// stream.
+/// File variant: maps the file (text too) and ingests the mapping.
 IngestResult ingest_record_file(const std::string& path,
                                 const TraceRecordFn& on_trace,
                                 const PingRecordFn& on_ping);

@@ -1,4 +1,5 @@
-// Read-only memory-mapped file, the zero-copy arm of BinRecordReader.
+// Read-only memory-mapped file: the bytes BinRecordMmapReader and the
+// ingest entries (io::ingest_record_file) read in place.
 //
 // open + fstat + mmap(PROT_READ, MAP_PRIVATE); the block decoder then
 // iterates column segments in place without materializing strings or

@@ -40,22 +40,26 @@ CandidateTable::CandidateTable(
     const ValleyFreeRouter& router, net::Family family,
     std::span<const std::pair<AsId, AsId>> pairs)
     : family_(family) {
+  add(router, pairs);
+}
+
+void CandidateTable::add(const ValleyFreeRouter& router,
+                         std::span<const std::pair<AsId, AsId>> pairs) {
   const Topology& topo = router.topo();
 
-  // Group sources by destination so each destination's tables are computed
-  // once (std::map for deterministic processing order).
+  // Group the new sources by destination so each destination's tables
+  // are computed once (std::map for deterministic processing order).
   std::map<AsId, std::vector<AsId>> by_dest;
   for (const auto& [src, dst] : pairs) {
+    if (!sets_.try_emplace(as_pair_key(src, dst)).second) continue;
     by_dest[dst].push_back(src);
-    sets_.try_emplace(as_pair_key(src, dst));
   }
 
   AdjacencyMask mask(topo.adjacencies.size(), false);
   for (auto& [dest, srcs] : by_dest) {
     std::sort(srcs.begin(), srcs.end());
-    srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
 
-    const RouteTable base = router.compute(dest, family);
+    const RouteTable base = router.compute(dest, family_);
 
     // Primary paths, and which sources traverse which adjacency.
     std::map<AdjacencyId, std::vector<AsId>> users;
@@ -70,7 +74,7 @@ CandidateTable::CandidateTable(
     // One failure scenario per adjacency used by any primary path.
     for (const auto& [adj, using_srcs] : users) {
       mask[adj] = true;
-      const RouteTable alt_table = router.compute(dest, family, &mask);
+      const RouteTable alt_table = router.compute(dest, family_, &mask);
       mask[adj] = false;
       for (AsId src : using_srcs) {
         auto path = router.extract(alt_table, src);

@@ -62,10 +62,19 @@ inline AsPairKey as_pair_key(topology::AsId src, topology::AsId dst) {
 
 class CandidateTable {
  public:
+  /// An empty table for the given protocol plane.
+  explicit CandidateTable(net::Family family) : family_(family) {}
   /// Builds candidate sets for all ordered pairs, in the given protocol
   /// plane. Pairs whose destination is unreachable get an empty set.
   CandidateTable(const ValleyFreeRouter& router, net::Family family,
                  std::span<const std::pair<topology::AsId, topology::AsId>> pairs);
+
+  /// Builds the sets of the pairs not in the table yet. A pair's set
+  /// depends only on its own (src, dst), so the sets already built stay
+  /// as they are (and where they are): adding pairs in several calls
+  /// gives every pair the set one call over all of them would.
+  void add(const ValleyFreeRouter& router,
+           std::span<const std::pair<topology::AsId, topology::AsId>> pairs);
 
   const CandidateSet* find(topology::AsId src, topology::AsId dst) const;
 

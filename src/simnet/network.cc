@@ -21,29 +21,22 @@ Network::Network(const NetworkConfig& config)
 
 void Network::prepare(
     std::span<const std::pair<ServerId, ServerId>> pairs) {
-  auto add_unique = [](std::vector<std::pair<AsId, AsId>>& list,
-                       std::pair<AsId, AsId> value) {
-    list.push_back(value);
-  };
+  std::vector<std::pair<AsId, AsId>> as_pairs4, as_pairs6;
   for (const auto& [s, d] : pairs) {
     const auto& src = topo_.servers.at(s);
     const auto& dst = topo_.servers.at(d);
-    add_unique(as_pairs4_, {src.as_id, dst.as_id});
+    as_pairs4.emplace_back(src.as_id, dst.as_id);
     if (src.dual_stack() && dst.dual_stack()) {
-      add_unique(as_pairs6_, {src.as_id, dst.as_id});
+      as_pairs6.emplace_back(src.as_id, dst.as_id);
     }
   }
-  auto dedup = [](std::vector<std::pair<AsId, AsId>>& list) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  };
-  dedup(as_pairs4_);
-  dedup(as_pairs6_);
-
-  candidates4_ = std::make_unique<CandidateTable>(router_, net::Family::kIPv4,
-                                                  as_pairs4_);
-  candidates6_ = std::make_unique<CandidateTable>(router_, net::Family::kIPv6,
-                                                  as_pairs6_);
+  // Sorted, so a table's insertion order, which its walk in
+  // calibrate_and_schedule() follows, does not depend on pair order;
+  // add() skips the repeats.
+  std::sort(as_pairs4.begin(), as_pairs4.end());
+  std::sort(as_pairs6.begin(), as_pairs6.end());
+  candidates4_.add(router_, as_pairs4);
+  candidates6_.add(router_, as_pairs6);
   if (!outages_) calibrate_and_schedule();
 }
 
@@ -70,7 +63,7 @@ void Network::calibrate_and_schedule() {
     }
   }
 
-  candidates4_->for_each([&](AsId src_as, AsId dst_as,
+  candidates4_.for_each([&](AsId src_as, AsId dst_as,
                              const routing::CandidateSet& set) {
     if (set.candidates.empty() || !set.candidates.front().primary) return;
     const ServerId s = rep[src_as];

@@ -85,9 +85,10 @@ class Network {
   bool prepared() const noexcept { return outages_ != nullptr; }
 
   /// Registers the ordered server pairs a campaign will probe; builds
-  /// candidate paths for them. The first call also calibrates outage
-  /// severities and materializes the outage schedule; later calls extend
-  /// the candidate tables for new pairs only.
+  /// candidate paths for the AS pairs not prepared yet. The first call
+  /// also calibrates outage severities and materializes the outage
+  /// schedule; later calls extend the candidate tables for new pairs
+  /// only, leaving every prepared pair's candidates as they are.
   void prepare(
       std::span<const std::pair<topology::ServerId, topology::ServerId>> pairs);
   void prepare_full_mesh(std::span<const topology::ServerId> servers);
@@ -187,10 +188,12 @@ class Network {
   /// during prepare(); 0 for adjacencies no prepared pair crosses.
   double severity_ms(topology::AdjacencyId id) const;
 
- private:
+  /// The candidate paths of every prepared AS pair in one family.
   const routing::CandidateTable& candidates(net::Family family) const {
-    return family == net::Family::kIPv4 ? *candidates4_ : *candidates6_;
+    return family == net::Family::kIPv4 ? candidates4_ : candidates6_;
   }
+
+ private:
   void calibrate_and_schedule();
 
   NetworkConfig config_;
@@ -201,10 +204,8 @@ class Network {
   /// The shared candidate-slot memo; thread-safe (router_path.h).
   mutable RouterPathExpander expander_;
 
-  std::vector<std::pair<topology::AsId, topology::AsId>> as_pairs4_;
-  std::vector<std::pair<topology::AsId, topology::AsId>> as_pairs6_;
-  std::unique_ptr<routing::CandidateTable> candidates4_;
-  std::unique_ptr<routing::CandidateTable> candidates6_;
+  routing::CandidateTable candidates4_{net::Family::kIPv4};
+  routing::CandidateTable candidates6_{net::Family::kIPv6};
   std::unique_ptr<routing::OutageSchedule> outages_;
   std::vector<double> severity_;
   const EventSchedule* events_ = nullptr;

@@ -4,15 +4,12 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <istream>
 #include <map>
-#include <streambuf>
 #include <tuple>
 
 #include "core/dualstack.h"
 #include "io/crc32c.h"
 #include "io/mmap_file.h"
-#include "io/records_io.h"
 #include "io/varint.h"
 #include "net/asn.h"
 #include "probe/campaign.h"
@@ -40,31 +37,6 @@ simnet::NetworkConfig dataset_net_config(const DatasetConfig& cfg) {
 }
 
 namespace {
-
-/// A read-only, seekable istream over bytes that are already in memory
-/// (a text archive's mapping), so the text reader parses it without a
-/// copy.
-class MemoryBuf : public std::streambuf {
- public:
-  MemoryBuf(const unsigned char* data, std::size_t size) {
-    char* p = const_cast<char*>(reinterpret_cast<const char*>(data));
-    setg(p, p, p + size);
-  }
-
- protected:
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
-                   std::ios_base::openmode) override {
-    char* from = dir == std::ios_base::beg   ? eback()
-                 : dir == std::ios_base::cur ? gptr()
-                                             : egptr();
-    if (off < eback() - from || off > egptr() - from) return pos_type(-1);
-    setg(eback(), from + off, egptr());
-    return pos_type(gptr() - eback());
-  }
-  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
-    return seekoff(off_type(pos), std::ios_base::beg, which);
-  }
-};
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -144,7 +116,6 @@ io::IngestResult binary_ingest(const IngestOutcome& outcome,
                                io::FooterStatus footer) {
   io::IngestResult ingest;
   ingest.binary = true;
-  ingest.used_mmap = true;
   ingest.records = outcome.counters.records_read;
   ingest.blocks_read = outcome.counters.blocks_read;
   ingest.corrupt_blocks = outcome.counters.corrupt_blocks;
@@ -229,10 +200,9 @@ bool Dataset::load_on(exec::ThreadPool* pool, std::string& error) {
   std::shared_ptr<const io::BinRecordMmapReader> reader;
   if (!io::is_binary_record_image(file.data(), file.size())) {
     crc = io::crc32c(file.data(), file.size());
-    MemoryBuf buf(file.data(), file.size());
-    std::istream in(&buf);
-    ingest = io::read_records_auto(
-        in, [&](const probe::TracerouteRecord& r) { timelines->add(r); },
+    ingest = io::ingest_record_image(
+        file.data(), file.size(),
+        [&](const probe::TracerouteRecord& r) { timelines->add(r); },
         [&](const probe::PingRecord& r) { pings->add(r); });
   } else {
     reader = std::make_shared<const io::BinRecordMmapReader>(std::move(file));
@@ -267,6 +237,23 @@ bool Dataset::load_on(exec::ThreadPool* pool, std::string& error) {
 
 bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
                         std::string& error) {
+  // A load is the pickup from an empty snapshot: no records, no sealed
+  // bytes, so the fold covers the shard from its file header on.
+  Dataset empty(config_, net_);
+  empty.timelines_ = std::make_unique<core::TimelineStore>(
+      net_->topo(), net_->rib(),
+      core::TimelineStoreConfig{config_.trace_start_day,
+                                config_.trace_interval_s});
+  empty.pings_ = std::make_unique<core::PingSeriesStore>(
+      config_.ping_start_day, config_.ping_interval_s, 0,
+      core::PingSeriesStore::Grid::kGrow);
+  empty.live_state_ = std::make_shared<live::IncrementalState>();
+  empty.ingest_.binary = true;
+  return fold_sealed(empty, wm, pool, error);
+}
+
+bool Dataset::fold_sealed(const Dataset& base, const live::Watermark& wm,
+                          exec::ThreadPool* pool, std::string& error) {
   io::MmapFile file;
   if (!file.open(config_.archive_path)) {
     error = "cannot map open shard: " + file.error();
@@ -276,32 +263,36 @@ bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
     error = "open shard is shorter than its watermark (torn durable prefix)";
     return false;
   }
-  const auto sealed = static_cast<std::size_t>(wm.sealed_bytes);
-  const io::BinRecordMmapReader reader(file.data(), sealed);
-  if (!reader.ok()) {
-    error = "open shard unreadable: " + reader.error();
-    return false;
+  const auto begin = static_cast<std::size_t>(base.watermark_.sealed_bytes);
+  const auto end = static_cast<std::size_t>(wm.sealed_bytes);
+  if (begin == 0) {
+    const io::BinRecordMmapReader header(file.data(), end);
+    if (!header.ok()) {
+      error = "open shard unreadable: " + header.error();
+      return false;
+    }
   }
 
-  // Fresh stores plus the fold counters, filled in archive order.
-  // The ping grid starts at the watermark epoch, so record-free sealed
-  // epochs still count as missing samples, and grows past it with the
-  // records. Damage inside the sealed prefix is a hard error: the
-  // watermark protocol guarantees every sealed block was fsynced and
-  // CRC-valid, so a torn or corrupt block here means real data loss,
-  // not a live tail.
-  auto timelines = std::make_unique<core::TimelineStore>(
-      net_->topo(), net_->rib(),
-      core::TimelineStoreConfig{config_.trace_start_day,
-                                config_.trace_interval_s});
+  // Copy the snapshot's stores and fold ONLY the blocks sealed since,
+  // decoded once — O(new records), never a replay of what the snapshot
+  // holds. The copies keep their dedup windows, so a block re-delivered
+  // across pickups cannot double-count. The ping grid extends to the new
+  // watermark epoch, so record-free sealed epochs still count as missing
+  // samples, and grows past it with the records. Damage inside the
+  // watermark is a hard error: the watermark protocol guarantees every
+  // sealed block was fsynced and CRC-valid, so a torn or corrupt block
+  // here means real data loss, not a live tail.
+  auto timelines = std::make_unique<core::TimelineStore>(*base.timelines_);
   auto pings = std::make_unique<core::PingSeriesStore>(
-      config_.ping_start_day, config_.ping_interval_s,
-      static_cast<std::size_t>(std::max<std::int64_t>(wm.epoch + 1, 0)),
-      core::PingSeriesStore::Grid::kGrow);
-  auto state = std::make_shared<live::IncrementalState>();
-  const io::BlockPlan plan = reader.plan(&file);
+      *base.pings_,
+      static_cast<std::size_t>(std::max<std::int64_t>(
+          static_cast<std::int64_t>(base.ping_epochs()), wm.epoch + 1)));
+  auto state = std::make_shared<live::IncrementalState>(*base.live_state_);
+  const io::BlockPlan plan = io::plan_block_range(
+      file.data(), file.size(), std::max(begin, io::kBinFileHeaderBytes), end,
+      &file);
   const IngestOutcome outcome =
-      ingest_blocks({file.data(), 0, sealed, 0, &file}, plan,
+      ingest_blocks({file.data(), begin, end, base.digest_crc_, &file}, plan,
                     {timelines.get(), pings.get(), state.get()}, pool);
   if (outcome.counters.truncated) {
     error = "open shard is torn inside its sealed watermark";
@@ -319,7 +310,14 @@ bool Dataset::load_live(const live::Watermark& wm, exec::ThreadPool* pool,
   live_state_ = std::move(state);
   live_ = true;
   watermark_ = wm;
-  ingest_ = binary_ingest(outcome, plan.footer);
+  // Ingest counters accumulate across pickups so summary_json keeps
+  // reporting whole-shard totals.
+  ingest_ = base.ingest_;
+  ingest_.records += outcome.counters.records_read;
+  ingest_.blocks_read += outcome.counters.blocks_read;
+  ingest_.records_rejected += outcome.counters.records_rejected;
+  // Digest: the CRC continued over just the newly sealed bytes — the
+  // value a load of this growth state computes.
   digest_size_ = wm.sealed_bytes;
   digest_crc_ = outcome.crc;
   digest_ = mix_digest(digest_size_, digest_crc_, wm.epoch);
@@ -353,67 +351,9 @@ std::shared_ptr<Dataset> Dataset::clone_advanced(std::string& error) const {
     error = "watermark regressed (shard rewritten under the server?)";
     return nullptr;
   }
-
-  io::MmapFile file;
-  if (!file.open(config_.archive_path)) {
-    error = "cannot map open shard: " + file.error();
-    return nullptr;
-  }
-  if (file.size() < wm.sealed_bytes) {
-    error = "open shard is shorter than its watermark";
-    return nullptr;
-  }
-  const auto begin = static_cast<std::size_t>(watermark_.sealed_bytes);
-  const auto end = static_cast<std::size_t>(wm.sealed_bytes);
-
-  // Copy this snapshot's stores and fold ONLY the new tail, decoded once
-  // — O(new records), never a replay of the sealed prefix. The copies
-  // keep their dedup windows, so a block re-delivered across pickups
-  // cannot double-count. The ping grid extends to the new watermark
-  // epoch and grows past it with the records.
-  auto timelines = std::make_unique<core::TimelineStore>(*timelines_);
-  auto pings = std::make_unique<core::PingSeriesStore>(
-      *pings_, static_cast<std::size_t>(std::max<std::int64_t>(
-                   static_cast<std::int64_t>(ping_epochs()), wm.epoch + 1)));
-  auto state = std::make_shared<live::IncrementalState>(*live_state_);
-  const io::BlockPlan plan =
-      io::plan_block_range(file.data(), file.size(), begin, end, &file);
-  IngestOutcome outcome;
-  {
-    const exec::PoolLease lease;
-    outcome = ingest_blocks({file.data(), begin, end, digest_crc_, &file},
-                            plan, {timelines.get(), pings.get(), state.get()},
-                            lease.pool());
-  }
-  if (outcome.counters.truncated) {
-    error = "sealed tail is torn inside the new watermark";
-    return nullptr;
-  }
-  if (outcome.counters.corrupt_blocks > 0) {
-    error = std::to_string(outcome.counters.corrupt_blocks) +
-            " corrupt block(s) in the sealed tail";
-    return nullptr;
-  }
-  state->advance_watermark(wm.epoch, pings->pair_count());
   auto next = std::make_shared<Dataset>(config_, net_);
-  next->timelines_ = std::move(timelines);
-  next->pings_ = std::move(pings);
-  next->live_state_ = std::move(state);
-  next->live_ = true;
-  next->watermark_ = wm;
-
-  // Ingest counters accumulate across pickups so summary_json keeps
-  // reporting whole-shard totals.
-  next->ingest_ = ingest_;
-  next->ingest_.records += outcome.counters.records_read;
-  next->ingest_.blocks_read += outcome.counters.blocks_read;
-  next->ingest_.records_rejected += outcome.counters.records_rejected;
-
-  // Digest: the CRC continued over just the appended sealed bytes — the
-  // value a from-scratch load_live() of this growth state computes.
-  next->digest_size_ = wm.sealed_bytes;
-  next->digest_crc_ = outcome.crc;
-  next->digest_ = mix_digest(next->digest_size_, next->digest_crc_, wm.epoch);
+  const exec::PoolLease lease;
+  if (!next->fold_sealed(*this, wm, lease.pool(), error)) return nullptr;
   return next;
 }
 

@@ -187,8 +187,18 @@ class Dataset {
   Response figure_digest(const FigureQuery& q, exec::ThreadPool* pool) const;
 
   bool load_on(exec::ThreadPool* pool, std::string& error);
+  /// fold_sealed() from an empty snapshot.
   bool load_live(const live::Watermark& wm, exec::ThreadPool* pool,
                  std::string& error);
+  /// The open-shard fold (DESIGN.md section 16), behind both load_live()
+  /// and clone_advanced(): maps the shard once, copies `base`'s stores
+  /// and fold counters, folds in the blocks sealed between `base`'s
+  /// watermark and `wm` on `pool`, continues `base`'s digest CRC over
+  /// those bytes, and installs the result here. Fails, leaving this
+  /// Dataset as it was, on a shard shorter than `wm`, a bad file header
+  /// (when `base` holds no sealed bytes yet), or a torn or corrupt block.
+  bool fold_sealed(const Dataset& base, const live::Watermark& wm,
+                   exec::ThreadPool* pool, std::string& error);
 
   DatasetConfig config_;
   std::unique_ptr<simnet::Network> owned_net_;
@@ -196,7 +206,7 @@ class Dataset {
   std::unique_ptr<core::TimelineStore> timelines_;
   std::unique_ptr<core::PingSeriesStore> pings_;
   /// Retained mmap of the archive for zero-copy slicing; null when the
-  /// archive is text, footerless, or was read through the stream arm.
+  /// archive is text, footerless, or a live shard.
   std::shared_ptr<const io::BinRecordMmapReader> mmap_;
   std::uint64_t digest_ = 0;
   /// Raw halves of the digest, kept so clone_advanced() can continue the

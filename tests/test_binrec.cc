@@ -1,6 +1,6 @@
 // Round-trip property tests for the `.s2sb` binary columnar format:
 // every record sequence must survive write -> read bit-exact through
-// both reader arms (buffered stream and mmap/in-memory), and a binary
+// the reader (over a mapped file or an in-memory image), and a binary
 // archive must be analysis-equivalent to the text archive of the same
 // records — identical DataQualityReports, identical store contents.
 #include <gtest/gtest.h>
@@ -9,11 +9,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/ping_series.h"
@@ -24,6 +26,7 @@
 #include "io/records_io.h"
 #include "io/varint.h"
 #include "stats/rng.h"
+#include "svc/dataset.h"
 
 namespace s2s {
 namespace {
@@ -189,18 +192,6 @@ struct Collected {
   std::vector<PingRecord> pings;
 };
 
-Collected collect_stream(const std::string& image,
-                         io::BinReadCounters* counters = nullptr) {
-  Collected c;
-  std::istringstream in(image, std::ios::binary);
-  io::BinRecordReader reader(in);
-  EXPECT_TRUE(reader.ok()) << reader.error();
-  reader.read_all([&](const TracerouteRecord& r) { c.traces.push_back(r); },
-                  [&](const PingRecord& r) { c.pings.push_back(r); });
-  if (counters != nullptr) *counters = reader.counters();
-  return c;
-}
-
 Collected collect_mmap(const std::string& image,
                        io::BinReadCounters* counters = nullptr) {
   Collected c;
@@ -254,7 +245,7 @@ TEST(BinRecRtt, BoundariesAndInvalids) {
 TEST(BinRecRoundTrip, StreamArmIsBitExact) {
   const auto g = generate(101, 3000);
   io::BinReadCounters counters;
-  const auto got = collect_stream(g.image, &counters);
+  const auto got = collect_mmap(g.image, &counters);
   expect_same_sequence(g.traces, got.traces);
   expect_same_sequence(g.pings, got.pings);
   EXPECT_EQ(counters.corrupt_blocks, 0u);
@@ -276,10 +267,7 @@ TEST(BinRecRoundTrip, ArmsAgreeOnEveryBlockSize) {
     const auto g =
         generate(303 + block_records, 500,
                  io::BinWriterConfig{.block_records = block_records});
-    const auto s = collect_stream(g.image);
     const auto m = collect_mmap(g.image);
-    expect_same_sequence(g.traces, s.traces);
-    expect_same_sequence(g.pings, s.pings);
     expect_same_sequence(g.traces, m.traces);
     expect_same_sequence(g.pings, m.pings);
   }
@@ -293,10 +281,7 @@ TEST(BinRecRoundTrip, FooterlessArchiveFallsBackToSequentialWalk) {
   io::BinRecordMmapReader footerless(g.image.data(), g.image.size());
   EXPECT_TRUE(footerless.ok());
   EXPECT_FALSE(footerless.has_index());
-  const auto s = collect_stream(g.image);
   const auto m = collect_mmap(g.image);
-  expect_same_sequence(g.traces, s.traces);
-  expect_same_sequence(g.pings, s.pings);
   expect_same_sequence(g.traces, m.traces);
   expect_same_sequence(g.pings, m.pings);
 }
@@ -312,9 +297,7 @@ TEST(BinRecRoundTrip, EmptyArchive) {
   const std::string image = out.str();
   EXPECT_EQ(image.size(),
             io::kBinFileHeaderBytes + 4 + io::kBinFooterTailBytes);
-  const auto s = collect_stream(image);
   const auto m = collect_mmap(image);
-  EXPECT_TRUE(s.traces.empty() && s.pings.empty());
   EXPECT_TRUE(m.traces.empty() && m.pings.empty());
 }
 
@@ -339,26 +322,18 @@ TEST(BinRecRoundTrip, CraftedEmptyBlockIsValid) {
   io::put_u32le(header, crc);
   image += header;
 
-  io::BinReadCounters sc, mc;
-  const auto s = collect_stream(image, &sc);
+  io::BinReadCounters mc;
   const auto m = collect_mmap(image, &mc);
-  EXPECT_TRUE(s.traces.empty() && s.pings.empty());
   EXPECT_TRUE(m.traces.empty() && m.pings.empty());
-  EXPECT_EQ(sc.blocks_read, 1u);
   EXPECT_EQ(mc.blocks_read, 1u);
-  EXPECT_EQ(sc.corrupt_blocks, 0u);
   EXPECT_EQ(mc.corrupt_blocks, 0u);
 }
 
 TEST(BinRecRoundTrip, NotAnArchive) {
   const std::string text = "T\tnot\tbinary\n";
-  std::istringstream in(text, std::ios::binary);
-  io::BinRecordReader reader(in);
-  EXPECT_FALSE(reader.ok());
   io::BinRecordMmapReader mm(text.data(), text.size());
   EXPECT_FALSE(mm.ok());
-  std::istringstream empty(std::string(), std::ios::binary);
-  io::BinRecordReader empty_reader(empty);
+  io::BinRecordMmapReader empty_reader(text.data(), 0);
   EXPECT_FALSE(empty_reader.ok());
 }
 
@@ -385,19 +360,48 @@ TEST(BinRecFooter, TimeRangeSeekDecodesOnlyCoveringBlocks) {
   io::BinRecordMmapReader reader(image.data(), image.size());
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(reader.has_index());
-  EXPECT_EQ(reader.index().size(), 10u);
+  const auto& index = reader.index();
+  ASSERT_EQ(index.size(), 10u);
 
-  std::vector<PingRecord> got;
-  const bool seek_ok = reader.read_time_range(
-      3 * 10'800, 5 * 10'800 + 19, [](const TracerouteRecord&) {},
-      [&](const PingRecord& r) { got.push_back(r); });
-  ASSERT_TRUE(seek_ok);
-  // Exactly epochs 3..5 decode: 60 records, no others touched.
-  ASSERT_EQ(got.size(), 60u);
-  EXPECT_EQ(reader.blocks_read(), 3u);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    expect_same(all[60 + i], got[i], i);
+  // The served seek: a Dataset slices the blocks covering a time window
+  // straight out of its mapping by the footer index.
+  const std::string path = ::testing::TempDir() + "/binrec_time_range.s2sb";
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << image;
   }
+  svc::DatasetConfig cfg;
+  cfg.archive_path = path;
+  svc::Dataset ds(cfg);
+  std::string error;
+  ASSERT_TRUE(ds.load(error)) << error;
+  ASSERT_TRUE(ds.mmap_resident());
+  const auto slice = ds.archive_slice(3 * 10'800, 5 * 10'800 + 19);
+  ASSERT_TRUE(slice.ok) << slice.error;
+
+  // Exactly epochs 3..5: their blocks byte for byte (one block per
+  // epoch, so a block ends where the next begins), 60 records, and no
+  // other block.
+  ASSERT_EQ(slice.blocks.size(), 3u);
+  EXPECT_EQ(slice.records, 60u);
+  for (std::size_t i = 0; i < slice.blocks.size(); ++i) {
+    const std::size_t begin = index[3 + i].offset;
+    const std::size_t end = index[4 + i].offset;
+    EXPECT_EQ(slice.blocks[i],
+              std::string_view(image).substr(begin, end - begin));
+  }
+
+  // The slice is itself an archive holding exactly those records.
+  std::string sliced = slice.file_header;
+  for (const std::string_view block : slice.blocks) sliced += block;
+  io::BinReadCounters counters;
+  const auto got = collect_mmap(sliced, &counters);
+  EXPECT_EQ(counters.blocks_read, 3u);
+  ASSERT_EQ(got.pings.size(), 60u);
+  for (std::size_t i = 0; i < got.pings.size(); ++i) {
+    expect_same(all[60 + i], got.pings[i], i);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(BinRecFooter, IndexCarriesBlockTimeSpans) {
@@ -471,22 +475,22 @@ TEST(BinRecInterchange, AutoIngestMatchesFormatSniff) {
   for (const auto& r : g.traces) text += io::to_line(r) + '\n';
   for (const auto& r : g.pings) text += io::to_line(r) + '\n';
 
-  std::istringstream bin_in(g.image, std::ios::binary);
-  EXPECT_TRUE(io::is_binary_record_stream(bin_in));
-  std::istringstream text_in(text, std::ios::binary);
-  EXPECT_FALSE(io::is_binary_record_stream(text_in));
+  EXPECT_TRUE(io::is_binary_record_image(g.image.data(), g.image.size()));
+  EXPECT_FALSE(io::is_binary_record_image(text.data(), text.size()));
 
   Collected from_bin;
-  const auto bin_result = io::read_records_auto(
-      bin_in, [&](const TracerouteRecord& r) { from_bin.traces.push_back(r); },
+  const auto bin_result = io::ingest_record_image(
+      g.image.data(), g.image.size(),
+      [&](const TracerouteRecord& r) { from_bin.traces.push_back(r); },
       [&](const PingRecord& r) { from_bin.pings.push_back(r); });
   EXPECT_TRUE(bin_result.binary);
   EXPECT_TRUE(bin_result.ok);
   EXPECT_EQ(bin_result.records, g.traces.size() + g.pings.size());
+  EXPECT_EQ(bin_result.footer, io::FooterStatus::kValid);
 
   Collected from_text;
-  const auto text_result = io::read_records_auto(
-      text_in,
+  const auto text_result = io::ingest_record_image(
+      text.data(), text.size(),
       [&](const TracerouteRecord& r) { from_text.traces.push_back(r); },
       [&](const PingRecord& r) { from_text.pings.push_back(r); });
   EXPECT_FALSE(text_result.binary);
@@ -500,9 +504,9 @@ TEST(BinRecInterchange, AutoIngestMatchesFormatSniff) {
 
 TEST(BinRecInterchange, AutoIngestEdgeCases) {
   const auto ingest = [](const std::string& bytes, Collected& out) {
-    std::istringstream in(bytes, std::ios::binary);
-    return io::read_records_auto(
-        in, [&](const TracerouteRecord& r) { out.traces.push_back(r); },
+    return io::ingest_record_image(
+        bytes.data(), bytes.size(),
+        [&](const TracerouteRecord& r) { out.traces.push_back(r); },
         [&](const PingRecord& r) { out.pings.push_back(r); });
   };
 
@@ -588,8 +592,7 @@ TEST(BinRecInterchange, StoresProduceIdenticalQualityReportsFromEitherFormat) {
                        [&](const PingRecord& r) { text_ps.add(r); });
   EXPECT_EQ(text_reader.errors(), 0u);
 
-  std::istringstream bin_in(g.image, std::ios::binary);
-  io::BinRecordReader bin_reader(bin_in);
+  io::BinRecordMmapReader bin_reader(g.image.data(), g.image.size());
   ASSERT_TRUE(bin_reader.ok());
   bin_reader.read_all([&](const TracerouteRecord& r) { bin_seg.add(r); },
                       [&](const PingRecord& r) { bin_ps.add(r); });
@@ -612,25 +615,33 @@ TEST(BinRecInterchange, FileIngestUsesTheMmapArm) {
     for (const auto& r : g.traces) out << io::to_line(r) << '\n';
     for (const auto& r : g.pings) out << io::to_line(r) << '\n';
   }
-  EXPECT_TRUE(io::is_binary_record_file(bin_path));
-  EXPECT_FALSE(io::is_binary_record_file(text_path));
-
   Collected from_bin, from_text;
   const auto bin_result = io::ingest_record_file(
       bin_path, [&](const TracerouteRecord& r) { from_bin.traces.push_back(r); },
       [&](const PingRecord& r) { from_bin.pings.push_back(r); });
   EXPECT_TRUE(bin_result.binary);
-  EXPECT_TRUE(bin_result.used_mmap);
+  EXPECT_EQ(bin_result.footer, io::FooterStatus::kValid);
   const auto text_result = io::ingest_record_file(
       text_path,
       [&](const TracerouteRecord& r) { from_text.traces.push_back(r); },
       [&](const PingRecord& r) { from_text.pings.push_back(r); });
   EXPECT_FALSE(text_result.binary);
+  EXPECT_EQ(text_result.malformed_lines, 0u);
 
   expect_same_sequence(g.traces, from_bin.traces);
   expect_same_sequence(g.pings, from_bin.pings);
   expect_same_sequence(g.traces, from_text.traces);
   expect_same_sequence(g.pings, from_text.pings);
+
+  // A file that cannot be mapped is an error naming it, not an empty
+  // text archive.
+  const auto missing = io::ingest_record_file(
+      dir + "/binrec_interchange_missing.s2sb",
+      [](const TracerouteRecord&) {}, [](const PingRecord&) {});
+  EXPECT_FALSE(missing.ok);
+  EXPECT_NE(missing.error.find("binrec_interchange_missing"),
+            std::string::npos)
+      << missing.error;
 }
 
 TEST(BinRecFraming, ReleasingFramedPagesKeepsThePlanAndTheBytes) {

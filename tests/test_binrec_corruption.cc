@@ -1,5 +1,5 @@
 // Corruption matrix for the `.s2sb` format: BlockCorruptor drives every
-// fault class over every block position, and both reader arms must skip
+// fault class over every block position, and the reader must skip
 // exactly the damaged blocks — no crash, no silent wrong record, and
 // injected-vs-detected counts exactly equal. Runs under ASan/UBSan and
 // TSan in CI (the io label).
@@ -72,18 +72,6 @@ struct ReadOutcome {
   bool ok = false;
 };
 
-ReadOutcome read_stream(const std::string& image) {
-  ReadOutcome o;
-  std::istringstream in(image, std::ios::binary);
-  io::BinRecordReader reader(in);
-  o.ok = reader.ok();
-  if (!o.ok) return o;
-  reader.read_all([](const TracerouteRecord&) {},
-                  [&](const PingRecord& r) { o.pings.push_back(r); });
-  o.counters = reader.counters();
-  return o;
-}
-
 ReadOutcome read_mmap(const std::string& image) {
   ReadOutcome o;
   io::BinRecordMmapReader reader(image.data(), image.size());
@@ -111,7 +99,7 @@ void expect_surviving_epochs(const PingArchive& a, const ReadOutcome& got,
   }
 }
 
-// -- the matrix: per-block classes x block position x reader arm ------------
+// -- the matrix: per-block classes x block position x footer ----------------
 
 class BinRecCorruptionMatrix
     : public ::testing::TestWithParam<std::tuple<BlockFault, bool>> {};
@@ -127,19 +115,16 @@ TEST_P(BinRecCorruptionMatrix, ExactlyTheDamagedBlockIsSkipped) {
     EXPECT_EQ(corruptor.stats().corrupted, 1u);
     EXPECT_EQ(corruptor.stats().records_lost, 30u);
 
-    for (const bool use_mmap : {false, true}) {
-      const auto got =
-          use_mmap ? read_mmap(damaged) : read_stream(damaged);
-      ASSERT_TRUE(got.ok);
-      // Injected == detected, exactly.
-      EXPECT_EQ(got.counters.corrupt_blocks, 1u)
-          << "fault=" << static_cast<int>(fault) << " target=" << target
-          << " mmap=" << use_mmap << " footer=" << with_footer;
-      EXPECT_EQ(got.counters.blocks_read, kEpochs - 1);
-      EXPECT_EQ(got.counters.records_read, archive.total - 30);
-      EXPECT_EQ(got.counters.records_rejected, 0u);
-      expect_surviving_epochs(archive, got, target);
-    }
+    const auto got = read_mmap(damaged);
+    ASSERT_TRUE(got.ok);
+    // Injected == detected, exactly.
+    EXPECT_EQ(got.counters.corrupt_blocks, 1u)
+        << "fault=" << static_cast<int>(fault) << " target=" << target
+        << " footer=" << with_footer;
+    EXPECT_EQ(got.counters.blocks_read, kEpochs - 1);
+    EXPECT_EQ(got.counters.records_read, archive.total - 30);
+    EXPECT_EQ(got.counters.records_rejected, 0u);
+    expect_surviving_epochs(archive, got, target);
   }
 }
 
@@ -180,15 +165,12 @@ TEST(BinRecCorruption, ImplausibleHeaderIsOneCorruptBlock) {
     std::string damaged = archive.image;
     damaged[(*blocks)[kDamaged].header_offset + 4] = 2;
 
-    for (const bool use_mmap : {false, true}) {
-      const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
-      ASSERT_TRUE(got.ok);
-      EXPECT_EQ(got.counters.corrupt_blocks, 1u)
-          << "mmap=" << use_mmap << " footer=" << with_footer;
-      EXPECT_EQ(got.counters.blocks_read, kEpochs - 1);
-      EXPECT_FALSE(got.counters.truncated);
-      expect_surviving_epochs(archive, got, kDamaged);
-    }
+    const auto got = read_mmap(damaged);
+    ASSERT_TRUE(got.ok);
+    EXPECT_EQ(got.counters.corrupt_blocks, 1u) << "footer=" << with_footer;
+    EXPECT_EQ(got.counters.blocks_read, kEpochs - 1);
+    EXPECT_FALSE(got.counters.truncated);
+    expect_surviving_epochs(archive, got, kDamaged);
   }
 }
 
@@ -204,32 +186,26 @@ TEST(BinRecCorruption, TruncationLosesTailExactly) {
     ASSERT_LT(damaged.size(), archive.image.size());
     EXPECT_EQ(corruptor.stats().records_lost, (kEpochs - target) * 25);
 
-    for (const bool use_mmap : {false, true}) {
-      const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
-      ASSERT_TRUE(got.ok);
-      // The torn block is one corrupt block; later blocks are simply gone.
-      EXPECT_EQ(got.counters.corrupt_blocks, 1u)
-          << "target=" << target << " mmap=" << use_mmap;
-      EXPECT_EQ(got.counters.records_read, target * 25);
-      EXPECT_EQ(got.pings.size(), target * 25);
-    }
+    const auto got = read_mmap(damaged);
+    ASSERT_TRUE(got.ok);
+    // The torn block is one corrupt block; later blocks are simply gone.
+    EXPECT_EQ(got.counters.corrupt_blocks, 1u) << "target=" << target;
+    EXPECT_EQ(got.counters.records_read, target * 25);
+    EXPECT_EQ(got.pings.size(), target * 25);
   }
 }
 
 TEST(BinRecCorruption, TruncationSetsTheTornFlag) {
   const auto archive = make_ping_archive(81, 5, 25);
   // Clean archives are not torn.
-  EXPECT_FALSE(read_stream(archive.image).counters.truncated);
   EXPECT_FALSE(read_mmap(archive.image).counters.truncated);
 
   BlockCorruptor corruptor(BlockCorruptorConfig{.seed = 17});
   const auto damaged =
       corruptor.apply(archive.image, BlockFault::kTruncateMidBlock, 2);
-  for (const bool use_mmap : {false, true}) {
-    const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
-    ASSERT_TRUE(got.ok);
-    EXPECT_TRUE(got.counters.truncated) << "mmap=" << use_mmap;
-  }
+  const auto got = read_mmap(damaged);
+  ASSERT_TRUE(got.ok);
+  EXPECT_TRUE(got.counters.truncated);
 
   // The flag reaches the ingest seam, where tools (s2s_recconv info)
   // turn it into a hard failure.
@@ -309,10 +285,7 @@ TEST(BinRecCorruption, StaleVersionIsRejectedUpFront) {
   EXPECT_EQ(corruptor.stats().stale_versions, 1u);
   EXPECT_EQ(corruptor.stats().records_lost, archive.total);
 
-  const auto s = read_stream(damaged);
-  EXPECT_FALSE(s.ok);
-  const auto m = read_mmap(damaged);
-  EXPECT_FALSE(m.ok);
+  EXPECT_FALSE(read_mmap(damaged).ok);
 }
 
 // -- stochastic chaos: exact accounting under random block damage -----------
@@ -326,14 +299,11 @@ TEST(BinRecCorruption, StochasticManglePreservesExactAccounting) {
     const auto& stats = corruptor.stats();
     EXPECT_EQ(stats.blocks, 12u);
 
-    for (const bool use_mmap : {false, true}) {
-      const auto got = use_mmap ? read_mmap(damaged) : read_stream(damaged);
-      ASSERT_TRUE(got.ok);
-      EXPECT_EQ(got.counters.corrupt_blocks, stats.corrupted)
-          << "seed=" << seed << " mmap=" << use_mmap;
-      EXPECT_EQ(got.counters.records_read, archive.total - stats.records_lost);
-      EXPECT_EQ(got.counters.blocks_read, 12u - stats.corrupted);
-    }
+    const auto got = read_mmap(damaged);
+    ASSERT_TRUE(got.ok);
+    EXPECT_EQ(got.counters.corrupt_blocks, stats.corrupted) << "seed=" << seed;
+    EXPECT_EQ(got.counters.records_read, archive.total - stats.records_lost);
+    EXPECT_EQ(got.counters.blocks_read, 12u - stats.corrupted);
   }
 }
 
@@ -382,10 +352,10 @@ TEST(BinRecCorruption, ArbitraryByteFlipsNeverCrashEitherArm) {
     }
     if (rng.chance(0.25)) damaged.resize(rng.below(damaged.size() + 1));
 
-    const auto s = read_stream(damaged);
-    const auto m = read_mmap(damaged);
-    if (s.ok) EXPECT_LE(s.pings.size(), archive.total);
-    if (m.ok) EXPECT_LE(m.pings.size(), archive.total);
+    const auto got = read_mmap(damaged);
+    if (got.ok) {
+      EXPECT_LE(got.pings.size(), archive.total);
+    }
   }
 }
 

@@ -201,8 +201,7 @@ TEST(CampaignGolden, CorpusCoversFallbackArtifactsAndLoss) {
 
   const auto archives = corpus(1);
   std::size_t loops = 0, paris = 0, classic = 0, lost = 0, pings = 0;
-  std::istringstream trace_in(archives[0], std::ios::binary);
-  io::BinRecordReader traces(trace_in);
+  io::BinRecordMmapReader traces(archives[0].data(), archives[0].size());
   traces.read_all(
       [&](const TracerouteRecord& r) {
         (r.method == TracerouteMethod::kParis ? paris : classic) += 1;
@@ -214,8 +213,7 @@ TEST(CampaignGolden, CorpusCoversFallbackArtifactsAndLoss) {
         }
       },
       [](const PingRecord&) {});
-  std::istringstream ping_in(archives[1], std::ios::binary);
-  io::BinRecordReader ping_reader(ping_in);
+  io::BinRecordMmapReader ping_reader(archives[1].data(), archives[1].size());
   ping_reader.read_all([](const TracerouteRecord&) {},
                        [&](const PingRecord& r) {
                          ++pings;

@@ -240,8 +240,7 @@ TEST(CampaignResume, BinaryEpochResumeIsByteIdentical) {
   EXPECT_EQ(buf, full);
 
   // And the spliced archive ingests cleanly: every record, no corruption.
-  std::istringstream in(buf, std::ios::binary);
-  io::BinRecordReader reader(in);
+  io::BinRecordMmapReader reader(buf.data(), buf.size());
   ASSERT_TRUE(reader.ok());
   std::size_t records = 0;
   reader.read_all([&](const TracerouteRecord&) { ++records; },

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/change_detect.h"
 #include "core/congestion_detect.h"
 #include "core/data_quality.h"
 #include "core/dualstack.h"
@@ -357,8 +356,6 @@ TEST(ChaosCampaign, TracerouteQualityCountersMatchInjectedFaultsExactly) {
 
   timelines.for_each([&](ServerId, ServerId, net::Family,
                          const core::TraceTimeline& tl) {
-    const auto events = core::detect_changes(tl, timelines.interner());
-    EXPECT_EQ(events.size(), core::count_changes(tl));
     // Quality-gated timelines stay epoch-sorted even under reordering.
     for (std::size_t i = 1; i < tl.obs.size(); ++i) {
       EXPECT_GE(tl.obs[i].epoch, tl.obs[i - 1].epoch);
@@ -485,7 +482,7 @@ TEST(ChaosCampaign, PingQualityCountersMatchInjectedFaultsExactly) {
 // ---------------------------------------------------------------------------
 // Binary-archive chaos: the campaign persisted as `.s2sb`, damaged at the
 // block layer by BlockCorruptor, must lose exactly the corrupted blocks —
-// both reader arms agree with the injector's accounting, and the stores
+// the reader agrees with the injector's accounting, and the stores
 // fed from the damaged archive still produce finite analyses.
 // ---------------------------------------------------------------------------
 
@@ -520,52 +517,39 @@ TEST(ChaosCampaign, BinaryArchiveBlockCorruptionDetectedExactly) {
     const auto& st = corruptor.stats();
     ASSERT_GT(st.blocks, 0u);
 
-    for (const bool use_mmap : {false, true}) {
-      core::TimelineStore timelines(net.topo(), net.rib(),
-                                    {ccfg.start_day, net::kThreeHours});
-      std::size_t records = 0;
-      const auto trace_sink = [&](const probe::TracerouteRecord& r) {
-        timelines.add(r);
-        ++records;
-      };
-      const auto ping_sink = [](const probe::PingRecord&) {};
+    core::TimelineStore timelines(net.topo(), net.rib(),
+                                  {ccfg.start_day, net::kThreeHours});
+    std::size_t records = 0;
+    io::BinRecordMmapReader reader(damaged.data(), damaged.size());
+    ASSERT_TRUE(reader.ok());
+    reader.read_all(
+        [&](const probe::TracerouteRecord& r) {
+          timelines.add(r);
+          ++records;
+        },
+        [](const probe::PingRecord&) {});
+    const io::BinReadCounters& counters = reader.counters();
 
-      io::BinReadCounters counters;
-      if (use_mmap) {
-        io::BinRecordMmapReader reader(damaged.data(), damaged.size());
-        ASSERT_TRUE(reader.ok());
-        reader.read_all(trace_sink, ping_sink);
-        counters = reader.counters();
-      } else {
-        std::istringstream in(damaged, std::ios::binary);
-        io::BinRecordReader reader(in);
-        ASSERT_TRUE(reader.ok());
-        reader.read_all(trace_sink, ping_sink);
-        counters = reader.counters();
-      }
+    // Exact agreement between injected and detected block damage.
+    EXPECT_EQ(counters.corrupt_blocks, st.corrupted) << "seed=" << seed;
+    EXPECT_EQ(counters.records_read, total - st.records_lost);
+    EXPECT_EQ(records, total - st.records_lost);
+    EXPECT_EQ(counters.blocks_read, st.blocks - st.corrupted);
 
-      // Exact agreement between injected and detected block damage.
-      EXPECT_EQ(counters.corrupt_blocks, st.corrupted)
-          << "seed=" << seed << " mmap=" << use_mmap;
-      EXPECT_EQ(counters.records_read, total - st.records_lost);
-      EXPECT_EQ(records, total - st.records_lost);
-      EXPECT_EQ(counters.blocks_read, st.blocks - st.corrupted);
+    // Whole-epoch loss is invisible to the per-record validators: the
+    // surviving records are pristine, so no quality counter may tick.
+    const auto& q = timelines.quality();
+    EXPECT_EQ(q.duplicates_dropped, 0u);
+    EXPECT_EQ(q.invalid_rtt, 0u);
+    EXPECT_EQ(q.out_of_grid, 0u);
 
-      // Whole-epoch loss is invisible to the per-record validators: the
-      // surviving records are pristine, so no quality counter may tick.
-      const auto& q = timelines.quality();
-      EXPECT_EQ(q.duplicates_dropped, 0u);
-      EXPECT_EQ(q.invalid_rtt, 0u);
-      EXPECT_EQ(q.out_of_grid, 0u);
-
-      // The depleted store still yields a finite routing study.
-      core::RoutingStudyConfig rcfg;
-      rcfg.min_observations = 4;
-      const auto study = core::run_routing_study(timelines, rcfg);
-      for (const auto* fam : {&study.v4, &study.v6}) {
-        expect_all_finite(fam->unique_paths, "unique_paths");
-        expect_all_finite(fam->delta_p90_ms, "delta_p90_ms");
-      }
+    // The depleted store still yields a finite routing study.
+    core::RoutingStudyConfig rcfg;
+    rcfg.min_observations = 4;
+    const auto study = core::run_routing_study(timelines, rcfg);
+    for (const auto* fam : {&study.v4, &study.v6}) {
+      expect_all_finite(fam->unique_paths, "unique_paths");
+      expect_all_finite(fam->delta_p90_ms, "delta_p90_ms");
     }
   }
 }

@@ -1,7 +1,7 @@
 // Golden-figure regression: hexfloat digests of the Fig 2 / Fig 5 / Fig 9
 // study outputs, checked against the corpus in tests/golden/. The same
 // campaign is ingested through all three record paths — text
-// (RecordReader), binary stream (BinRecordReader) and binary mmap
+// (RecordReader), an in-memory binary image and a mapped binary file
 // (BinRecordMmapReader) — and analysed at 1 and 8 threads; every
 // combination must produce the byte-identical digest. Hexfloat ("%a")
 // formatting makes the digest sensitive to a single ULP of drift anywhere
@@ -232,12 +232,12 @@ const Dataset& dataset() {
   return d;
 }
 
-enum class Ingest { kText, kBinaryStream, kBinaryMmap };
+enum class Ingest { kText, kBinaryImage, kBinaryMmap };
 
 const char* ingest_name(Ingest path) {
   switch (path) {
     case Ingest::kText: return "text";
-    case Ingest::kBinaryStream: return "binary-stream";
+    case Ingest::kBinaryImage: return "binary-image";
     case Ingest::kBinaryMmap: return "binary-mmap";
   }
   return "?";
@@ -256,9 +256,8 @@ void ingest_image(Ingest path, const std::string& text,
       reader.read_all(sink, ping_sink);
       return;
     }
-    case Ingest::kBinaryStream: {
-      std::istringstream in(bin, std::ios::binary);
-      io::BinRecordReader reader(in);
+    case Ingest::kBinaryImage: {
+      io::BinRecordMmapReader reader(bin.data(), bin.size());
       ASSERT_TRUE(reader.ok());
       reader.read_all(sink, ping_sink);
       return;
@@ -346,7 +345,7 @@ TEST(GoldenFigures, AllIngestPathsAndThreadCountsMatchTheCorpus) {
   // invariance.
   bool first = true;
   for (const Ingest path :
-       {Ingest::kText, Ingest::kBinaryStream, Ingest::kBinaryMmap}) {
+       {Ingest::kText, Ingest::kBinaryImage, Ingest::kBinaryMmap}) {
     for (const unsigned threads : {1u, 8u}) {
       const std::string context = std::string(ingest_name(path)) +
                                   " threads=" + std::to_string(threads);

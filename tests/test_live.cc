@@ -568,6 +568,88 @@ TEST(LiveDataset, DamagedSidecarRefusesLoad) {
   live::remove_watermark_file(path);
 }
 
+/// Flips one payload byte of the first block whose header starts at or
+/// after `from` (the block then fails its CRC; its framing stays intact).
+void corrupt_block_at_or_after(const std::string& path, std::size_t from) {
+  const std::string bytes = slurp(path);
+  const auto blocks = io::scan_blocks(bytes.data(), bytes.size());
+  ASSERT_TRUE(blocks.has_value());
+  for (const io::BlockRef& b : *blocks) {
+    if (b.header_offset < from || b.payload_bytes == 0) continue;
+    const std::size_t at = b.payload_offset + b.payload_bytes / 2;
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.put(static_cast<char>(bytes[at] ^ 0x10));
+    return;
+  }
+  FAIL() << "no block at or after offset " << from;
+}
+
+TEST(LiveDataset, DamagedSealedPrefixRefusesLoadAndPickup) {
+  svc::DatasetConfig cfg = world().cfg;
+  std::string error;
+
+  // A corrupt block inside the watermark: the load fails, and a dataset
+  // that was serving keeps its stores.
+  {
+    const std::string path = temp_path("live_ds_corrupt_prefix");
+    cfg.archive_path = path;
+    auto writer = write_epochs(path, 8, 64);
+    svc::Dataset ds(cfg, world().net.get());
+    ASSERT_TRUE(ds.load(error)) << error;
+    const std::uint64_t digest = ds.digest();
+    corrupt_block_at_or_after(path, io::kBinFileHeaderBytes);
+    EXPECT_FALSE(ds.load(error));
+    EXPECT_NE(error.find("corrupt block"), std::string::npos) << error;
+    EXPECT_TRUE(ds.loaded());
+    EXPECT_EQ(ds.digest(), digest);
+    std::remove(path.c_str());
+    live::remove_watermark_file(path);
+  }
+
+  // A shard shorter than its watermark: no load, and no pickup either.
+  {
+    const std::string path = temp_path("live_ds_short");
+    cfg.archive_path = path;
+    auto writer = write_epochs(path, 8, 64);
+    svc::Dataset ds(cfg, world().net.get());
+    ASSERT_TRUE(ds.load(error)) << error;
+    append_epochs(*writer, 8, 12);
+    const auto sealed = writer->watermark().sealed_bytes;
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(sealed - 10)), 0);
+    EXPECT_EQ(ds.clone_advanced(error), nullptr);
+    EXPECT_NE(error.find("shorter than its watermark"), std::string::npos)
+        << error;
+    svc::Dataset fresh(cfg, world().net.get());
+    EXPECT_FALSE(fresh.load(error));
+    EXPECT_NE(error.find("shorter than its watermark"), std::string::npos)
+        << error;
+    EXPECT_FALSE(fresh.loaded());
+    std::remove(path.c_str());
+    live::remove_watermark_file(path);
+  }
+
+  // Damage in a newly sealed tail: the pickup fails, while the snapshot
+  // it started from is untouched and still serves.
+  {
+    const std::string path = temp_path("live_ds_corrupt_tail");
+    cfg.archive_path = path;
+    auto writer = write_epochs(path, 8, 64);
+    auto base = std::make_shared<svc::Dataset>(cfg, world().net.get());
+    ASSERT_TRUE(base->load(error)) << error;
+    const auto before = verdict_payloads(*base);
+    const std::size_t old_sealed = base->watermark().sealed_bytes;
+    append_epochs(*writer, 8, 12);
+    corrupt_block_at_or_after(path, old_sealed);
+    EXPECT_EQ(base->clone_advanced(error), nullptr);
+    EXPECT_NE(error.find("corrupt block"), std::string::npos) << error;
+    EXPECT_EQ(base->watermark().epoch, 7);
+    EXPECT_EQ(verdict_payloads(*base), before);
+    std::remove(path.c_str());
+    live::remove_watermark_file(path);
+  }
+}
+
 TEST(LiveServer, ServesAcrossDeltaPickupsWithoutReload) {
   const std::string path = temp_path("live_srv_pickup");
   auto writer = write_epochs(path, 64, 256);

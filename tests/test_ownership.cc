@@ -122,6 +122,33 @@ TEST_F(OwnershipFixture, ElectionPrefersFirstOnConflict) {
   EXPECT_EQ(inference.owner(in_as(1, 2)), Asn(1));
 }
 
+TEST_F(OwnershipFixture, DistinctTriplesWithCollidingHashKeysAreBothLabelled) {
+  // Two noip2as windows through different unmapped hops, chosen so that
+  // the hash-combined key (h(x) * 1000003) ^ (h(y) * 31) ^ h(z) is the
+  // same for both: deduplicating windows by such a key skipped the
+  // second one and left its hop unlabelled.
+  const IPAddr x = in_as(1, 1);
+  const IPAddr y1(IPv4Addr(172, 16, 0, 1));
+  const IPAddr y2(IPv4Addr(172, 16, 0, 2));
+  const IPAddr z1 = in_as(1, 2);
+  const IPAddr z2 = in_as(1, 35);
+  const auto lossy_key = [](const IPAddr& a, const IPAddr& b,
+                            const IPAddr& c) {
+    const std::hash<IPAddr> h;
+    return (std::uint64_t{h(a)} * 1000003) ^ (std::uint64_t{h(b)} * 31) ^
+           std::uint64_t{h(c)};
+  };
+  ASSERT_EQ(lossy_key(x, y1, z1), lossy_key(x, y2, z2));
+
+  OwnershipInference inference(rib_, rels_);
+  inference.observe_path(std::vector<IPAddr>{x, y1, z1});
+  inference.observe_path(std::vector<IPAddr>{x, y2, z2});
+  inference.finalize();
+  EXPECT_EQ(inference.stats().labels_noip2as, 2u);
+  EXPECT_EQ(inference.owner(y1), Asn(1));
+  EXPECT_EQ(inference.owner(y2), Asn(1));
+}
+
 TEST(IxpDirectory, MatchesPrefixes) {
   IxpDirectory dir;
   dir.add(*net::Prefix4::parse("176.0.0.0/16"));

@@ -282,6 +282,56 @@ TEST_F(NetworkFixture, ResolveThrowsOnUnpreparedUse) {
                std::logic_error);
 }
 
+TEST_F(NetworkFixture, IncrementalPrepareMatchesOnePrepare) {
+  // A subset first, then the full mesh: the second prepare builds only
+  // the AS pairs the first left out, and every pair ends with the
+  // candidates of the fixture's single full-mesh prepare.
+  Network step(small_network_config(33));
+  std::vector<ServerId> subset, servers;
+  for (ServerId s = 0; s < step.topo().servers.size(); ++s) {
+    servers.push_back(s);
+    if (s % 3 == 0) subset.push_back(s);
+  }
+  step.prepare_full_mesh(subset);
+  const auto& first = step.topo().servers[subset[0]];
+  const auto& second = step.topo().servers[subset[1]];
+  const routing::CandidateSet* kept =
+      step.candidates(net::Family::kIPv4).find(first.as_id, second.as_id);
+  ASSERT_NE(kept, nullptr);
+  step.prepare_full_mesh(servers);
+  // A set built by the first prepare stays where it was.
+  EXPECT_EQ(step.candidates(net::Family::kIPv4).find(first.as_id,
+                                                     second.as_id),
+            kept);
+
+  for (const net::Family family : {net::Family::kIPv4, net::Family::kIPv6}) {
+    std::size_t pairs = 0, step_pairs = 0;
+    step.candidates(family).for_each(
+        [&](topology::AsId, topology::AsId, const routing::CandidateSet&) {
+          ++step_pairs;
+        });
+    net_->candidates(family).for_each([&](topology::AsId src,
+                                          topology::AsId dst,
+                                          const routing::CandidateSet& want) {
+      ++pairs;
+      const auto* got = step.candidates(family).find(src, dst);
+      ASSERT_NE(got, nullptr) << src << "->" << dst;
+      ASSERT_EQ(got->candidates.size(), want.candidates.size())
+          << src << "->" << dst;
+      for (std::size_t i = 0; i < want.candidates.size(); ++i) {
+        const auto& a = got->candidates[i];
+        const auto& b = want.candidates[i];
+        EXPECT_EQ(a.path, b.path) << src << "->" << dst << " #" << i;
+        EXPECT_EQ(a.adjs, b.adjs) << src << "->" << dst << " #" << i;
+        EXPECT_EQ(a.route_class, b.route_class) << src << "->" << dst;
+        EXPECT_EQ(a.primary, b.primary) << src << "->" << dst;
+      }
+    });
+    EXPECT_GT(pairs, 0u);
+    EXPECT_EQ(step_pairs, pairs);
+  }
+}
+
 /// A prepared full-mesh network for the memo tests.
 std::unique_ptr<Network> prepared_network(std::uint64_t seed) {
   auto net = std::make_unique<Network>(small_network_config(seed));
