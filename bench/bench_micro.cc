@@ -26,6 +26,7 @@
 #include "core/change_detect.h"
 #include "core/congestion_detect.h"
 #include "core/ping_series.h"
+#include "core/segment_series.h"
 #include "core/timeline.h"
 #include "exec/pool.h"
 #include "obs/json.h"
@@ -291,6 +292,56 @@ void BM_PingIngest(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PingIngest);
+
+/// Two days of 30-minute follow-up traceroutes over 40 pairs of the
+/// shared mesh, both families, in campaign order: the stream shape
+/// SegmentSeriesStore takes in the Section 5.2 follow-up.
+struct SegmentIngestSet {
+  probe::TracerouteCampaignConfig cfg;
+  std::size_t epochs = 0;
+  std::vector<probe::TracerouteRecord> records;
+};
+
+const SegmentIngestSet& segment_ingest_set() {
+  static const SegmentIngestSet set = [] {
+    SegmentIngestSet out;
+    out.cfg.days = 2.0;
+    out.cfg.interval_s = net::kThirtyMinutes;
+    out.cfg.paris_switch_day = 0.0;
+    auto pairs = mesh_pairs();
+    pairs.resize(40);
+    probe::TracerouteCampaign followup(shared_network(), out.cfg, pairs);
+    out.epochs = followup.epochs();
+    followup.run(
+        [&](const probe::TracerouteRecord& r) { out.records.push_back(r); });
+    return out;
+  }();
+  return set;
+}
+
+// SegmentSeriesStore::add over distinct records: the admission gate, the
+// hop-address check and the row write. The store starts afresh (untimed)
+// at each pass over the set, so no record reaches the store twice.
+void BM_SegmentIngest(benchmark::State& state) {
+  const auto& set = segment_ingest_set();
+  const auto fresh_store = [&set] {
+    return core::SegmentSeriesStore(set.cfg.start_day, set.cfg.interval_s,
+                                    set.epochs);
+  };
+  auto store = fresh_store();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    store.add(set.records[i]);
+    if (++i == set.records.size()) {
+      state.PauseTiming();
+      store = fresh_store();
+      i = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SegmentIngest);
 
 /// The same record set serialized once into each archive format, plus an
 /// on-disk copy of the binary image for the mmap arm.

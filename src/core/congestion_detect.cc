@@ -63,13 +63,11 @@ SeriesVerdict window_verdict(const PingSeriesStore::Series& series,
       grid.size(),
       static_cast<std::size_t>(kVerdictWindowDays * samples_per_day));
   const auto slots = grid.last(window);
-  const auto observed = static_cast<std::size_t>(std::count_if(
-      slots.begin(), slots.end(),
-      [](std::uint16_t t) { return t != PingSeriesStore::kMissing; }));
+  const std::size_t observed = observed_slots(slots);
   // The gap-filled slots are finite, so they skip assess_series' filter.
   SeriesVerdict verdict;
-  assess_finite(PingSeriesStore::to_ms_interpolated(slots), samples_per_day,
-                config, verdict);
+  assess_finite(interpolate_slots_ms(slots), samples_per_day, config,
+                verdict);
   verdict.samples = window;
   verdict.missing_samples = window - observed;
   const auto min_samples =
@@ -149,7 +147,7 @@ CongestionSurvey survey_congestion(const PingSeriesStore& store,
               }
               ++agg.pairs_assessed;
               assessed.inc();
-              const auto rtts = PingSeriesStore::to_ms_interpolated(series);
+              const auto rtts = interpolate_slots_ms(series.rtt_tenths);
               SeriesVerdict verdict =
                   assess_series(rtts, store.samples_per_day(), config);
               verdict.missing_samples = missing;

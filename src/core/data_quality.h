@@ -7,10 +7,12 @@
 // records on arrival and accounts for everything it drops, reorders or
 // flags, so an analysis can report "insufficient data" rather than
 // silently corrupt its statistics. The counters here are the common
-// currency of that accounting: every streaming store owns a
-// DataQualityReport, and stage-level surveys merge them.
+// currency of that accounting: every streaming store admits records
+// through one IngestGate, which owns its DataQualityReport, and
+// stage-level surveys merge the reports.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -116,6 +118,58 @@ class DedupWindow {
   bool has_zero_ = false;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
+};
+
+/// The admission sequence every streaming store runs each arriving
+/// record through, in this order: fingerprint dedup, the campaign grid
+/// [0, epoch_end), the arrival-order watermark (a record behind it is
+/// counted as reordered and still admitted), numeric validity. Each drop
+/// is tallied in quality() and mirrored to obs().
+class IngestGate {
+ public:
+  explicit IngestGate(std::string_view subsystem)
+      : obs_(IngestObs::make(subsystem)) {}
+
+  /// True when the record passed every check.
+  bool admit(std::uint64_t fingerprint, std::int64_t epoch,
+             std::int64_t epoch_end, bool valid) {
+    if (dedup_.seen_or_insert(fingerprint)) {
+      drop_duplicate();
+      return false;
+    }
+    if (epoch < 0 || epoch >= epoch_end) {
+      ++quality_.out_of_grid;
+      obs_.drop_out_of_grid.inc();
+      return false;
+    }
+    if (epoch < watermark_) {
+      ++quality_.reordered;
+      obs_.reordered.inc();
+    }
+    watermark_ = std::max(watermark_, epoch);
+    if (!valid) {
+      ++quality_.invalid_rtt;
+      obs_.drop_invalid_rtt.inc();
+      return false;
+    }
+    return true;
+  }
+
+  /// Tallies a duplicate the store found past the gate (a filled slot).
+  void drop_duplicate() {
+    ++quality_.duplicates_dropped;
+    obs_.drop_duplicates.inc();
+  }
+
+  /// The store ticks the accepted-record counter and RTT histogram.
+  const IngestObs& obs() const noexcept { return obs_; }
+  const DataQualityReport& quality() const noexcept { return quality_; }
+
+ private:
+  IngestObs obs_;
+  DataQualityReport quality_;
+  DedupWindow dedup_;
+  std::int64_t watermark_ = -1;  ///< highest on-grid epoch seen so far
 };
 
 }  // namespace s2s::core

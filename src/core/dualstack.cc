@@ -1,8 +1,6 @@
 #include "core/dualstack.h"
 
 #include <cmath>
-#include <map>
-#include <tuple>
 
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
@@ -37,16 +35,6 @@ DualStackStudy run_dualstack_study(const TimelineStore& store,
   DualStackStudy study;
   study.quality = store.quality();
 
-  // Index v4 timelines serially (one cheap scan); the expensive pairwise
-  // matching below then reads the index concurrently.
-  std::map<std::pair<topology::ServerId, topology::ServerId>,
-           const TraceTimeline*>
-      v4_index;
-  store.for_each([&](topology::ServerId s, topology::ServerId d,
-                     net::Family fam, const TraceTimeline& timeline) {
-    if (fam == net::Family::kIPv4) v4_index[{s, d}] = &timeline;
-  });
-
   exec::sharded_reduce<DualStackPartial>(
       pool, exec::kAnalysisShards, "analysis.dualstack.shard",
       [&](std::size_t shard, DualStackPartial& partial) {
@@ -55,9 +43,11 @@ DualStackStudy run_dualstack_study(const TimelineStore& store,
             [&](topology::ServerId s, topology::ServerId d, net::Family fam,
                 const TraceTimeline& v6) {
               if (fam != net::Family::kIPv6) return;
-              const auto it = v4_index.find({s, d});
-              if (it == v4_index.end()) return;
-              const TraceTimeline& v4 = *it->second;
+              // The store is const, so concurrent lookups are safe.
+              const TraceTimeline* v4_timeline =
+                  store.find(s, d, net::Family::kIPv4);
+              if (v4_timeline == nullptr) return;
+              const TraceTimeline& v4 = *v4_timeline;
 
               std::vector<double> diffs;
               std::size_t i = 0, j = 0;

@@ -95,8 +95,7 @@ LocalizeResult localize_congestion(const SegmentSeriesStore& store,
               }
               ++partial.pairs_symmetric;
 
-              const auto end_series =
-                  SegmentSeriesStore::row_ms_interpolated(series.end_rtt);
+              const auto end_series = interpolate_slots_ms(series.end_rtt);
               if (end_series.empty()) return;
               const auto power = stats::diurnal_power_ratio(
                   end_series, store.samples_per_day());
@@ -109,17 +108,12 @@ LocalizeResult localize_congestion(const SegmentSeriesStore& store,
                   stats::quantile_sorted(end_sorted, 0.10);
 
               for (std::size_t k = 0; k < series.hop_rtt.size(); ++k) {
-                std::size_t valid = 0;
-                for (auto v : series.hop_rtt[k]) {
-                  valid += v != SegmentSeriesStore::kMissing;
-                }
-                if (static_cast<double>(valid) <
+                if (static_cast<double>(observed_slots(series.hop_rtt[k])) <
                     config.min_row_coverage *
                         static_cast<double>(store.epochs())) {
                   continue;
                 }
-                const auto row =
-                    SegmentSeriesStore::row_ms_interpolated(series.hop_rtt[k]);
+                const auto row = interpolate_slots_ms(series.hop_rtt[k]);
                 const double rho = stats::pearson(row, end_series);
                 if (rho < config.rho_threshold) continue;
 

@@ -1,16 +1,16 @@
 // Fixed-grid RTT series from ping campaigns (paper Section 5.1).
 //
 // One uint16 slot per epoch per (src, dst, family); missing samples are
-// kMissing and can be interpolated before spectral analysis.
+// kMissingSlot and can be interpolated (interpolate_slots_ms) before
+// spectral analysis.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/data_quality.h"
+#include "core/pair_table.h"
+#include "core/slot_grid.h"
 #include "net/timebase.h"
 #include "probe/records.h"
 
@@ -30,8 +30,6 @@ struct PreparedPing {
 
 class PingSeriesStore {
  public:
-  static constexpr std::uint16_t kMissing = 0xFFFF;
-
   /// kFixed drops records at or past `epochs` as out of grid; kGrow
   /// extends the grid to cover the epoch of every record offered to
   /// add()/commit() — duplicates, invalid and failed probes included —
@@ -61,23 +59,24 @@ class PingSeriesStore {
   /// The order-independent half of add(): fingerprint, key, grid epoch,
   /// validity and slot value. Reads only immutable state (thread-safe).
   PreparedPing prepare(const probe::PingRecord& record) const;
-  /// The order-dependent half: grid growth, dedup window, reorder
-  /// watermark, counters and the slot write. Commits must follow record
-  /// order for results identical to add(). True when the record filled
-  /// a slot.
+  /// The order-dependent half: grid growth, the IngestGate, counters and
+  /// the first-write-wins slot write. Commits must follow record order
+  /// for results identical to add(). True when the record filled a slot.
   bool commit(const PreparedPing& prepared);
 
   struct Series {
-    std::vector<std::uint16_t> rtt_tenths;  ///< size = epochs; kMissing gaps
+    std::vector<std::uint16_t> rtt_tenths;  ///< one slot per epoch
     std::size_t valid = 0;                  ///< populated slots
   };
 
   const Series* find(topology::ServerId src, topology::ServerId dst,
-                     net::Family family) const;
+                     net::Family family) const {
+    return series_.find(src, dst, family);
+  }
 
-  void for_each(const std::function<void(topology::ServerId,
-                                         topology::ServerId, net::Family,
-                                         const Series&)>& fn) const;
+  void for_each(const PairTable<Series>::Visitor& fn) const {
+    series_.for_each(fn);
+  }
 
   /// Visits the pairs whose key falls in `shard` (key % n_shards), in
   /// ascending key order. Shards partition the store: over all shards of
@@ -86,32 +85,20 @@ class PingSeriesStore {
   /// the deterministic-merge contract (DESIGN.md section 9). Read-only, so
   /// distinct shards may run on distinct threads concurrently.
   void for_each_shard(std::size_t shard, std::size_t n_shards,
-                      const std::function<void(topology::ServerId,
-                                               topology::ServerId, net::Family,
-                                               const Series&)>& fn) const;
+                      const PairTable<Series>::Visitor& fn) const {
+    series_.for_each_shard(shard, n_shards, fn);
+  }
 
   std::size_t pair_count() const noexcept { return series_.size(); }
   std::size_t epochs() const noexcept { return epochs_; }
-  const DataQualityReport& quality() const noexcept { return quality_; }
+  const DataQualityReport& quality() const noexcept {
+    return gate_.quality();
+  }
   double samples_per_day() const {
     return 86400.0 / static_cast<double>(interval_s_);
   }
 
-  /// Gap-filled copy in ms (linear interpolation; edge gaps copy the
-  /// nearest valid sample). Empty when the slots hold no valid sample.
-  static std::vector<double> to_ms_interpolated(
-      std::span<const std::uint16_t> rtt_tenths);
-  static std::vector<double> to_ms_interpolated(const Series& series) {
-    return to_ms_interpolated(series.rtt_tenths);
-  }
-
  private:
-  static std::uint64_t key(topology::ServerId src, topology::ServerId dst,
-                           net::Family family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == net::Family::kIPv6 ? 1u : 0u);
-  }
-
   /// Re-grids every series to `epochs` slots when that is more than now;
   /// the added slots start missing.
   void grow(std::size_t epochs);
@@ -120,11 +107,8 @@ class PingSeriesStore {
   std::int64_t interval_s_;
   std::size_t epochs_;
   Grid grid_;
-  IngestObs obs_ = IngestObs::make("ping_store");
-  DataQualityReport quality_;
-  DedupWindow dedup_;
-  std::int64_t last_epoch_seen_ = -1;
-  std::unordered_map<std::uint64_t, Series> series_;
+  IngestGate gate_{"ping_store"};
+  PairTable<Series> series_;
 };
 
 }  // namespace s2s::core

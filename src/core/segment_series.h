@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/data_quality.h"
+#include "core/pair_table.h"
+#include "core/slot_grid.h"
 #include "net/ip.h"
 #include "net/timebase.h"
 #include "probe/records.h"
@@ -23,15 +23,16 @@ namespace s2s::core {
 
 class SegmentSeriesStore {
  public:
-  static constexpr std::uint16_t kMissing = 0xFFFF;
-
   SegmentSeriesStore(double start_day, std::int64_t interval_s,
                      std::size_t epochs)
       : start_day_(start_day), interval_s_(interval_s), epochs_(epochs) {}
 
   /// Streaming sink; only complete traceroutes contribute. Duplicates,
   /// invalid RTTs and off-grid timestamps are dropped and tallied in
-  /// quality(); arrival order does not matter (slot-addressed grid).
+  /// quality(); arrival order does not matter (slot-addressed grid). An
+  /// epoch's row is first-write-wins: a later trace in the same epoch
+  /// still checks and learns hop addresses and counts in `traces`, but
+  /// writes no RTT slot.
   void add(const probe::TracerouteRecord& record);
 
   struct PairSeries {
@@ -52,46 +53,37 @@ class SegmentSeriesStore {
   };
 
   const PairSeries* find(topology::ServerId src, topology::ServerId dst,
-                         net::Family family) const;
-  void for_each(const std::function<void(topology::ServerId,
-                                         topology::ServerId, net::Family,
-                                         const PairSeries&)>& fn) const;
+                         net::Family family) const {
+    return series_.find(src, dst, family);
+  }
+  void for_each(const PairTable<PairSeries>::Visitor& fn) const {
+    series_.for_each(fn);
+  }
 
   /// Visits the pairs whose key falls in `shard` (key % n_shards), in
   /// ascending key order — hash-layout-independent, so shard outputs merge
   /// deterministically (DESIGN.md section 9). Read-only; distinct shards
   /// are safe to run concurrently.
   void for_each_shard(std::size_t shard, std::size_t n_shards,
-                      const std::function<void(topology::ServerId,
-                                               topology::ServerId, net::Family,
-                                               const PairSeries&)>& fn) const;
+                      const PairTable<PairSeries>::Visitor& fn) const {
+    series_.for_each_shard(shard, n_shards, fn);
+  }
 
   std::size_t pair_count() const noexcept { return series_.size(); }
   std::size_t epochs() const noexcept { return epochs_; }
-  const DataQualityReport& quality() const noexcept { return quality_; }
+  const DataQualityReport& quality() const noexcept {
+    return gate_.quality();
+  }
   double samples_per_day() const {
     return 86400.0 / static_cast<double>(interval_s_);
   }
 
-  /// Gap-filled ms copy of a row (same interpolation as ping series).
-  static std::vector<double> row_ms_interpolated(
-      const std::vector<std::uint16_t>& row);
-
  private:
-  static std::uint64_t key(topology::ServerId src, topology::ServerId dst,
-                           net::Family family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == net::Family::kIPv6 ? 1u : 0u);
-  }
-
   double start_day_;
   std::int64_t interval_s_;
   std::size_t epochs_;
-  IngestObs obs_ = IngestObs::make("segments");
-  DataQualityReport quality_;
-  DedupWindow dedup_;
-  std::int64_t last_epoch_seen_ = -1;
-  std::unordered_map<std::uint64_t, PairSeries> series_;
+  IngestGate gate_{"segments"};
+  PairTable<PairSeries> series_;
 };
 
 }  // namespace s2s::core

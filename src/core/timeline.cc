@@ -1,9 +1,15 @@
 #include "core/timeline.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace s2s::core {
+
+namespace {
+
+/// Observation epochs are uint16, so the grid ends at 2^16.
+constexpr std::int64_t kEpochEnd = std::int64_t{1} << 16;
+
+}  // namespace
 
 std::uint32_t PathInterner::intern(std::span<const net::Asn> path) {
   const auto it = index_.find(path);
@@ -23,7 +29,7 @@ PreparedTrace TimelineStore::prepare(const probe::TracerouteRecord& record,
                                      std::vector<net::Asn>& paths) const {
   PreparedTrace p;
   p.fingerprint = fingerprint(record);
-  p.key = key(record.src, record.dst, record.family);
+  p.key = PairTable<TraceTimeline>::key(record.src, record.dst, record.family);
   p.grid = net::grid_epoch(record.time, config_.start_day, config_.interval_s);
   p.rtt_ms = record.end_to_end_rtt_ms();
   p.family = record.family;
@@ -31,7 +37,7 @@ PreparedTrace TimelineStore::prepare(const probe::TracerouteRecord& record,
   p.complete = record.complete;
   // Inference is the expensive part; skip it for records commit drops
   // before it would look at the path.
-  if (p.grid >= 0 && p.grid <= 0xFFFF && p.valid && p.complete) {
+  if (p.grid >= 0 && p.grid < kEpochEnd && p.valid && p.complete) {
     const net::Asn src_asn = topo_.ases[topo_.servers[record.src].as_id].asn;
     p.path_offset = static_cast<std::uint32_t>(paths.size());
     p.path = inferrer_.infer_append(record, src_asn, paths);
@@ -45,28 +51,9 @@ void TimelineStore::commit(const PreparedTrace& p,
   // Quality gate: every record (complete or not) is checked before it can
   // touch the Table 1 accounting, so a garbled or re-delivered stream
   // cannot inflate the paper's completeness statistics.
-  if (dedup_.seen_or_insert(p.fingerprint)) {
-    ++quality_.duplicates_dropped;
-    obs_.drop_duplicates.inc();
-    return;
-  }
-  if (p.grid < 0 || p.grid > 0xFFFF) {
-    ++quality_.out_of_grid;
-    obs_.drop_out_of_grid.inc();
-    return;
-  }
-  if (p.grid < last_epoch_seen_) {
-    ++quality_.reordered;
-    obs_.reordered.inc();
-  }
-  last_epoch_seen_ = std::max(last_epoch_seen_, p.grid);
-  if (!p.valid) {
-    ++quality_.invalid_rtt;
-    obs_.drop_invalid_rtt.inc();
-    return;
-  }
-  obs_.records.inc();
-  if (p.complete) obs_.rtt_ms.record(p.rtt_ms);
+  if (!gate_.admit(p.fingerprint, p.grid, kEpochEnd, p.valid)) return;
+  gate_.obs().records.inc();
+  if (p.complete) gate_.obs().rtt_ms.record(p.rtt_ms);
 
   auto& counts = table1_.of(p.family);
   ++counts.collected;
@@ -101,8 +88,7 @@ void TimelineStore::commit(const PreparedTrace& p,
 
   Observation obs;
   obs.epoch = epoch;
-  obs.rtt_tenths = static_cast<std::uint16_t>(
-      std::min(6553.0, std::max(0.0, p.rtt_ms)) * 10.0);
+  obs.rtt_tenths = to_slot(p.rtt_ms);
   obs.path = local;
   if (timeline.obs.empty() || timeline.obs.back().epoch <= epoch) {
     timeline.obs.push_back(obs);
@@ -113,40 +99,6 @@ void TimelineStore::commit(const PreparedTrace& p,
         timeline.obs.begin(), timeline.obs.end(), epoch,
         [](std::uint16_t e, const Observation& o) { return e < o.epoch; });
     timeline.obs.insert(pos, obs);
-  }
-}
-
-const TraceTimeline* TimelineStore::find(topology::ServerId src,
-                                         topology::ServerId dst,
-                                         net::Family family) const {
-  const auto it = timelines_.find(key(src, dst, family));
-  return it == timelines_.end() ? nullptr : &it->second;
-}
-
-void TimelineStore::for_each(
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const TraceTimeline&)>& fn) const {
-  for (const auto& [k, timeline] : timelines_) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, timeline);
-  }
-}
-
-void TimelineStore::for_each_shard(
-    std::size_t shard, std::size_t n_shards,
-    const std::function<void(topology::ServerId, topology::ServerId,
-                             net::Family, const TraceTimeline&)>& fn) const {
-  std::vector<std::pair<std::uint64_t, const TraceTimeline*>> keys;
-  for (const auto& [k, timeline] : timelines_) {
-    if (k % n_shards == shard) keys.emplace_back(k, &timeline);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [k, timeline] : keys) {
-    fn(static_cast<topology::ServerId>(k >> 24),
-       static_cast<topology::ServerId>((k >> 4) & 0xFFFFFu),
-       (k & 1u) ? net::Family::kIPv6 : net::Family::kIPv4, *timeline);
   }
 }
 

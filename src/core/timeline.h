@@ -11,13 +11,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/as_path_infer.h"
 #include "core/data_quality.h"
+#include "core/pair_table.h"
+#include "core/slot_grid.h"
 #include "net/timebase.h"
 #include "probe/records.h"
 #include "topology/topology.h"
@@ -64,7 +65,7 @@ struct Observation {
   std::uint16_t rtt_tenths = 0;  ///< end-to-end RTT in 0.1 ms units
   std::uint16_t path = 0;        ///< index into TraceTimeline::local_paths
 
-  double rtt_ms() const { return rtt_tenths / 10.0; }
+  double rtt_ms() const { return slot_ms(rtt_tenths); }
 };
 
 struct TraceTimeline {
@@ -141,33 +142,36 @@ class TimelineStore {
   /// number of threads may prepare concurrently.
   PreparedTrace prepare(const probe::TracerouteRecord& record,
                         std::vector<net::Asn>& paths) const;
-  /// The order-dependent half: dedup window, reorder watermark, Table 1
-  /// and quality counters, path interning and the timeline insert.
+  /// The order-dependent half: the IngestGate, the Table 1 counters,
+  /// path interning and the timeline insert.
   /// Commits must follow record order for results identical to add().
   void commit(const PreparedTrace& prepared,
               const std::vector<net::Asn>& paths);
 
   const TraceTimeline* find(topology::ServerId src, topology::ServerId dst,
-                            net::Family family) const;
+                            net::Family family) const {
+    return timelines_.find(src, dst, family);
+  }
 
   /// Iterates timelines as fn(src, dst, family, timeline).
-  void for_each(const std::function<void(topology::ServerId,
-                                         topology::ServerId, net::Family,
-                                         const TraceTimeline&)>& fn) const;
+  void for_each(const PairTable<TraceTimeline>::Visitor& fn) const {
+    timelines_.for_each(fn);
+  }
 
   /// Visits the timelines whose key falls in `shard` (key % n_shards), in
   /// ascending key order — hash-layout-independent, so shard outputs merge
   /// deterministically (DESIGN.md section 9). Read-only; distinct shards
   /// are safe to run concurrently.
   void for_each_shard(std::size_t shard, std::size_t n_shards,
-                      const std::function<void(topology::ServerId,
-                                               topology::ServerId, net::Family,
-                                               const TraceTimeline&)>& fn)
-      const;
+                      const PairTable<TraceTimeline>::Visitor& fn) const {
+    timelines_.for_each_shard(shard, n_shards, fn);
+  }
 
   const PathInterner& interner() const noexcept { return interner_; }
   const Table1Counts& table1() const noexcept { return table1_; }
-  const DataQualityReport& quality() const noexcept { return quality_; }
+  const DataQualityReport& quality() const noexcept {
+    return gate_.quality();
+  }
   std::size_t timeline_count() const noexcept { return timelines_.size(); }
   std::uint16_t max_epoch() const noexcept { return max_epoch_; }
   double interval_hours() const {
@@ -175,22 +179,13 @@ class TimelineStore {
   }
 
  private:
-  static std::uint64_t key(topology::ServerId src, topology::ServerId dst,
-                           net::Family family) {
-    return (std::uint64_t{src} << 24) | (std::uint64_t{dst} << 4) |
-           (family == net::Family::kIPv6 ? 1u : 0u);
-  }
-
   const topology::Topology& topo_;
   AsPathInferrer inferrer_;
   TimelineStoreConfig config_;
-  IngestObs obs_ = IngestObs::make("timeline");
+  IngestGate gate_{"timeline"};
   PathInterner interner_;
   Table1Counts table1_;
-  DataQualityReport quality_;
-  DedupWindow dedup_;
-  std::int64_t last_epoch_seen_ = -1;  ///< stream arrival order watermark
-  std::unordered_map<std::uint64_t, TraceTimeline> timelines_;
+  PairTable<TraceTimeline> timelines_;
   std::uint16_t max_epoch_ = 0;
   std::vector<net::Asn> add_paths_;  ///< add()'s reused path buffer
 };

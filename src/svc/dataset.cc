@@ -449,8 +449,8 @@ Dataset::Response Dataset::pair_rtt(const PairQuery& q) const {
     w.key("source").value("ping");
     samples.reserve(ping->valid);
     for (std::size_t e = 0; e < ping->rtt_tenths.size(); ++e) {
-      if (ping->rtt_tenths[e] == core::PingSeriesStore::kMissing) continue;
-      const double ms = ping->rtt_tenths[e] / 10.0;
+      if (ping->rtt_tenths[e] == core::kMissingSlot) continue;
+      const double ms = core::slot_ms(ping->rtt_tenths[e]);
       samples.push_back(ms);
       series.emplace_back(static_cast<std::int64_t>(e), ms);
     }

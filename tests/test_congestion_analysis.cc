@@ -197,7 +197,7 @@ PingSeriesStore::Series slots_of(const std::vector<double>& ms,
   PingSeriesStore::Series s;
   for (std::size_t i = 0; i < ms.size(); ++i) {
     const bool missing = missing_every > 0 && i % missing_every == 0;
-    s.rtt_tenths.push_back(missing ? PingSeriesStore::kMissing
+    s.rtt_tenths.push_back(missing ? kMissingSlot
                                    : static_cast<std::uint16_t>(ms[i] * 10));
     if (!missing) ++s.valid;
   }
@@ -216,18 +216,18 @@ TEST(WindowVerdict, JudgesOnlyTheTrailingWeek) {
 
   const std::span<const std::uint16_t> week =
       std::span<const std::uint16_t>(series.rtt_tenths).last(672);
-  const auto expected = assess_series(
-      PingSeriesStore::to_ms_interpolated(week), 96.0, config);
+  const auto expected =
+      assess_series(interpolate_slots_ms(week), 96.0, config);
   EXPECT_EQ(verdict.samples, 672u);
   EXPECT_EQ(verdict.missing_samples,
             static_cast<std::size_t>(std::count(week.begin(), week.end(),
-                                                PingSeriesStore::kMissing)));
+                                                kMissingSlot)));
   EXPECT_FALSE(verdict.insufficient);
   EXPECT_EQ(verdict.variation_ms, expected.variation_ms);
   EXPECT_EQ(verdict.diurnal_ratio, expected.diurnal_ratio);
   EXPECT_FALSE(verdict.consistent_congestion());
   // The whole two weeks would have been flagged.
-  EXPECT_TRUE(assess_series(PingSeriesStore::to_ms_interpolated(series), 96.0)
+  EXPECT_TRUE(assess_series(interpolate_slots_ms(series.rtt_tenths), 96.0)
                   .high_variation);
 }
 
@@ -237,7 +237,7 @@ TEST(WindowVerdict, ShortGridIsWholeSeries) {
   const CongestionDetectConfig config;
   const auto verdict = window_verdict(series, 96.0, config, 0.6);
   const auto expected = assess_series(
-      PingSeriesStore::to_ms_interpolated(series), 96.0, config);
+      interpolate_slots_ms(series.rtt_tenths), 96.0, config);
   EXPECT_EQ(verdict.samples, ms.size());
   EXPECT_EQ(verdict.missing_samples, ms.size() - series.valid);
   EXPECT_EQ(verdict.variation_ms, expected.variation_ms);
@@ -251,7 +251,7 @@ TEST(WindowVerdict, SparseOrEmptyWindowIsInsufficient) {
   auto ms = diurnal_series(80, 25, 0.5, 8, 96, 24);
   auto series = slots_of(ms, 0);
   for (std::size_t i = 96; i < series.rtt_tenths.size(); ++i) {
-    series.rtt_tenths[i] = PingSeriesStore::kMissing;
+    series.rtt_tenths[i] = kMissingSlot;
   }
   series.valid = 96;
   auto verdict = window_verdict(series, 96.0, config, 0.6);
@@ -286,22 +286,33 @@ TEST(PingSeriesStore, AccumulatesOnGrid) {
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->valid, 1u);
   EXPECT_EQ(series->rtt_tenths[2], 425);
-  EXPECT_EQ(series->rtt_tenths[3], PingSeriesStore::kMissing);
+  EXPECT_EQ(series->rtt_tenths[3], kMissingSlot);
 }
 
 TEST(PingSeriesStore, InterpolationFillsGaps) {
   PingSeriesStore::Series series;
-  series.rtt_tenths = {PingSeriesStore::kMissing, 100,
-                       PingSeriesStore::kMissing, 300,
-                       PingSeriesStore::kMissing};
+  series.rtt_tenths = {kMissingSlot, 100, kMissingSlot, 300, kMissingSlot};
   series.valid = 2;
-  const auto ms = PingSeriesStore::to_ms_interpolated(series);
+  const auto ms = interpolate_slots_ms(series.rtt_tenths);
   ASSERT_EQ(ms.size(), 5u);
   EXPECT_DOUBLE_EQ(ms[0], 10.0);  // leading gap copies first valid
   EXPECT_DOUBLE_EQ(ms[1], 10.0);
   EXPECT_DOUBLE_EQ(ms[2], 20.0);  // midpoint of 10 and 30
   EXPECT_DOUBLE_EQ(ms[3], 30.0);
   EXPECT_DOUBLE_EQ(ms[4], 30.0);  // trailing gap copies last valid
+
+  using Ms = std::vector<double>;
+  constexpr std::uint16_t M = kMissingSlot;
+  const auto fill = [](std::vector<std::uint16_t> slots) {
+    return interpolate_slots_ms(slots);
+  };
+  EXPECT_EQ(fill({}), Ms{});
+  EXPECT_EQ(fill({M, M, M}), Ms{});  // all missing: nothing to fill from
+  EXPECT_EQ(fill({M, 55, M, M}), (Ms{5.5, 5.5, 5.5, 5.5}));  // one sample
+  EXPECT_EQ(fill({M, M, 125, 130}), (Ms{12.5, 12.5, 12.5, 13.0}));  // lead
+  EXPECT_EQ(fill({100, M, M, M, 500}),  // interior: linear
+            (Ms{10.0, 20.0, 30.0, 40.0, 50.0}));
+  EXPECT_EQ(fill({70, 80, M, M}), (Ms{7.0, 8.0, 8.0, 8.0}));  // trailing
 }
 
 TEST(SurveyCongestion, CountsPerFamily) {
@@ -464,6 +475,31 @@ TEST(SegmentSeriesStore, UnresponsiveHopsAreWildcards) {
   EXPECT_TRUE(series->ip_static);
   ASSERT_TRUE(series->hop_addrs[1].has_value());  // learned later
   EXPECT_EQ(*series->hop_addrs[1], addr(2));
+}
+
+// Two traceroutes in one 30-minute epoch: the row keeps the first one
+// whole instead of mixing the second's answered hops into it.
+TEST(SegmentSeriesStore, SecondTraceInAnEpochKeepsTheFirstRow) {
+  SegmentSeriesStore store(0.0, 1800, 10);
+  probe::TracerouteRecord rec;
+  rec.src = 1;
+  rec.dst = 2;
+  rec.family = net::Family::kIPv4;
+  rec.complete = true;
+  rec.time = net::SimTime(0);
+  rec.hops = {{addr(1), 1.0}, {addr(2), 2.0}, {addr(99), 3.0}};
+  store.add(rec);
+  rec.time = net::SimTime(60);
+  rec.hops = {{addr(1), 5.0}, {std::nullopt, 0.0}, {addr(99), 9.0}};
+  store.add(rec);
+  const auto* series = store.find(1, 2, net::Family::kIPv4);
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->traces, 2u);
+  EXPECT_TRUE(series->ip_static);
+  EXPECT_EQ(series->hop_rtt[0][0], 10);
+  EXPECT_EQ(series->hop_rtt[1][0], 20);
+  EXPECT_EQ(series->end_rtt[0], 30);
+  EXPECT_EQ(store.quality().duplicates_dropped, 0u);
 }
 
 }  // namespace

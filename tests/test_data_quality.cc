@@ -5,10 +5,12 @@
 #include <deque>
 #include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/data_quality.h"
 #include "core/segment_series.h"
+#include "obs/metrics.h"
 #include "stats/rng.h"
 
 namespace s2s::core {
@@ -63,6 +65,64 @@ TEST(DedupWindow, MatchesReferenceModel) {
           << "capacity " << capacity << " op " << i << " fp " << fp;
     }
   }
+}
+
+// One admission sequence, checked verdict by verdict. The gate's order
+// shows in the counters: a duplicate that is also off-grid counts only as
+// a duplicate, an off-grid record leaves the watermark where it was, and
+// an invalid record advances it.
+TEST(IngestGate, AdmitsInDedupGridReorderValidityOrder) {
+  struct Step {
+    std::uint64_t fp;
+    std::int64_t epoch;
+    bool valid;
+    bool admitted;
+    DataQualityReport after;  // duplicates, out_of_grid, reordered, invalid
+  };
+  const auto counts = [](std::size_t dup, std::size_t grid,
+                         std::size_t reorder, std::size_t invalid) {
+    DataQualityReport q;
+    q.duplicates_dropped = dup;
+    q.out_of_grid = grid;
+    q.reordered = reorder;
+    q.invalid_rtt = invalid;
+    return q;
+  };
+  const std::vector<Step> steps = {
+      {1, 0, true, true, counts(0, 0, 0, 0)},
+      {2, 5, true, true, counts(0, 0, 0, 0)},
+      {3, 3, true, true, counts(0, 0, 1, 0)},     // behind epoch 5
+      {1, 20, true, false, counts(1, 0, 1, 0)},   // duplicate and off-grid
+      {4, 12, true, false, counts(1, 1, 1, 0)},   // off-grid: watermark stays 5
+      {5, 7, true, true, counts(1, 1, 1, 0)},     // not behind 5
+      {6, 9, false, false, counts(1, 1, 1, 1)},   // invalid: watermark to 9
+      {7, 8, true, true, counts(1, 1, 2, 1)},     // behind 9
+      {8, -1, true, false, counts(1, 2, 2, 1)},   // before the grid
+      {6, 9, false, false, counts(2, 2, 2, 1)},   // an invalid one was seen
+      {0, 9, true, true, counts(2, 2, 2, 1)},     // fingerprint 0 is legal
+      {0, 9, true, false, counts(3, 2, 2, 1)},
+  };
+  IngestGate gate("test_ingest_gate");
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step& s = steps[i];
+    EXPECT_EQ(gate.admit(s.fp, s.epoch, 10, s.valid), s.admitted)
+        << "step " << i;
+    EXPECT_EQ(gate.quality().as_map(), s.after.as_map()) << "step " << i;
+  }
+  gate.drop_duplicate();
+  EXPECT_EQ(gate.quality().duplicates_dropped, 4u);
+
+  const auto counters = obs::MetricsRegistry::global().snapshot().counters;
+  const auto metric = [&](const std::string& event) -> std::size_t {
+    const auto it = counters.find("s2s.test_ingest_gate." + event);
+    return it == counters.end() ? 0 : it->second;
+  };
+  const DataQualityReport& q = gate.quality();
+  EXPECT_EQ(metric("drop_duplicates"), q.duplicates_dropped);
+  EXPECT_EQ(metric("drop_out_of_grid"), q.out_of_grid);
+  EXPECT_EQ(metric("reordered"), q.reordered);
+  EXPECT_EQ(metric("drop_invalid_rtt"), q.invalid_rtt);
+  EXPECT_EQ(metric("records"), 0u);  // the store ticks it, not the gate
 }
 
 probe::TracerouteRecord base_trace() {

@@ -408,11 +408,15 @@ TEST(ChaosCampaign, PingQualityCountersMatchInjectedFaultsExactly) {
   // A ping can come back success=false even at zero loss (transient
   // routing outage); the store skips those without a quality counter.
   // Shadow that decision so the conservation check below stays exact.
-  core::DedupWindow shadow;
+  core::IngestGate shadow("faultsim_shadow");
+  const auto grid_end = static_cast<std::int64_t>(campaign.epochs());
   std::size_t failed_skipped = 0;
   PingFaultInjector inj(fcfg, [&](const probe::PingRecord& r) {
-    if (!shadow.seen_or_insert(core::fingerprint(r)) &&
-        core::valid_record(r) && !r.success) {
+    const std::int64_t epoch =
+        net::grid_epoch(r.time, ccfg.start_day, net::kFifteenMinutes);
+    if (shadow.admit(core::fingerprint(r), epoch, grid_end,
+                     core::valid_record(r)) &&
+        !r.success) {
       ++failed_skipped;
     }
     store.add(r);
