@@ -1,10 +1,10 @@
-// Shared setup for the per-figure/per-table reproduction harnesses.
+// Shared setup for the reproduction harnesses (s2s_figures,
+// bench_ownership).
 //
-// Every bench binary builds a simulated deployment, runs the campaigns it
-// needs, and prints the paper's headline numbers next to the measured
-// ones. Scale defaults are chosen so each binary finishes in about a
-// minute; pass --servers/--pairs/--days/--seed to change them (shapes are
-// scale-invariant, absolute counts are not).
+// Each harness builds a simulated deployment, runs the campaigns it
+// needs, and reports the paper's headline numbers next to the measured
+// ones. Pass --servers/--pairs/--days/--seed to change the scale (shapes
+// are scale-invariant, absolute counts are not).
 #pragma once
 
 #include <cstdio>
@@ -22,7 +22,6 @@
 #include "obs/trace.h"
 #include "probe/campaign.h"
 #include "simnet/network.h"
-#include "stats/ecdf.h"
 #include "stats/rng.h"
 
 namespace s2s::bench {
@@ -204,14 +203,6 @@ inline void print_header(const char* experiment, const Options& opt) {
   std::printf("deployment: %d servers, %d sampled pairs, %.0f days, seed %llu\n",
               opt.servers, opt.pairs, opt.days,
               static_cast<unsigned long long>(opt.seed));
-}
-
-/// Prints an ECDF as "x F(x)" pairs at the given quantile knots.
-inline void print_ecdf(const char* name, const stats::Ecdf& ecdf) {
-  std::printf("%s (n=%zu):\n", name, ecdf.size());
-  for (double q : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}) {
-    std::printf("  p%-4.0f %10.3f\n", q * 100, ecdf.quantile(q));
-  }
 }
 
 }  // namespace s2s::bench

@@ -13,6 +13,7 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "probe/campaign.h"
 #include "simnet/network.h"
 
@@ -315,6 +316,8 @@ std::vector<ScenarioSpec> make_scenario_matrix(bool full) {
 
 ScenarioScore run_scenario(const ScenarioSpec& spec,
                            const HarnessOptions& opt) {
+  // One span per scenario: its wall time in the RunReport's span table.
+  const obs::TraceSpan scenario_span("validate.scenario." + spec.name);
   const ValidateObs vobs = ValidateObs::make();
   ScenarioScore score;
   score.name = spec.name;

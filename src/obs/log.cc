@@ -38,7 +38,7 @@ std::string log_timestamp_utc(std::int64_t now_ms) {
   const int ms = static_cast<int>(now_ms % 1000);
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  char buf[80];
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, ms);

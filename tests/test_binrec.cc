@@ -166,7 +166,8 @@ struct Generated {
 /// Generates a mixed record stream and serializes it with per-kind block
 /// interleaving and explicit epoch-style flushes.
 Generated generate(std::uint64_t seed, std::size_t n,
-                   io::BinWriterConfig config = {.block_records = 64}) {
+                   io::BinWriterConfig config = {.block_records = 64,
+                                                  .resume_index = {}}) {
   Generated g;
   stats::Rng rng(seed);
   std::ostringstream out(std::ios::binary);
@@ -266,7 +267,8 @@ TEST(BinRecRoundTrip, ArmsAgreeOnEveryBlockSize) {
   for (const std::size_t block_records : {1ul, 7ul, 64ul, 4096ul}) {
     const auto g =
         generate(303 + block_records, 500,
-                 io::BinWriterConfig{.block_records = block_records});
+                 io::BinWriterConfig{.block_records = block_records,
+                                     .resume_index = {}});
     const auto m = collect_mmap(g.image);
     expect_same_sequence(g.traces, m.traces);
     expect_same_sequence(g.pings, m.pings);
@@ -277,7 +279,8 @@ TEST(BinRecRoundTrip, FooterlessArchiveFallsBackToSequentialWalk) {
   const auto g = generate(404, 800,
                           io::BinWriterConfig{.block_records = 32,
                                               .write_header = true,
-                                              .write_footer = false});
+                                              .write_footer = false,
+                                              .resume_index = {}});
   io::BinRecordMmapReader footerless(g.image.data(), g.image.size());
   EXPECT_TRUE(footerless.ok());
   EXPECT_FALSE(footerless.has_index());
@@ -432,7 +435,8 @@ TEST(BinRecResume, AppendedArchiveIsByteIdenticalToUninterrupted) {
     }
   }
   const io::BinWriterConfig footerless{
-      .block_records = 1024, .write_header = true, .write_footer = false};
+      .block_records = 1024, .write_header = true, .write_footer = false,
+      .resume_index = {}};
 
   std::ostringstream full(std::ios::binary);
   {
@@ -456,7 +460,8 @@ TEST(BinRecResume, AppendedArchiveIsByteIdenticalToUninterrupted) {
   {
     const io::BinWriterConfig append{.block_records = 1024,
                                      .write_header = false,
-                                     .write_footer = false};
+                                     .write_footer = false,
+                                     .resume_index = {}};
     io::BinRecordWriter writer(interrupted, append);
     for (int e = 3; e < 6; ++e) {
       for (const auto& r : epochs[e]) writer.write(r);
@@ -650,7 +655,8 @@ TEST(BinRecFraming, ReleasingFramedPagesKeepsThePlanAndTheBytes) {
   const auto g = generate(515, 20000,
                           io::BinWriterConfig{.block_records = 32,
                                               .write_header = true,
-                                              .write_footer = false});
+                                              .write_footer = false,
+                                              .resume_index = {}});
   ASSERT_GT(g.image.size(), std::size_t{1} << 20);
   const std::string path = ::testing::TempDir() + "/binrec_framing.s2sb";
   {

@@ -69,7 +69,8 @@ PingArchive make_ping_archive(std::uint64_t seed, std::size_t n_epochs,
   io::BinRecordWriter writer(
       out, io::BinWriterConfig{.block_records = 4096,
                                .write_header = true,
-                               .write_footer = with_footer});
+                               .write_footer = with_footer,
+                               .resume_index = {}});
   for (std::size_t e = 0; e < n_epochs; ++e) {
     a.epochs.emplace_back();
     for (std::size_t i = 0; i < per_epoch; ++i) {

@@ -180,7 +180,8 @@ TEST(CampaignResume, BinaryEpochResumeIsByteIdentical) {
 
   const io::BinWriterConfig plain{.block_records = 4096,
                                   .write_header = true,
-                                  .write_footer = false};
+                                  .write_footer = false,
+                                  .resume_index = {}};
 
   std::string full;
   {
@@ -229,7 +230,8 @@ TEST(CampaignResume, BinaryEpochResumeIsByteIdentical) {
     io::BinRecordWriter writer(
         out, io::BinWriterConfig{.block_records = 4096,
                                  .write_header = false,
-                                 .write_footer = false});
+                                 .write_footer = false,
+                                 .resume_index = {}});
     const auto res = campaign.run(
         [&](const TracerouteRecord& r) { writer.write(r); },
         [&](double) { writer.flush_block(); }, &*ckpt);

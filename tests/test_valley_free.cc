@@ -11,20 +11,20 @@ using topology::AsId;
 using topology::Relationship;
 using topology::Topology;
 
-// Hand-built five-AS topology:
-//
-//        T1a ---p2p--- T1b          (tier-1 clique)
-//        /  \            \
-//      c2p  c2p          c2p
-//      /      \            \
-//    M1 --p2p-- M2          M3
-//     |                      |
-//    c2p                    c2p
-//     |                      |
-//     S1                    S2
-//
-// S1's route to S2 must go up via M1 (or M2), across the tier-1 clique,
-// and down via M3 — strictly valley-free.
+/* Hand-built five-AS topology:
+
+          T1a ---p2p--- T1b          (tier-1 clique)
+          /  \            \
+        c2p  c2p          c2p
+        /      \            \
+      M1 --p2p-- M2          M3
+       |                      |
+      c2p                    c2p
+       |                      |
+       S1                    S2
+
+   S1's route to S2 must go up via M1 (or M2), across the tier-1 clique,
+   and down via M3 — strictly valley-free. */
 class TinyTopology : public ::testing::Test {
  protected:
   void SetUp() override {
