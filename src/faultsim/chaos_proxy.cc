@@ -62,16 +62,7 @@ struct Relay {
 struct ChaosProxy::Impl {};  // (declared for layout stability; unused)
 
 ChaosProxy::ChaosProxy(const ChaosConfig& config)
-    : config_(config), rng_(config.seed) {
-  auto& reg = obs::MetricsRegistry::global();
-  obs_connections_ = reg.counter("s2s.chaos.connections");
-  obs_blackouts_ = reg.counter("s2s.chaos.blackouts");
-  obs_corrupted_ = reg.counter("s2s.chaos.corrupted");
-  obs_truncated_ = reg.counter("s2s.chaos.truncated");
-  obs_resets_ = reg.counter("s2s.chaos.resets");
-  obs_stalls_ = reg.counter("s2s.chaos.stalls");
-  obs_bytes_ = reg.counter("s2s.chaos.bytes_forwarded");
-}
+    : config_(config), rng_(config.seed) {}
 
 ChaosProxy::~ChaosProxy() { stop(); }
 
@@ -150,6 +141,18 @@ ChaosStats ChaosProxy::stats() const {
   return s;
 }
 
+void ChaosProxy::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  const ChaosStats s = stats();
+  counters["s2s.chaos.connections"] = s.connections;
+  counters["s2s.chaos.blackouts"] = s.blackouts;
+  counters["s2s.chaos.corrupted"] = s.corrupted;
+  counters["s2s.chaos.truncated"] = s.truncated;
+  counters["s2s.chaos.resets"] = s.resets;
+  counters["s2s.chaos.stalls"] = s.stalls;
+  counters["s2s.chaos.bytes_forwarded"] = s.bytes_forwarded;
+}
+
 void ChaosProxy::run() {
   std::vector<std::unique_ptr<Relay>> relays;
   std::size_t accepted = 0;
@@ -191,25 +194,21 @@ void ChaosProxy::run() {
 
     if (uniform(config_.reset_prob)) {
       resets_.fetch_add(1);
-      obs_resets_.inc();
       close_relay(r);
       return false;
     }
     if (uniform(config_.truncate_prob)) {
       truncated_.fetch_add(1);
-      obs_truncated_.inc();
       // Forward a strict prefix of the chunk, then kill the pair once
       // the prefix has flushed — the peer sees a frame cut mid-byte.
       bytes.resize(bytes.size() / 2);
       r.close_after_flush = true;
     } else if (uniform(config_.stall_prob)) {
       stalls_.fetch_add(1);
-      obs_stalls_.inc();
       p.stalled = true;
       return true;  // this chunk and everything after it vanishes
     } else if (uniform(config_.corrupt_prob)) {
       corrupted_.fetch_add(1);
-      obs_corrupted_.inc();
       const std::size_t at =
           static_cast<std::size_t>(rng_.below(bytes.size()));
       const auto flip = static_cast<char>(1 + rng_.below(255));
@@ -256,7 +255,6 @@ void ChaosProxy::run() {
       }
       c.off += static_cast<std::size_t>(n);
       bytes_forwarded_.fetch_add(static_cast<std::uint64_t>(n));
-      obs_bytes_.inc(static_cast<std::uint64_t>(n));
       if (c.off >= c.bytes.size()) {
         chunks_forwarded_.fetch_add(1);
         p.queue.pop_front();
@@ -342,7 +340,6 @@ void ChaosProxy::run() {
           ++accepted;
           if (accepted <= config_.blackout_first_conns) {
             blackouts_.fetch_add(1);
-            obs_blackouts_.inc();
             ::close(cfd);
             continue;
           }
@@ -378,11 +375,9 @@ void ChaosProxy::run() {
           ++relayed;
           if (relayed <= config_.stall_first_conns) {
             stalls_.fetch_add(1);
-            obs_stalls_.inc();
             relay->u2c.stalled = true;
           }
           connections_.fetch_add(1);
-          obs_connections_.inc();
           relays.push_back(std::move(relay));
         }
         continue;

@@ -33,16 +33,16 @@
 //
 // The proxy runs its event loop (poll-based, portable) on a thread of
 // its own: start() binds and spawns it, stop() drains and joins. Stats
-// are atomics, safe to read live; s2s.chaos.* obs counters mirror them
-// into any RunReport.
+// are atomics, safe to read live; export_metrics() writes them as
+// s2s.chaos.* counters into a RunReport.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 
-#include "obs/metrics.h"
 #include "stats/rng.h"
 
 namespace s2s::faultsim {
@@ -114,6 +114,9 @@ class ChaosProxy {
   std::uint16_t port() const noexcept { return port_; }
   bool running() const noexcept { return running_.load(); }
   ChaosStats stats() const;
+  /// Writes stats() into `counters` under the s2s.chaos.* names (every
+  /// field but chunks_forwarded and delayed_chunks). Safe while running.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
 
  private:
   struct Impl;
@@ -137,14 +140,6 @@ class ChaosProxy {
   std::atomic<std::uint64_t> resets_{0};
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> delayed_chunks_{0};
-
-  obs::Counter obs_connections_;
-  obs::Counter obs_blackouts_;
-  obs::Counter obs_corrupted_;
-  obs::Counter obs_truncated_;
-  obs::Counter obs_resets_;
-  obs::Counter obs_stalls_;
-  obs::Counter obs_bytes_;
 };
 
 }  // namespace s2s::faultsim

@@ -1,15 +1,12 @@
 #include "live/watermark.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <vector>
 
+#include "io/binrec.h"
 #include "io/crc32c.h"
 
 namespace s2s::live {
@@ -47,20 +44,6 @@ std::uint32_t get_u32le(const unsigned char* p) {
 std::uint64_t get_u64le(const unsigned char* p) {
   return static_cast<std::uint64_t>(get_u32le(p)) |
          (static_cast<std::uint64_t>(get_u32le(p + 4)) << 32);
-}
-
-/// fsync the directory containing `path` so a rename inside it is
-/// durable (same discipline as AtomicArchiveWriter::commit).
-void fsync_parent_dir(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 }  // namespace
@@ -108,35 +91,12 @@ WatermarkStatus decode_watermark(const void* data, std::size_t size,
 
 bool write_watermark_file(const std::string& archive_path,
                           const Watermark& wm, std::string& error) {
-  const std::string path = watermark_path(archive_path);
-  const std::string tmp = path + ".tmp";
+  // commit() fails unless the tmp image is fsynced before the rename
+  // publishes it: a sidecar never describes bytes that are not durable.
+  io::AtomicArchiveWriter out(watermark_path(archive_path));
   const std::string image = encode_watermark(wm);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      error = tmp + ": open failed";
-      return false;
-    }
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    out.flush();
-    if (!out) {
-      error = tmp + ": write failed";
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  const int fd = ::open(tmp.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    error = path + ": rename failed";
-    std::remove(tmp.c_str());
-    return false;
-  }
-  fsync_parent_dir(path);
-  return true;
+  out.stream().write(image.data(), static_cast<std::streamsize>(image.size()));
+  return out.commit(error);
 }
 
 WatermarkStatus read_watermark_file(const std::string& archive_path,

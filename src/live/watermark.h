@@ -46,8 +46,9 @@ enum class WatermarkStatus : std::uint8_t {
 /// `<archive path>.wm`.
 std::string watermark_path(const std::string& archive_path);
 
-/// Atomic sidecar update (tmp + fsync + rename + dir fsync). Call only
-/// after the described data bytes are themselves durable.
+/// Atomic sidecar update through io::AtomicArchiveWriter (tmp + fsync +
+/// rename + dir fsync); fails if the tmp image cannot be made durable.
+/// Call only after the described data bytes are themselves durable.
 bool write_watermark_file(const std::string& archive_path,
                           const Watermark& wm, std::string& error);
 

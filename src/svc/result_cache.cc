@@ -8,32 +8,18 @@
 namespace s2s::svc {
 
 ResultCache::ResultCache(std::size_t max_bytes)
-    : max_bytes_(std::max<std::size_t>(max_bytes, 1)) {
-  auto& reg = obs::MetricsRegistry::global();
-  obs_hits_ = reg.counter("s2s.svc.cache_hits");
-  obs_misses_ = reg.counter("s2s.svc.cache_misses");
-  obs_evictions_ = reg.counter("s2s.svc.cache_evictions");
-}
+    : max_bytes_(std::max<std::size_t>(max_bytes, 1)) {}
 
 ResultCache::Value ResultCache::find(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
-    obs_misses_.inc();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
-  obs_hits_.inc();
   return it->second->second;
-}
-
-bool ResultCache::lookup(const std::string& key, std::string& value_out) {
-  const Value v = find(key);
-  if (!v) return false;
-  value_out = *v;
-  return true;
 }
 
 void ResultCache::insert(const std::string& key, Value value) {
@@ -59,15 +45,7 @@ void ResultCache::insert(const std::string& key, Value value) {
     index_.erase(victim.first);
     lru_.pop_back();
     ++evictions_;
-    obs_evictions_.inc();
   }
-}
-
-void ResultCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
 }
 
 ResultCache::Stats ResultCache::stats() const {

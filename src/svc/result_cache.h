@@ -27,10 +27,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
-
-#include "obs/metrics.h"
 
 namespace s2s::svc {
 
@@ -44,23 +43,14 @@ class ResultCache {
   using Value = std::shared_ptr<const std::string>;
 
   /// The hit's shared value (the entry becomes most recently used) or
-  /// nullptr on a miss. Counts s2s.svc.cache_hits / cache_misses.
+  /// nullptr on a miss. Counts a hit or a miss.
   Value find(const std::string& key);
 
   /// Inserts or refreshes; evicts least-recently-used entries until the
-  /// cache is back under budget (s2s.svc.cache_evictions). Values larger
-  /// than the budget are dropped rather than cycling the whole cache
-  /// through the LRU. Null values are ignored.
+  /// cache is back under budget (each counted as an eviction). Values
+  /// larger than the budget are dropped rather than cycling the whole
+  /// cache through the LRU. Null values are ignored.
   void insert(const std::string& key, Value value);
-
-  /// Copying convenience wrappers over find()/insert().
-  bool lookup(const std::string& key, std::string& value_out);
-  void insert(const std::string& key, std::string value) {
-    insert(key, std::make_shared<const std::string>(std::move(value)));
-  }
-
-  /// Drops every entry (counts nothing; used on explicit reset paths).
-  void clear();
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -70,7 +60,8 @@ class ResultCache {
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;
   };
-  /// Safe concurrently with find()/insert().
+  /// Safe concurrently with find()/insert(). The server exports the sum
+  /// over its reactors' caches as s2s.svc.cache_* (DESIGN.md section 13).
   Stats stats() const;
 
   /// Builds the canonical cache key: archive digest + request type byte +
@@ -91,9 +82,6 @@ class ResultCache {
   std::unordered_map<std::string, Lru::iterator> index_;
   std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, evictions_ = 0;
-  obs::Counter obs_hits_;
-  obs::Counter obs_misses_;
-  obs::Counter obs_evictions_;
 };
 
 }  // namespace s2s::svc

@@ -41,18 +41,20 @@ RetryingClient::RetryingClient(std::string host, std::uint16_t port,
     : host_(std::move(host)),
       port_(port),
       policy_(policy),
-      rng_(policy.jitter_seed) {
-  auto& reg = obs::MetricsRegistry::global();
-  obs_attempts_ = reg.counter("s2s.svc.retry.attempts");
-  obs_retries_ = reg.counter("s2s.svc.retry.retries");
-  obs_failed_ = reg.counter("s2s.svc.retry.failed_attempts");
-  obs_timeouts_ = reg.counter("s2s.svc.retry.timeouts");
-  obs_reconnects_ = reg.counter("s2s.svc.retry.reconnects");
-  obs_busy_ = reg.counter("s2s.svc.retry.busy_rescheduled");
-  obs_hedges_ = reg.counter("s2s.svc.retry.hedges");
-  obs_hedge_wins_ = reg.counter("s2s.svc.retry.hedge_wins");
-  obs_breaker_ = reg.counter("s2s.svc.retry.breaker_fast_fails");
-  obs_giveups_ = reg.counter("s2s.svc.retry.giveups");
+      rng_(policy.jitter_seed) {}
+
+void RetryingClient::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["s2s.svc.retry.attempts"] = stats_.attempts;
+  counters["s2s.svc.retry.retries"] = stats_.retries;
+  counters["s2s.svc.retry.failed_attempts"] = stats_.failed_attempts;
+  counters["s2s.svc.retry.timeouts"] = stats_.timeouts;
+  counters["s2s.svc.retry.reconnects"] = stats_.reconnects;
+  counters["s2s.svc.retry.busy_rescheduled"] = stats_.busy_rescheduled;
+  counters["s2s.svc.retry.hedges"] = stats_.hedges;
+  counters["s2s.svc.retry.hedge_wins"] = stats_.hedge_wins;
+  counters["s2s.svc.retry.breaker_fast_fails"] = stats_.breaker_fast_fails;
+  counters["s2s.svc.retry.giveups"] = stats_.giveups;
 }
 
 std::int64_t RetryingClient::now_ms() const {
@@ -77,7 +79,6 @@ bool RetryingClient::ensure_connected(Client& client, bool& first_use,
     first_use = false;
   } else {
     ++stats_.reconnects;
-    obs_reconnects_.inc();
   }
   return true;
 }
@@ -87,7 +88,6 @@ int RetryingClient::attempt(MsgType type, std::uint8_t flags,
                             std::string* response_payload, int* hint_ms,
                             std::string& error, const char* span_name) {
   ++stats_.attempts;
-  obs_attempts_.inc();
 
   auto& collector = obs::TraceCollector::global();
   const bool tracing = policy_.trace && collector.enabled();
@@ -138,7 +138,6 @@ int RetryingClient::attempt(MsgType type, std::uint8_t flags,
       const std::int64_t now = now_ms();
       if (now >= deadline) {
         ++stats_.timeouts;
-        obs_timeouts_.inc();
         error = "attempt timed out after " +
                 std::to_string(policy_.timeout_ms) + "ms";
         primary_.close();
@@ -151,7 +150,6 @@ int RetryingClient::attempt(MsgType type, std::uint8_t flags,
         // the primary attempt is still in flight.
         hedge_spent = true;
         ++stats_.hedges;
-        obs_hedges_.inc();
         // The hedge gets its own span (child of the attempt) and its own
         // span id on the wire, so the export shows two server request
         // spans racing under one attempt — and which one won.
@@ -208,7 +206,6 @@ int RetryingClient::attempt(MsgType type, std::uint8_t flags,
 
     if (winner == &hedge) {
       ++stats_.hedge_wins;
-      obs_hedge_wins_.inc();
       if (hedge_span) hedge_span->set_note("won");
       primary_.close();
       primary_ = std::move(hedge);
@@ -256,7 +253,6 @@ bool RetryingClient::call(MsgType type, std::uint8_t flags,
   if (policy_.breaker_failures > 0 && breaker_until_ms_ > 0) {
     if (now_ms() < breaker_until_ms_) {
       ++stats_.breaker_fast_fails;
-      obs_breaker_.inc();
       error = "circuit breaker open";
       return false;
     }
@@ -268,7 +264,6 @@ bool RetryingClient::call(MsgType type, std::uint8_t flags,
   for (int attempt_no = 0; attempt_no <= policy_.max_retries; ++attempt_no) {
     if (attempt_no > 0) {
       ++stats_.retries;
-      obs_retries_.inc();
     }
     int hint = -1;
     std::string attempt_error;
@@ -283,7 +278,6 @@ bool RetryingClient::call(MsgType type, std::uint8_t flags,
     last_error = attempt_error;
     if (outcome == 2) {
       ++stats_.busy_rescheduled;
-      obs_busy_.inc();
       if (attempt_no == policy_.max_retries) break;
       if (hint >= 0) {
         stats_.busy_hint_ms += static_cast<std::uint64_t>(hint);
@@ -294,7 +288,6 @@ bool RetryingClient::call(MsgType type, std::uint8_t flags,
       continue;
     }
     ++stats_.failed_attempts;
-    obs_failed_.inc();
     if (attempt_no == policy_.max_retries) break;
     // Decorrelated jitter: draw uniformly from [base, 3*prev], capped.
     const int lo = std::max(policy_.backoff_base_ms, 1);
@@ -307,7 +300,6 @@ bool RetryingClient::call(MsgType type, std::uint8_t flags,
   }
 
   ++stats_.giveups;
-  obs_giveups_.inc();
   if (policy_.breaker_failures > 0 &&
       ++consecutive_giveups_ >= policy_.breaker_failures) {
     breaker_until_ms_ = now_ms() + policy_.breaker_cooldown_ms;

@@ -30,15 +30,15 @@
 // job). Chaos tests assert exact equality between ChaosStats ground
 // truth and failed_attempts; overload tests assert against the busy
 // counters. Mixing the two would make both assertions sloppy.
-// The same numbers are mirrored to s2s.svc.retry.* obs counters so any
-// tool's RunReport carries them.
+// export_metrics() writes the same numbers as s2s.svc.retry.* counters
+// into a tool's RunReport.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
-#include "obs/metrics.h"
 #include "stats/rng.h"
 #include "svc/client.h"
 #include "svc/protocol.h"
@@ -100,6 +100,9 @@ class RetryingClient {
             std::string& error);
 
   const RetryStats& stats() const noexcept { return stats_; }
+  /// Writes stats() into `counters` under the s2s.svc.retry.* names
+  /// (every field but calls and busy_hint_ms).
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
   bool breaker_open() const noexcept { return breaker_until_ms_ > 0; }
 
  private:
@@ -123,17 +126,6 @@ class RetryingClient {
   RetryStats stats_;
   int consecutive_giveups_ = 0;
   std::int64_t breaker_until_ms_ = 0;  ///< 0 = closed
-
-  obs::Counter obs_attempts_;
-  obs::Counter obs_retries_;
-  obs::Counter obs_failed_;
-  obs::Counter obs_timeouts_;
-  obs::Counter obs_reconnects_;
-  obs::Counter obs_busy_;
-  obs::Counter obs_hedges_;
-  obs::Counter obs_hedge_wins_;
-  obs::Counter obs_breaker_;
-  obs::Counter obs_giveups_;
 };
 
 }  // namespace s2s::svc

@@ -29,6 +29,28 @@ std::chrono::milliseconds ms(int v) { return std::chrono::milliseconds(v); }
 /// costs less than the iovec array walk.
 constexpr int kMaxIovec = 64;
 
+/// listen() backlog per listener.
+constexpr int kListenBacklog = 64;
+/// Connection cap across all reactors; accepts past it are closed.
+constexpr std::size_t kMaxConnections = 256;
+/// Oversized payloads up to this are drained so the connection
+/// survives; beyond it the connection closes after the error frame.
+constexpr std::size_t kMaxDiscardBytes = 1u << 20;
+/// Slow-query log rate limit: lines per one-second interval.
+constexpr std::uint32_t kSlowLogMaxPerInterval = 10;
+/// Ring granularity of the windowed latency views.
+constexpr int kWindowSlots = 6;
+
+/// Metric name of each Server::Stat, in enum order.
+constexpr const char* kStatNames[] = {
+    "s2s.svc.requests",       "s2s.svc.conns_accepted",
+    "s2s.svc.conns_reaped",   "s2s.svc.accept_emfile",
+    "s2s.svc.busy_rejected",  "s2s.svc.shed.cost",
+    "s2s.svc.shed.inflight",  "s2s.svc.shed.client",
+    "s2s.svc.protocol_errors", "s2s.svc.bytes_rx",
+    "s2s.svc.bytes_tx",
+};
+
 epoll_event interest(int fd, bool want_read, bool want_write) {
   epoll_event ev{};
   ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
@@ -88,24 +110,10 @@ Server::Server(Dataset& dataset, exec::ThreadPool* pool,
     : dataset_(dataset),
       pool_(pool),
       config_(config),
-      slow_log_({config.slow_query_us, config.slow_log_max_per_interval,
+      slow_log_({config.slow_query_us, kSlowLogMaxPerInterval,
                  /*interval_ms=*/1000, /*max_entries=*/128}) {
   if (config_.reactors == 0) config_.reactors = 1;
   auto& reg = obs::MetricsRegistry::global();
-  obs_requests_ = reg.counter("s2s.svc.requests");
-  obs_accepted_ = reg.counter("s2s.svc.conns_accepted");
-  obs_reaped_ = reg.counter("s2s.svc.conns_reaped");
-  obs_busy_ = reg.counter("s2s.svc.busy_rejected");
-  obs_shed_cost_ = reg.counter("s2s.svc.shed.cost");
-  obs_shed_inflight_ = reg.counter("s2s.svc.shed.inflight");
-  obs_shed_client_ = reg.counter("s2s.svc.shed.client");
-  obs_protocol_errors_ = reg.counter("s2s.svc.protocol_errors");
-  obs_bytes_rx_ = reg.counter("s2s.svc.bytes_rx");
-  obs_bytes_tx_ = reg.counter("s2s.svc.bytes_tx");
-  obs_reloads_ = reg.counter("s2s.svc.reloads");
-  obs_accept_emfile_ = reg.counter("s2s.svc.accept_emfile");
-  obs_active_conns_ = reg.gauge("s2s.svc.active_conns");
-  obs_pending_cost_ = reg.gauge("s2s.svc.pending_cost");
   for (const MsgType t :
        {MsgType::kPingEcho, MsgType::kPairRtt, MsgType::kPathPrevalence,
         MsgType::kCongestionVerdict, MsgType::kDualStackDelta,
@@ -118,13 +126,9 @@ Server::Server(Dataset& dataset, exec::ThreadPool* pool,
     windowed_.emplace(
         key, std::make_unique<obs::WindowedHistogram>(
                  obs::MetricsRegistry::latency_us_bounds(),
-                 config_.window_seconds, config_.window_slots));
+                 config_.window_seconds, kWindowSlots));
     auto cell = std::make_unique<SloCell>();
     cell->threshold_us = config_.slo_ms * 1000.0;
-    cell->obs_good =
-        reg.counter(std::string("s2s.svc.slo.") + type_name(t) + ".good");
-    cell->obs_total =
-        reg.counter(std::string("s2s.svc.slo.") + type_name(t) + ".total");
     slo_.emplace(key, std::move(cell));
   }
 }
@@ -181,7 +185,7 @@ int Server::open_listener(std::uint16_t& port, bool reuseport,
     ::close(fd);
     return -1;
   }
-  if (::listen(fd, config_.backlog) < 0) {
+  if (::listen(fd, kListenBacklog) < 0) {
     error = "listen: " + std::string(std::strerror(errno));
     ::close(fd);
     return -1;
@@ -230,14 +234,6 @@ bool Server::start(std::string& error) {
     r.poller_.add(r.listen_fd_, true, false);
   }
   port_ = port;
-  if (dataset_.live()) {
-    ensure_live_metrics();
-    obs_live_watermark_.set(static_cast<double>(dataset_.watermark().epoch));
-    obs_live_sealed_bytes_.set(
-        static_cast<double>(dataset_.watermark().sealed_bytes));
-    obs_live_pairs_.set(static_cast<double>(
-        dataset_.live_state() ? dataset_.live_state()->pairs_tracked() : 0));
-  }
   start_time_ = Clock::now();
   return true;
 }
@@ -291,7 +287,6 @@ void Server::do_reload() {
       dataset_current_ = fresh;
     }
     reloads_.fetch_add(1, std::memory_order_relaxed);
-    obs_reloads_.inc();
     obs::logf(obs::LogLevel::kInfo,
               "s2sd: archive reloaded (%zu records, digest %016llx)",
               fresh->ingest().records,
@@ -299,16 +294,6 @@ void Server::do_reload() {
   } else {
     obs::logf(obs::LogLevel::kWarn, "s2sd: reload failed: %s", error.c_str());
   }
-}
-
-void Server::ensure_live_metrics() {
-  if (live_metrics_ready_) return;
-  auto& reg = obs::MetricsRegistry::global();
-  obs_live_pickups_ = reg.counter("s2s.live.delta_pickups");
-  obs_live_watermark_ = reg.gauge("s2s.live.watermark_epoch");
-  obs_live_sealed_bytes_ = reg.gauge("s2s.live.sealed_bytes");
-  obs_live_pairs_ = reg.gauge("s2s.live.pairs");
-  live_metrics_ready_ = true;
 }
 
 void Server::maybe_live_advance() {
@@ -334,13 +319,6 @@ void Server::maybe_live_advance() {
     dataset_current_ = next;
   }
   live_pickups_.fetch_add(1, std::memory_order_relaxed);
-  ensure_live_metrics();
-  obs_live_pickups_.inc();
-  obs_live_watermark_.set(static_cast<double>(next->watermark().epoch));
-  obs_live_sealed_bytes_.set(
-      static_cast<double>(next->watermark().sealed_bytes));
-  obs_live_pairs_.set(static_cast<double>(
-      next->live_state() ? next->live_state()->pairs_tracked() : 0));
   obs::logf(obs::LogLevel::kInfo,
             "s2sd: live pickup to epoch %lld (%llu sealed bytes, digest "
             "%016llx)",
@@ -357,7 +335,7 @@ std::vector<std::uint64_t> Server::reactor_accepted() const {
   std::vector<std::uint64_t> out;
   out.reserve(reactors_.size());
   for (const auto& r : reactors_) {
-    out.push_back(r->accepted_.load(std::memory_order_relaxed));
+    out.push_back(r->stats_[kConnsAccepted].load(std::memory_order_relaxed));
   }
   return out;
 }
@@ -376,41 +354,20 @@ ResultCache::Stats Server::cache_stats() const {
   return out;
 }
 
-std::uint64_t Server::requests_served() const {
-  std::uint64_t total = 0;
+std::uint64_t Server::total(Stat stat) const {
+  std::uint64_t sum = 0;
   for (const auto& r : reactors_) {
-    total += r->requests_served_.load(std::memory_order_relaxed);
+    sum += r->stats_[stat].load(std::memory_order_relaxed);
   }
-  return total;
+  return sum;
 }
 
-std::uint64_t Server::connections_reaped() const {
-  std::uint64_t total = 0;
+std::size_t Server::pending_cost() const {
+  std::size_t sum = 0;
   for (const auto& r : reactors_) {
-    total += r->reaped_.load(std::memory_order_relaxed);
+    sum += r->pending_cost_.load(std::memory_order_relaxed);
   }
-  return total;
-}
-
-std::uint64_t Server::accept_emfile() const {
-  std::uint64_t total = 0;
-  for (const auto& r : reactors_) {
-    total += r->accept_emfile_.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Server::set_conns_gauge() {
-  obs_active_conns_.set(
-      static_cast<double>(total_conns_.load(std::memory_order_relaxed)));
-}
-
-void Server::set_pending_cost_gauge() {
-  std::size_t total = 0;
-  for (const auto& r : reactors_) {
-    total += r->pending_cost_.load(std::memory_order_relaxed);
-  }
-  obs_pending_cost_.set(static_cast<double>(total));
+  return sum;
 }
 
 double Server::uptime_seconds() const {
@@ -565,8 +522,7 @@ void Server::Reactor::accept_ready() {
       if (errno == EMFILE || errno == ENFILE) {
         // Out of fds: a level-triggered poller would busy-spin on the
         // still-readable listener. Unwatch it and re-arm on a timer.
-        accept_emfile_.fetch_add(1, std::memory_order_relaxed);
-        srv_.obs_accept_emfile_.inc();
+        count(kAcceptEmfile);
         pause_listener();
       }
       break;  // EAGAIN or transient accept failure
@@ -576,8 +532,7 @@ void Server::Reactor::accept_ready() {
 }
 
 void Server::Reactor::adopt_fd(int fd) {
-  if (srv_.total_conns_.load(std::memory_order_relaxed) >=
-      srv_.config_.max_connections) {
+  if (srv_.total_conns_.load(std::memory_order_relaxed) >= kMaxConnections) {
     ::close(fd);
     return;
   }
@@ -588,10 +543,8 @@ void Server::Reactor::adopt_fd(int fd) {
   conn.read_deadline_base = conn.write_deadline_base = Clock::now();
   conns_.emplace(fd, std::move(conn));
   poller_.add(fd, true, false);
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  srv_.obs_accepted_.inc();
+  count(kConnsAccepted);
   srv_.total_conns_.fetch_add(1, std::memory_order_relaxed);
-  srv_.set_conns_gauge();
 }
 
 void Server::Reactor::pause_listener() {
@@ -623,7 +576,7 @@ void Server::Reactor::handle_readable(Conn& conn) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
-      srv_.obs_bytes_rx_.inc(static_cast<std::uint64_t>(n));
+      count(kBytesRx, static_cast<std::uint64_t>(n));
       progress = true;
       continue;
     }
@@ -663,8 +616,7 @@ void Server::Reactor::parse_frames(Conn& conn) {
     if (status != HeaderStatus::kOk) {
       // Without a trusted magic/version there is no frame boundary to
       // resync to; answer and close.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      srv_.obs_protocol_errors_.inc();
+      count(kProtocolErrors);
       respond_error(conn, "bad_frame",
                     status == HeaderStatus::kBadMagic
                         ? "bad frame magic; stream is not framed"
@@ -674,10 +626,8 @@ void Server::Reactor::parse_frames(Conn& conn) {
       break;
     }
     if (header.payload_bytes > srv_.config_.max_request_bytes) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      srv_.obs_protocol_errors_.inc();
-      const bool recoverable =
-          header.payload_bytes <= srv_.config_.max_discard_bytes;
+      count(kProtocolErrors);
+      const bool recoverable = header.payload_bytes <= kMaxDiscardBytes;
       respond_error(conn, "oversized", "request payload exceeds limit",
                     /*close_after=*/!recoverable);
       if (!recoverable) {
@@ -698,15 +648,13 @@ void Server::Reactor::parse_frames(Conn& conn) {
       // The length field was covered by the (failed) CRC but the frame
       // boundary is still coherent: skip exactly this frame and keep the
       // connection.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      srv_.obs_protocol_errors_.inc();
+      count(kProtocolErrors);
       respond_error(conn, "bad_crc", "frame checksum mismatch",
                     /*close_after=*/false);
       continue;
     }
     if (!is_request(header.type)) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      srv_.obs_protocol_errors_.inc();
+      count(kProtocolErrors);
       respond_error(conn, "bad_request", "unknown or non-request frame type",
                     /*close_after=*/false);
       continue;
@@ -717,8 +665,7 @@ void Server::Reactor::parse_frames(Conn& conn) {
         !strip_trace_context(payload, trace, request_payload)) {
       // The flag promised a prefix the payload is too short to hold. The
       // frame boundary is still trusted, so only this request dies.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      srv_.obs_protocol_errors_.inc();
+      count(kProtocolErrors);
       respond_error(conn, "bad_request",
                     "trace-context flag without trace-context prefix",
                     /*close_after=*/false);
@@ -751,24 +698,20 @@ void Server::Reactor::admit_request(Conn& conn, MsgType type,
   if (srv_.config_.max_client_pending > 0 &&
       client_pending >= srv_.config_.max_client_pending) {
     reason = "per-connection queue full";
-    shed_client_.fetch_add(1, std::memory_order_relaxed);
-    srv_.obs_shed_client_.inc();
+    count(kShedClient);
   } else if (pending_count >= srv_.config_.max_inflight) {
     reason = "too many requests in flight";
-    shed_inflight_.fetch_add(1, std::memory_order_relaxed);
-    srv_.obs_shed_inflight_.inc();
+    count(kShedInflight);
   } else if (srv_.config_.max_pending_cost > 0 && pending_count > 0 &&
              pending_cost + cost > srv_.config_.max_pending_cost) {
     // An empty queue always admits (progress guarantee for requests
     // costlier than the whole budget).
     reason = "pending cost budget exceeded";
-    shed_cost_.fetch_add(1, std::memory_order_relaxed);
-    srv_.obs_shed_cost_.inc();
+    count(kShedCost);
   }
 
   if (reason != nullptr) {
-    busy_rejected_.fetch_add(1, std::memory_order_relaxed);
-    srv_.obs_busy_.inc();
+    count(kBusyRejected);
     // Advertise a retry horizon that grows with budget pressure: base
     // when idle, 2x base when the pending-cost budget is saturated.
     int hint = srv_.config_.busy_retry_after_ms;
@@ -797,7 +740,6 @@ void Server::Reactor::admit_request(Conn& conn, MsgType type,
   conn.queue.push_back(std::move(item));
   pending_count_.fetch_add(1, std::memory_order_relaxed);
   pending_cost_.fetch_add(cost, std::memory_order_relaxed);
-  srv_.set_pending_cost_gauge();
 }
 
 void Server::Reactor::execute_pending() {
@@ -819,7 +761,6 @@ void Server::Reactor::execute_pending() {
       if (!item.shed) {
         pending_count_.fetch_sub(1, std::memory_order_relaxed);
         pending_cost_.fetch_sub(item.cost, std::memory_order_relaxed);
-        srv_.set_pending_cost_gauge();
       }
       if (item.shed) {
         respond(it->second, MsgType::kError, item.payload);
@@ -842,8 +783,7 @@ bool Server::Reactor::queues_empty() const {
 void Server::Reactor::execute_one(int fd, const PendingItem& item) {
   if (conns_.find(fd) == conns_.end()) return;  // closed meanwhile
   const auto t0 = Clock::now();
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  srv_.obs_requests_.inc();
+  count(kRequests);
 
   // Every request acquires the dataset snapshot exactly once: digest,
   // execution, and zero-copy slices all see one coherent dataset even
@@ -1026,10 +966,8 @@ void Server::Reactor::finish_request(
   if (const auto s = srv_.slo_.find(key); s != srv_.slo_.end()) {
     SloCell& cell = *s->second;
     cell.total.fetch_add(1, std::memory_order_relaxed);
-    cell.obs_total.inc();
     if (static_cast<double>(total_us) <= cell.threshold_us) {
       cell.good.fetch_add(1, std::memory_order_relaxed);
-      cell.obs_good.inc();
     }
   }
   if (srv_.slow_log_.enabled() && total_us > srv_.slow_log_.threshold_us()) {
@@ -1132,7 +1070,7 @@ void Server::Reactor::flush_out(Conn& conn) {
     msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
     const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      srv_.obs_bytes_tx_.inc(static_cast<std::uint64_t>(n));
+      count(kBytesTx, static_cast<std::uint64_t>(n));
       conn.write_deadline_base = Clock::now();
       conn.out_bytes -= static_cast<std::size_t>(n);
       std::size_t left = static_cast<std::size_t>(n);
@@ -1183,12 +1121,10 @@ void Server::Reactor::close_conn(int fd) {
       pending_cost_.fetch_sub(item.cost, std::memory_order_relaxed);
     }
   }
-  srv_.set_pending_cost_gauge();
   poller_.remove(fd);
   ::close(fd);
   conns_.erase(it);
   srv_.total_conns_.fetch_sub(1, std::memory_order_relaxed);
-  srv_.set_conns_gauge();
 }
 
 void Server::Reactor::reap_timeouts(Clock::time_point now) {
@@ -1205,8 +1141,7 @@ void Server::Reactor::reap_timeouts(Clock::time_point now) {
     }
   }
   for (const int fd : dead) {
-    reaped_.fetch_add(1, std::memory_order_relaxed);
-    srv_.obs_reaped_.inc();
+    count(kConnsReaped);
     close_conn(fd);
   }
 }
@@ -1251,20 +1186,6 @@ int Server::Reactor::next_timeout_ms(Clock::time_point now) const {
 
 std::string Server::stats_payload(const Dataset& dataset) const {
   const ResultCache::Stats cache = cache_stats();
-  std::uint64_t accepted = 0, reaped = 0, busy = 0, shed_cost = 0,
-                shed_inflight = 0, shed_client = 0, protocol_errors = 0,
-                emfile = 0, pending_cost = 0;
-  for (const auto& r : reactors_) {
-    accepted += r->accepted_.load(std::memory_order_relaxed);
-    reaped += r->reaped_.load(std::memory_order_relaxed);
-    busy += r->busy_rejected_.load(std::memory_order_relaxed);
-    shed_cost += r->shed_cost_.load(std::memory_order_relaxed);
-    shed_inflight += r->shed_inflight_.load(std::memory_order_relaxed);
-    shed_client += r->shed_client_.load(std::memory_order_relaxed);
-    protocol_errors += r->protocol_errors_.load(std::memory_order_relaxed);
-    emfile += r->accept_emfile_.load(std::memory_order_relaxed);
-    pending_cost += r->pending_cost_.load(std::memory_order_relaxed);
-  }
   obs::json::Writer w;
   w.begin_object();
   w.key("type").value("server_stats");
@@ -1277,20 +1198,20 @@ std::string Server::stats_payload(const Dataset& dataset) const {
       .value(static_cast<std::uint64_t>(
           total_conns_.load(std::memory_order_relaxed)));
   w.key("draining").value(draining_.load(std::memory_order_relaxed));
-  w.key("requests").value(requests_served());
-  w.key("conns_accepted").value(accepted);
-  w.key("conns_reaped").value(reaped);
-  w.key("accept_emfile").value(emfile);
-  w.key("busy_rejected").value(busy);
+  w.key("requests").value(total(kRequests));
+  w.key("conns_accepted").value(total(kConnsAccepted));
+  w.key("conns_reaped").value(total(kConnsReaped));
+  w.key("accept_emfile").value(total(kAcceptEmfile));
+  w.key("busy_rejected").value(total(kBusyRejected));
   w.key("shed").begin_object();
-  w.key("cost").value(shed_cost);
-  w.key("inflight").value(shed_inflight);
-  w.key("client").value(shed_client);
-  w.key("pending_cost").value(pending_cost);
+  w.key("cost").value(total(kShedCost));
+  w.key("inflight").value(total(kShedInflight));
+  w.key("client").value(total(kShedClient));
+  w.key("pending_cost").value(static_cast<std::uint64_t>(pending_cost()));
   w.key("max_pending_cost")
       .value(static_cast<std::uint64_t>(config_.max_pending_cost));
   w.end_object();
-  w.key("protocol_errors").value(protocol_errors);
+  w.key("protocol_errors").value(total(kProtocolErrors));
   w.key("reloads").value(reloads());
   w.key("slow_queries").begin_object();
   w.key("threshold_us")
@@ -1352,23 +1273,45 @@ std::string Server::live_status_payload(const Dataset& dataset) const {
   return w.str();
 }
 
+void Server::export_metrics(std::map<std::string, std::uint64_t>& counters,
+                            std::map<std::string, double>& gauges) const {
+  static_assert(std::size(kStatNames) == kStatCount);
+  for (std::size_t s = 0; s < kStatCount; ++s) {
+    counters[kStatNames[s]] = total(static_cast<Stat>(s));
+  }
+  counters["s2s.svc.reloads"] = reloads();
+  for (const auto& [name, slo] : slo_stats()) {
+    counters[name + ".good"] = slo.good;
+    counters[name + ".total"] = slo.total;
+  }
+  const ResultCache::Stats cache = cache_stats();
+  counters["s2s.svc.cache_hits"] = cache.hits;
+  counters["s2s.svc.cache_misses"] = cache.misses;
+  counters["s2s.svc.cache_insertions"] = cache.insertions;
+  counters["s2s.svc.cache_evictions"] = cache.evictions;
+  gauges["s2s.svc.cache_entries"] = static_cast<double>(cache.entries);
+  gauges["s2s.svc.cache_bytes"] = static_cast<double>(cache.bytes);
+  gauges["s2s.svc.active_conns"] =
+      static_cast<double>(total_conns_.load(std::memory_order_relaxed));
+  gauges["s2s.svc.pending_cost"] = static_cast<double>(pending_cost());
+  gauges["s2s.svc.uptime_s"] = uptime_seconds();
+  gauges["s2s.svc.reactors"] = static_cast<double>(reactors_.size());
+  const std::shared_ptr<const Dataset> snap = dataset_snapshot();
+  if (snap && snap->live()) {
+    const auto* state = snap->live_state();
+    counters["s2s.live.delta_pickups"] = live_pickups();
+    gauges["s2s.live.watermark_epoch"] =
+        static_cast<double>(snap->watermark().epoch);
+    gauges["s2s.live.sealed_bytes"] =
+        static_cast<double>(snap->watermark().sealed_bytes);
+    gauges["s2s.live.pairs"] =
+        static_cast<double>(state ? state->pairs_tracked() : 0);
+  }
+}
+
 std::string Server::metrics_dump_payload(std::uint8_t format) const {
   auto snap = obs::MetricsRegistry::global().snapshot();
-  // Graft in the serving facts the registry does not carry: cache stats
-  // live in the per-reactor ResultCaches, uptime is a server property.
-  // The hit/miss/eviction names are the same ones result_cache.cc
-  // mirrors into the registry (here overwritten with the authoritative
-  // aggregated values) — a second dotted spelling would collide after
-  // Prometheus name sanitization.
-  const ResultCache::Stats cache = cache_stats();
-  snap.counters["s2s.svc.cache_hits"] = cache.hits;
-  snap.counters["s2s.svc.cache_misses"] = cache.misses;
-  snap.counters["s2s.svc.cache_insertions"] = cache.insertions;
-  snap.counters["s2s.svc.cache_evictions"] = cache.evictions;
-  snap.gauges["s2s.svc.cache_entries"] = static_cast<double>(cache.entries);
-  snap.gauges["s2s.svc.cache_bytes"] = static_cast<double>(cache.bytes);
-  snap.gauges["s2s.svc.uptime_s"] = uptime_seconds();
-  snap.gauges["s2s.svc.reactors"] = static_cast<double>(reactors_.size());
+  export_metrics(snap.counters, snap.gauges);
   const auto windowed = windowed_snapshots();
   const auto slo = slo_stats();
 

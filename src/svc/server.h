@@ -58,6 +58,7 @@
 // counts s2s.svc.accept_emfile, and re-arms after accept_rearm_ms.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -85,12 +86,7 @@ struct ServerConfig {
   /// with V6ONLY off accepts v4-mapped peers too — dual stack).
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; see Server::port()
-  int backlog = 64;
-  std::size_t max_connections = 256;  ///< across all reactors
   std::size_t max_request_bytes = kDefaultMaxRequestBytes;
-  /// Oversized payloads up to this are drained so the connection
-  /// survives; beyond it the connection closes after the error frame.
-  std::size_t max_discard_bytes = 1u << 20;
   /// Per-reactor parsed-but-unexecuted request cap (count gate).
   std::size_t max_inflight = 64;
   /// Per-reactor pending-cost budget in request_cost() units (0 =
@@ -120,11 +116,8 @@ struct ServerConfig {
   /// Slow-query log threshold on end-to-end latency (admission to
   /// response-queued), microseconds; 0 disables the log.
   std::int64_t slow_query_us = 0;
-  /// Slow-query rate limit: lines per one-second interval.
-  std::uint32_t slow_log_max_per_interval = 10;
-  /// Windowed latency view: merge width and ring granularity.
+  /// Windowed latency view width.
   int window_seconds = 60;
-  int window_slots = 6;
   /// Per-type latency SLO threshold (end-to-end, milliseconds); feeds
   /// the good/total counters surfaced by kMetricsDump and the report.
   double slo_ms = 50.0;
@@ -170,9 +163,9 @@ class Server {
 
   /// Aggregates across all reactors. Safe concurrently with serving.
   ResultCache::Stats cache_stats() const;
-  std::uint64_t requests_served() const;
-  std::uint64_t connections_reaped() const;
-  std::uint64_t accept_emfile() const;
+  std::uint64_t requests_served() const { return total(kRequests); }
+  std::uint64_t connections_reaped() const { return total(kConnsReaped); }
+  std::uint64_t accept_emfile() const { return total(kAcceptEmfile); }
   std::uint64_t reloads() const noexcept {
     return reloads_.load(std::memory_order_relaxed);
   }
@@ -191,8 +184,38 @@ class Server {
   std::map<std::string, obs::SloStat> slo_stats() const;
   const SlowQueryLog& slow_log() const noexcept { return slow_log_; }
 
+  /// Writes this server's serving facts into a metrics snapshot's (or a
+  /// RunReport's) maps under their s2s.svc.* names: the reactor
+  /// counters, reloads, SLO good/total, cache totals, and the
+  /// active_conns / pending_cost / uptime_s / reactors / cache gauges.
+  /// While the served snapshot is a live shard it adds the s2s.live.*
+  /// facts too; their presence is the "this server is live-ingesting"
+  /// signal tools key off. Values are this server's own (DESIGN.md
+  /// section 13). Safe concurrently with serving.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters,
+                      std::map<std::string, double>& gauges) const;
+
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// The facts each reactor counts, indexing Reactor::stats_ (names in
+  /// server.cc's kStatNames, in this order).
+  enum Stat : std::size_t {
+    kRequests,
+    kConnsAccepted,
+    kConnsReaped,
+    kAcceptEmfile,
+    kBusyRejected,
+    kShedCost,
+    kShedInflight,
+    kShedClient,
+    kProtocolErrors,
+    kBytesRx,
+    kBytesTx,
+    kStatCount
+  };
+  /// Sum of one Stat across reactors.
+  std::uint64_t total(Stat stat) const;
 
   /// One parsed request awaiting its turn, or a shed marker. Shed
   /// markers keep rejected requests in arrival order: the busy frame is
@@ -286,19 +309,14 @@ class Server {
     std::unordered_map<int, Conn> conns_;
     ResultCache cache_;
 
-    /// Single writer (the reactor), relaxed readers (stats from any
-    /// reactor, tests, tools).
+    /// Single writer (the reactor), relaxed readers (stats and the
+    /// metrics export from any thread).
     std::atomic<std::size_t> pending_count_{0};
     std::atomic<std::size_t> pending_cost_{0};
-    std::atomic<std::uint64_t> requests_served_{0};
-    std::atomic<std::uint64_t> reaped_{0};
-    std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> busy_rejected_{0};
-    std::atomic<std::uint64_t> shed_cost_{0};
-    std::atomic<std::uint64_t> shed_inflight_{0};
-    std::atomic<std::uint64_t> shed_client_{0};
-    std::atomic<std::uint64_t> protocol_errors_{0};
-    std::atomic<std::uint64_t> accept_emfile_{0};
+    std::array<std::atomic<std::uint64_t>, kStatCount> stats_{};
+    void count(Stat stat, std::uint64_t n = 1) {
+      stats_[stat].fetch_add(n, std::memory_order_relaxed);
+    }
 
     /// Listener paused after EMFILE/ENFILE; re-armed on a timer.
     bool listener_paused_ = false;
@@ -353,12 +371,7 @@ class Server {
   /// Reactor 0's live-ingest tick: time-gated watermark poll; on
   /// advance, clone_advanced() off the current snapshot and publish.
   void maybe_live_advance();
-  /// Registers the s2s.live.* metrics on first use — their presence in
-  /// a metrics dump is the "this server is live-ingesting" signal tools
-  /// key off, so batch servers never emit them.
-  void ensure_live_metrics();
-  void set_conns_gauge();
-  void set_pending_cost_gauge();
+  std::size_t pending_cost() const;
   std::string stats_payload(const Dataset& dataset) const;
   std::string live_status_payload(const Dataset& dataset) const;
   /// kMetricsDump response body for the given format selector.
@@ -384,26 +397,9 @@ class Server {
   std::atomic<std::uint64_t> live_pickups_{0};
   /// Only touched by reactor 0 (the live-ingest tick owner).
   Clock::time_point next_live_poll_{};
-  bool live_metrics_ready_ = false;
 
-  obs::Counter obs_requests_;
-  obs::Counter obs_accepted_;
-  obs::Counter obs_reaped_;
-  obs::Counter obs_busy_;
-  obs::Counter obs_shed_cost_;
-  obs::Counter obs_shed_inflight_;
-  obs::Counter obs_shed_client_;
-  obs::Counter obs_protocol_errors_;
-  obs::Counter obs_bytes_rx_;
-  obs::Counter obs_bytes_tx_;
-  obs::Counter obs_reloads_;
-  obs::Counter obs_accept_emfile_;
-  obs::Gauge obs_active_conns_;
-  obs::Gauge obs_pending_cost_;
-  obs::Counter obs_live_pickups_;
-  obs::Gauge obs_live_watermark_;
-  obs::Gauge obs_live_sealed_bytes_;
-  obs::Gauge obs_live_pairs_;
+  /// Per-type lifetime latency, the one serving fact kept in the
+  /// registry (it has no typed twin).
   std::unordered_map<std::uint8_t, obs::Histogram> latency_;
 
   Clock::time_point start_time_ = Clock::now();
@@ -413,14 +409,11 @@ class Server {
   std::unordered_map<std::uint8_t, std::unique_ptr<obs::WindowedHistogram>>
       windowed_;
   /// Per-type SLO accounting. Atomics so any thread may read while the
-  /// reactors serve; mirrored to registry counters
-  /// s2s.svc.slo.<type>.{good,total}.
+  /// reactors serve; exported as s2s.svc.slo.<type>.{good,total}.
   struct SloCell {
     double threshold_us = 0.0;
     std::atomic<std::uint64_t> good{0};
     std::atomic<std::uint64_t> total{0};
-    obs::Counter obs_good;
-    obs::Counter obs_total;
   };
   std::unordered_map<std::uint8_t, std::unique_ptr<SloCell>> slo_;
 

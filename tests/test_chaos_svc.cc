@@ -183,8 +183,10 @@ svc::RetryPolicy chaos_policy(int timeout_ms = 2000) {
   return policy;
 }
 
-std::uint64_t global_counter(const std::string& name) {
-  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+std::uint64_t server_counter(const svc::Server& server,
+                             const std::string& name) {
+  obs::MetricsSnapshot snapshot;
+  server.export_metrics(snapshot.counters, snapshot.gauges);
   const auto it = snapshot.counters.find(name);
   return it == snapshot.counters.end() ? 0 : it->second;
 }
@@ -397,7 +399,6 @@ TEST(SvcOverload, BusyShedsArriveInRequestOrderWithHints) {
   svc::ServerConfig cfg;
   cfg.max_inflight = 1;
   cfg.busy_retry_after_ms = 25;
-  const std::uint64_t shed_before = global_counter("s2s.svc.shed.inflight");
   TestServer ts(*world().dataset, 2, cfg);
   std::string batch;
   for (int i = 0; i < 8; ++i) {
@@ -416,14 +417,13 @@ TEST(SvcOverload, BusyShedsArriveInRequestOrderWithHints) {
         << responses[i].second;
   }
   ts.drain();
-  EXPECT_EQ(global_counter("s2s.svc.shed.inflight") - shed_before, 7u);
+  EXPECT_EQ(server_counter(ts.server(), "s2s.svc.shed.inflight"), 7u);
 }
 
 TEST(SvcOverload, CostBudgetShedsExpensiveWorkButAdmitsCheap) {
   svc::ServerConfig cfg;
   cfg.max_inflight = 64;
   cfg.max_pending_cost = svc::request_cost(svc::MsgType::kFigureDigest) + 2;
-  const std::uint64_t shed_before = global_counter("s2s.svc.shed.cost");
   TestServer ts(*world().dataset, 2, cfg);
   svc::FigureQuery f;
   f.figure = 1;
@@ -440,14 +440,13 @@ TEST(SvcOverload, CostBudgetShedsExpensiveWorkButAdmitsCheap) {
   EXPECT_EQ(svc::parse_error_payload(responses[2].second).code, "busy");
   EXPECT_EQ(responses[3].first, svc::MsgType::kOk) << responses[3].second;
   ts.drain();
-  EXPECT_EQ(global_counter("s2s.svc.shed.cost") - shed_before, 2u);
+  EXPECT_EQ(server_counter(ts.server(), "s2s.svc.shed.cost"), 2u);
 }
 
 TEST(SvcOverload, PerClientQueueBoundShedsTheExcess) {
   svc::ServerConfig cfg;
   cfg.max_inflight = 1000;
   cfg.max_client_pending = 2;
-  const std::uint64_t shed_before = global_counter("s2s.svc.shed.client");
   TestServer ts(*world().dataset, 2, cfg);
   std::string batch;
   for (int i = 0; i < 8; ++i) {
@@ -467,7 +466,7 @@ TEST(SvcOverload, PerClientQueueBoundShedsTheExcess) {
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(busy, 6);
   ts.drain();
-  EXPECT_EQ(global_counter("s2s.svc.shed.client") - shed_before, 6u);
+  EXPECT_EQ(server_counter(ts.server(), "s2s.svc.shed.client"), 6u);
 }
 
 TEST(SvcOverload, RetryingClientHonorsBusyHintsUnderFlood) {

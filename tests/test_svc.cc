@@ -144,8 +144,10 @@ std::string must_call(svc::Client& client, svc::MsgType type,
   return rpayload;
 }
 
-std::uint64_t global_counter(const std::string& name) {
-  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+std::uint64_t server_counter(const svc::Server& server,
+                             const std::string& name) {
+  obs::MetricsSnapshot snapshot;
+  server.export_metrics(snapshot.counters, snapshot.gauges);
   const auto it = snapshot.counters.find(name);
   return it == snapshot.counters.end() ? 0 : it->second;
 }
@@ -263,20 +265,25 @@ TEST(SvcProtocol, MetricsDumpQueryCodec) {
 // Result cache unit tests.
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<const std::string> shared(std::string value) {
+  return std::make_shared<const std::string>(std::move(value));
+}
+
 TEST(SvcCache, LruHitMissAndKey) {
   svc::ResultCache cache;
-  std::string value;
   const std::string key = svc::ResultCache::make_key(7, 2, "req");
   EXPECT_EQ(key.size(), 9u + 3u);
   EXPECT_NE(key, svc::ResultCache::make_key(8, 2, "req"));
   EXPECT_NE(key, svc::ResultCache::make_key(7, 3, "req"));
-  EXPECT_FALSE(cache.lookup(key, value));
-  cache.insert(key, "response");
-  ASSERT_TRUE(cache.lookup(key, value));
-  EXPECT_EQ(value, "response");
-  cache.insert(key, "updated");
-  ASSERT_TRUE(cache.lookup(key, value));
-  EXPECT_EQ(value, "updated");
+  EXPECT_FALSE(cache.find(key));
+  cache.insert(key, shared("response"));
+  auto value = cache.find(key);
+  ASSERT_TRUE(value);
+  EXPECT_EQ(*value, "response");
+  cache.insert(key, shared("updated"));
+  value = cache.find(key);
+  ASSERT_TRUE(value);
+  EXPECT_EQ(*value, "updated");
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 1u);
@@ -287,25 +294,22 @@ TEST(SvcCache, LruHitMissAndKey) {
 TEST(SvcCache, EvictsLeastRecentlyUsed) {
   // Budget for about three 40-byte entries.
   svc::ResultCache cache(128);
-  const std::string big(30, 'v');
-  std::string value;
+  const auto big = shared(std::string(30, 'v'));
   for (int i = 0; i < 3; ++i) {
     cache.insert(svc::ResultCache::make_key(1, 1, std::string(1, 'a' + i)),
                  big);
   }
   // Touch "a" so "b" is the LRU victim when "d" lands.
-  ASSERT_TRUE(
-      cache.lookup(svc::ResultCache::make_key(1, 1, "a"), value));
+  ASSERT_TRUE(cache.find(svc::ResultCache::make_key(1, 1, "a")));
   cache.insert(svc::ResultCache::make_key(1, 1, "d"), big);
-  EXPECT_TRUE(cache.lookup(svc::ResultCache::make_key(1, 1, "a"), value));
-  EXPECT_FALSE(cache.lookup(svc::ResultCache::make_key(1, 1, "b"), value));
-  EXPECT_TRUE(cache.lookup(svc::ResultCache::make_key(1, 1, "d"), value));
+  EXPECT_TRUE(cache.find(svc::ResultCache::make_key(1, 1, "a")));
+  EXPECT_FALSE(cache.find(svc::ResultCache::make_key(1, 1, "b")));
+  EXPECT_TRUE(cache.find(svc::ResultCache::make_key(1, 1, "d")));
   EXPECT_GE(cache.stats().evictions, 1u);
   // An entry larger than the whole budget is not cached at all.
   cache.insert(svc::ResultCache::make_key(1, 1, "huge"),
-               std::string(4096, 'x'));
-  EXPECT_FALSE(
-      cache.lookup(svc::ResultCache::make_key(1, 1, "huge"), value));
+               shared(std::string(4096, 'x')));
+  EXPECT_FALSE(cache.find(svc::ResultCache::make_key(1, 1, "huge")));
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +319,8 @@ TEST(SvcCache, EvictsLeastRecentlyUsed) {
 TEST(SvcServer, ColdCacheHitAndNoCacheAreByteIdentical) {
   TestServer ts(*world().dataset);
   svc::Client client = ts.connect();
-  const std::uint64_t hits_before = global_counter("s2s.svc.cache_hits");
+  const std::uint64_t hits_before =
+      server_counter(ts.server(), "s2s.svc.cache_hits");
   for (const auto& [type, payload] : cacheable_workload()) {
     const std::string cold = must_call(client, type, 0, payload);
     const std::string hit = must_call(client, type, 0, payload);
@@ -326,7 +331,7 @@ TEST(SvcServer, ColdCacheHitAndNoCacheAreByteIdentical) {
   }
   const auto stats = ts.server().cache_stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(global_counter("s2s.svc.cache_hits"), hits_before);
+  EXPECT_GT(server_counter(ts.server(), "s2s.svc.cache_hits"), hits_before);
 }
 
 TEST(SvcServer, CacheHoldsAnEntryUpToTheWholeReactorBudget) {
@@ -572,7 +577,7 @@ TEST(SvcServer, UntracedClientsAndShortTraceContextKeepWorking) {
   // The flag without the 16-byte prefix is a protocol error, not a
   // dropped connection.
   const std::uint64_t errors_before =
-      global_counter("s2s.svc.protocol_errors");
+      server_counter(ts.server(), "s2s.svc.protocol_errors");
   ASSERT_TRUE(client.send_bytes(
       svc::encode_frame(svc::MsgType::kPingEcho, svc::kFlagTraceContext,
                         "short"),
@@ -583,7 +588,8 @@ TEST(SvcServer, UntracedClientsAndShortTraceContextKeepWorking) {
   EXPECT_EQ(rtype, svc::MsgType::kError);
   EXPECT_NE(rpayload.find("bad_request"), std::string::npos) << rpayload;
   must_call(client, svc::MsgType::kPingEcho, 0, "");
-  EXPECT_GT(global_counter("s2s.svc.protocol_errors"), errors_before);
+  EXPECT_GT(server_counter(ts.server(), "s2s.svc.protocol_errors"),
+            errors_before);
 }
 
 TEST(SvcServer, TraceContextDoesNotForkTheCacheKey) {

@@ -144,6 +144,7 @@ int main(int argc, char** argv) {
 
   if (!report_path.empty()) {
     obs::RunReport report = obs::build_run_report("s2s_chaos");
+    proxy.export_metrics(report.counters);
     if (!obs::write_text_file(report_path, report.to_json())) return 1;
     obs::logf(obs::LogLevel::kInfo, "run report: %s", report_path.c_str());
   }

@@ -237,6 +237,7 @@ int main(int argc, char** argv) {
 
   if (!report_path.empty()) {
     obs::RunReport report = obs::build_run_report("s2s_query");
+    client.export_metrics(report.counters);
     obs::write_text_file(report_path, report.to_json());
   }
   if (!called) {

@@ -256,6 +256,7 @@ int main(int argc, char** argv) {
 
   if (want_report) {
     obs::RunReport report = obs::build_run_report("s2sd");
+    server.export_metrics(report.counters, report.gauges);
     report.windowed = server.windowed_snapshots();
     report.slo = server.slo_stats();
     if (obs::write_text_file(report_path, report.to_json())) {
