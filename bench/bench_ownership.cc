@@ -48,11 +48,11 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<net::IPAddr>> runs;
   std::vector<net::IPAddr> run;
-  campaign.run([&](const probe::TracerouteRecord& r) {
+  bench::note(campaign.run([&](const probe::TracerouteRecord& r) {
     core::for_each_responsive_run(r, run, [&](std::span<const net::IPAddr> p) {
       runs.emplace_back(p.begin(), p.end());
     });
-  });
+  }));
   std::printf("path corpus: %zu responsive runs\n", runs.size());
 
   std::printf("\n%-22s %10s %10s %10s %10s\n", "relationship noise",
@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
     core::OwnershipInference inference(deployment.net->rib(), rels);
     for (const auto& path : runs) inference.observe_path(path);
     inference.finalize();
+    bench::note(inference);
 
     std::size_t resolved = 0, correct = 0;
     for (const auto& [addr, owner] : truth) {
@@ -90,6 +91,7 @@ int main(int argc, char** argv) {
     core::OwnershipInference inference(deployment.net->rib(), rels);
     for (const auto& path : runs) inference.observe_path(path);
     inference.finalize();
+    bench::note(inference);
     const auto& s = inference.stats();
     std::printf("  first=%zu noip2as=%zu customer=%zu provider=%zu back=%zu"
                 " forward=%zu | single=%zu plurality=%zu unresolved=%zu\n",

@@ -77,8 +77,9 @@ struct Options {
 /// the tool; on destruction it closes the span and writes the RunReport
 /// JSON (default `BENCH_<tool>.json`, or --report PATH; disable with
 /// --no-report) plus an optional chrome://tracing file (--trace PATH).
-/// Store DataQualityReports fed to note_quality() are merged into the
-/// report's data_quality section.
+/// The report's batch facts come from the owners fed to note(): their
+/// exported counters and gauges, and the merged quality of the stores
+/// (the data_quality section).
 class ObsSession {
  public:
   ObsSession(std::string tool, const Options& opt)
@@ -96,9 +97,7 @@ class ObsSession {
     active_ = nullptr;
     if (!opt_.report) return;
     obs::RunReport report = obs::build_run_report(tool_);
-    for (const auto& [name, count] : quality_.as_map()) {
-      report.data_quality[name] = count;
-    }
+    facts_.add_to(report);
     const std::string path = opt_.report_path.empty()
                                  ? "BENCH_" + tool_ + ".json"
                                  : opt_.report_path;
@@ -112,13 +111,15 @@ class ObsSession {
     }
   }
 
-  /// Merge a store's quality counters into the final report.
-  void note_quality(const core::DataQualityReport& quality) {
-    quality_.merge(quality);
+  /// Adds an owner's facts to the final report (core::RunFacts::note):
+  /// a campaign result, a store, a stage result.
+  template <typename Owner>
+  void note(const Owner& owner) {
+    facts_.note(owner);
   }
 
   /// The session currently in scope, if any (so shared helpers like
-  /// run_long_term can feed quality without plumbing a handle through).
+  /// run_long_term can note facts without plumbing a handle through).
   static ObsSession* active() { return active_; }
 
  private:
@@ -127,8 +128,14 @@ class ObsSession {
   std::string tool_;
   Options opt_;
   std::optional<obs::TraceSpan> root_;
-  core::DataQualityReport quality_;
+  core::RunFacts facts_;
 };
+
+/// Notes an owner's facts in the session in scope, if any.
+template <typename Owner>
+void note(const Owner& owner) {
+  if (ObsSession* session = ObsSession::active()) session->note(owner);
+}
 
 struct Deployment {
   std::unique_ptr<simnet::Network> net;
@@ -184,10 +191,8 @@ inline core::TimelineStore run_long_term(Deployment& d, const Options& opt) {
   obs::logf(obs::LogLevel::kInfo,
             "long-term campaign: %zu ordered pairs, %.0f days",
             d.pairs.size() * 2, opt.days);
-  campaign.run([&](const probe::TracerouteRecord& r) { store.add(r); });
-  if (ObsSession* session = ObsSession::active()) {
-    session->note_quality(store.quality());
-  }
+  note(campaign.run([&](const probe::TracerouteRecord& r) { store.add(r); }));
+  note(store);
   return store;
 }
 

@@ -239,7 +239,9 @@ void table1_ablation(Document& doc, const bench::Deployment& d,
     probe::TracerouteCampaign campaign(*d.net, cfg, d.pairs);
     core::TimelineStore store(d.topo(), d.net->rib(),
                               {0.0, net::kThreeHours});
-    campaign.run([&](const probe::TracerouteRecord& r) { store.add(r); });
+    bench::note(
+        campaign.run([&](const probe::TracerouteRecord& r) { store.add(r); }));
+    bench::note(store);
     const auto& f = store.table1().v4;
     doc.row(switch_day < 0 ? "table1.ablation.classic_loops_pct.v4"
                            : "table1.ablation.paris_loops_pct.v4",
@@ -426,12 +428,14 @@ void figure7(Document& doc, const bench::Deployment& d,
                           {cfg.start_day, net::kThirtyMinutes});
   core::TimelineStore coarse(d.topo(), d.net->rib(),
                              {cfg.start_day, net::kThirtyMinutes});
-  campaign.run([&](const probe::TracerouteRecord& r) {
+  bench::note(campaign.run([&](const probe::TracerouteRecord& r) {
     all.add(r);
     const auto rel = r.time.seconds() -
                      static_cast<std::int64_t>(cfg.start_day * 86400.0);
     if (rel % net::kThreeHours == 0) coarse.add(r);
-  });
+  }));
+  bench::note(all);
+  bench::note(coarse);
 
   core::RoutingStudyConfig all_cfg;
   all_cfg.min_observations = 40;
@@ -439,6 +443,8 @@ void figure7(Document& doc, const bench::Deployment& d,
   coarse_cfg.min_observations = 8;
   const auto study_all = core::run_routing_study(all, all_cfg, &pool);
   const auto study_3h = core::run_routing_study(coarse, coarse_cfg, &pool);
+  bench::note(study_all);
+  bench::note(study_3h);
   for (const net::Family fam : kFamilies) {
     const stats::Ecdf all10(study_all.of(fam).delta_p10_ms);
     const stats::Ecdf all90(study_all.of(fam).delta_p90_ms);
@@ -481,6 +487,7 @@ void binned_ecdf_series(Document& doc, std::string_view series_id,
 void figure10(Document& doc, const bench::Deployment& d,
               const core::TimelineStore& store, exec::ThreadPool& pool) {
   const auto dual = core::run_dualstack_study(store, &pool);
+  bench::note(dual);
   binned_ecdf_series(doc, "fig10a.diff_all_ms", dual.diff_all,
                      dual.pairs_matched);
   binned_ecdf_series(doc, "fig10a.diff_same_path_ms", dual.diff_same_path,
@@ -546,16 +553,16 @@ void section5(Document& doc, const bench::Deployment& d,
                                    pings.epochs());
   obs::logf(obs::LogLevel::kInfo, "ping campaign: %zu pairs, %zu epochs",
             pairs.size() * 2, pings.epochs());
-  pings.run([&](const probe::PingRecord& r) { ping_store.add(r); });
-  if (auto* session = bench::ObsSession::active()) {
-    session->note_quality(ping_store.quality());
-  }
+  bench::note(
+      pings.run([&](const probe::PingRecord& r) { ping_store.add(r); }));
+  bench::note(ping_store);
   core::CongestionSurvey survey;  // at the paper's threshold
   for (const double psd : {stats::kDiurnalRatioThreshold, 0.2, 0.4}) {
     core::CongestionDetectConfig cfg;
     cfg.diurnal_ratio_threshold = psd;
     cfg.min_samples = static_cast<std::size_t>(0.88 * pings.epochs());
     auto result = core::survey_congestion(ping_store, cfg, &pool);
+    bench::note(result);
     const bool paper_threshold = psd == stats::kDiurnalRatioThreshold;
     char consistent_id[48] = "sec51.consistent_pct";
     if (!paper_threshold) {
@@ -603,13 +610,11 @@ void section5(Document& doc, const bench::Deployment& d,
                                       net::kThirtyMinutes, followup.epochs());
     obs::logf(obs::LogLevel::kInfo, "follow-up campaign: %zu flagged pairs",
               flagged.size());
-    followup.run([&](const probe::TracerouteRecord& r) {
+    bench::note(followup.run([&](const probe::TracerouteRecord& r) {
       segments.add(r);
       ownership.observe_trace(r);
-    });
-    if (auto* session = bench::ObsSession::active()) {
-      session->note_quality(segments.quality());
-    }
+    }));
+    bench::note(segments);
     // The paper labels interfaces from *all* traceroute paths, not only
     // the flagged pairs: add one day of the routine full-mesh sweep so the
     // election has the surrounding-path constraints it needs.
@@ -619,10 +624,11 @@ void section5(Document& doc, const bench::Deployment& d,
     sweep_cfg.paris_switch_day = 0.0;
     sweep_cfg.seed = opt.seed + 41;
     probe::TracerouteCampaign sweep(*d.net, sweep_cfg, pairs);
-    sweep.run([&](const probe::TracerouteRecord& r) {
+    bench::note(sweep.run([&](const probe::TracerouteRecord& r) {
       ownership.observe_trace(r);
-    });
+    }));
     ownership.finalize();
+    bench::note(ownership);
 
     // Localization at the paper's Pearson threshold and either side of it,
     // over the one segment store.
@@ -632,6 +638,7 @@ void section5(Document& doc, const bench::Deployment& d,
       loc_cfg.rho_threshold = sweep.rho;
       auto result =
           core::localize_congestion(segments, d.net->rib(), loc_cfg, &pool);
+      bench::note(result);
       sweep.localized = result.pairs_localized;
       sweep.considered = result.pairs_considered;
       if (sweep.rho == stats::kPearsonThreshold) loc = std::move(result);
@@ -649,6 +656,7 @@ void section5(Document& doc, const bench::Deployment& d,
   const core::LinkClassifier classifier(ownership, rels, ixps);
   const auto study =
       core::build_congestion_study(loc.segments, classifier, d.topo());
+  bench::note(study);
 
   // --- 5.3: link classes -----------------------------------------------
   const std::size_t links =
@@ -754,7 +762,9 @@ int main(int argc, char** argv) {
       figure1(doc, d, store, opt);
       core::RoutingStudyConfig cfg;
       cfg.min_observations = bench::qualifying_observations(opt);
-      routing_figures(doc, core::run_routing_study(store, cfg, &pool), cfg);
+      const auto study = core::run_routing_study(store, cfg, &pool);
+      bench::note(study);
+      routing_figures(doc, study, cfg);
       figure10(doc, d, store, pool);
     }
     table1_ablation(doc, d, opt);

@@ -46,6 +46,9 @@ int main(int argc, char** argv) {
   }
   std::optional<obs::TraceSpan> root_span;
   root_span.emplace("quickstart");
+  // What the run went through, for the run report: each stage's typed
+  // result adds its own counters (core::RunFacts).
+  core::RunFacts facts;
   // 1. A small world: ~160 ASes, with 30 measurement servers.
   simnet::NetworkConfig config;
   config.topology.seed = 7;
@@ -140,6 +143,7 @@ int main(int argc, char** argv) {
   std::printf("\nreplayed a corrupted campaign file: %zu lines, "
               "%zu records recovered, %zu malformed\n",
               reader.lines(), replayed, reader.errors());
+  facts.note(reader);
   for (const auto& bad : reader.malformed()) {
     std::printf("  line %zu: %.60s%s\n", bad.line_number, bad.text.c_str(),
                 bad.text.size() > 60 ? "..." : "");
@@ -168,11 +172,12 @@ int main(int argc, char** argv) {
     std::ostringstream campaign_bin(std::ios::binary);
     io::RecordWriter campaign_writer(campaign_file);
     io::BinRecordWriter campaign_bin_writer(campaign_bin);
-    campaign.run([&](const probe::TracerouteRecord& r) {
+    facts.note(campaign.run([&](const probe::TracerouteRecord& r) {
       campaign_writer.write(r);
       campaign_bin_writer.write(r);
-    });
+    }));
     campaign_bin_writer.finish();
+    facts.note(campaign_bin_writer);
 
     const obs::TraceSpan ingest_span("ingest");
     // Feed the analysis from the binary archive; ingest_record_image
@@ -182,6 +187,8 @@ int main(int argc, char** argv) {
         bin_image.data(), bin_image.size(),
         [&](const probe::TracerouteRecord& r) { store.add(r); },
         [](const probe::PingRecord&) {});
+    facts.note(ingest);
+    facts.note(store);
     const auto text_bytes = campaign_file.str().size();
     const auto bin_bytes = bin_image.size();
     std::printf("\ncampaign ingested (%s): %zu records -> %zu timelines\n",
@@ -197,6 +204,8 @@ int main(int argc, char** argv) {
   exec::ThreadPool pool(threads > 0 ? static_cast<unsigned>(threads) : 0u);
   const auto routing = core::run_routing_study(store, {}, &pool);
   const auto dual = core::run_dualstack_study(store, &pool);
+  facts.note(routing);
+  facts.note(dual);
   std::printf("routing study: %zu v4 + %zu v6 qualifying timelines; "
               "dual-stack: %zu pairs matched\n",
               routing.v4.timelines, routing.v6.timelines, dual.pairs_matched);
@@ -205,9 +214,7 @@ int main(int argc, char** argv) {
   root_span.reset();
   if (!report_path.empty()) {
     obs::RunReport run_report = obs::build_run_report("quickstart");
-    for (const auto& [name, count] : store.quality().as_map()) {
-      run_report.data_quality[name] = count;
-    }
+    facts.add_to(run_report);
     if (obs::write_text_file(report_path, run_report.to_json())) {
       std::printf("\nrun report (%zu metrics, %zu nested spans): %s\n",
                   run_report.metric_count(), run_report.nested_span_count(),

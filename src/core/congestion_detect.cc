@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "exec/parallel_for.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/summary.h"
 
@@ -120,9 +119,6 @@ CongestionSurvey survey_congestion(const PingSeriesStore& store,
                                    const CongestionDetectConfig& config,
                                    exec::ThreadPool* pool) {
   const obs::TraceSpan stage_span("analysis.congestion.fft_detect");
-  auto& reg = obs::MetricsRegistry::global();
-  const obs::Counter assessed = reg.counter("s2s.congestion.pairs_assessed");
-  const obs::Counter flagged = reg.counter("s2s.congestion.pairs_flagged");
 
   CongestionSurvey survey;
   survey.quality = store.quality();
@@ -146,7 +142,6 @@ CongestionSurvey survey_congestion(const PingSeriesStore& store,
                 return;
               }
               ++agg.pairs_assessed;
-              assessed.inc();
               const auto rtts = interpolate_slots_ms(series.rtt_tenths);
               SeriesVerdict verdict =
                   assess_series(rtts, store.samples_per_day(), config);
@@ -160,7 +155,6 @@ CongestionSurvey survey_congestion(const PingSeriesStore& store,
               if (verdict.high_variation) ++agg.high_variation;
               if (verdict.consistent_congestion()) {
                 ++agg.consistent;
-                flagged.inc();
                 partial.flagged.push_back({src, dst, fam, verdict});
               }
             });

@@ -112,6 +112,14 @@ struct CongestionSurvey {
   const PerFamily& of(net::Family f) const {
     return f == net::Family::kIPv4 ? v4 : v6;
   }
+
+  /// Adds the assessed pairs and the flagged ones to
+  /// s2s.congestion.{pairs_assessed,pairs_flagged}.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    counters["s2s.congestion.pairs_assessed"] +=
+        v4.pairs_assessed + v6.pairs_assessed;
+    counters["s2s.congestion.pairs_flagged"] += flagged.size();
+  }
 };
 
 /// Surveys every pair in the store. With a pool, pairs are processed in

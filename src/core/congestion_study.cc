@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace s2s::core {
@@ -23,8 +22,6 @@ CongestionStudy build_congestion_study(
     const std::vector<CongestedSegmentObs>& segments,
     const LinkClassifier& classifier, const topology::Topology& topo) {
   const obs::TraceSpan stage_span("analysis.congestion.classify");
-  const obs::Counter classified =
-      obs::MetricsRegistry::global().counter("s2s.congestion.links_classified");
 
   CongestionStudy study;
 
@@ -80,7 +77,6 @@ CongestionStudy build_congestion_study(
         break;
     }
     study.links.push_back(std::move(info));
-    classified.inc();
   }
   return study;
 }

@@ -40,6 +40,11 @@ struct CongestionStudy {
   std::vector<double> overhead_interconnection;
   std::vector<double> overhead_us_internal;
   std::vector<double> overhead_us_interconnection;
+
+  /// Adds the classified links to s2s.congestion.links_classified.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    counters["s2s.congestion.links_classified"] += links.size();
+  }
 };
 
 /// Merges localized congested segments into unique links and classifies

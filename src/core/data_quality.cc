@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 
+#include "obs/run_report.h"
+
 namespace s2s::core {
 
 namespace {
@@ -49,18 +51,26 @@ bool valid_time(net::SimTime t) {
 
 }  // namespace
 
-IngestObs IngestObs::make(std::string_view subsystem) {
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string prefix = "s2s." + std::string(subsystem) + ".";
-  IngestObs o;
-  o.records = reg.counter(prefix + "records");
-  o.drop_invalid_rtt = reg.counter(prefix + "drop_invalid_rtt");
-  o.drop_duplicates = reg.counter(prefix + "drop_duplicates");
-  o.drop_out_of_grid = reg.counter(prefix + "drop_out_of_grid");
-  o.reordered = reg.counter(prefix + "reordered");
-  o.rtt_ms = reg.histogram(prefix + "rtt_ms",
-                           obs::MetricsRegistry::rtt_ms_bounds());
-  return o;
+IngestGate::IngestGate(std::string_view subsystem)
+    : subsystem_(subsystem),
+      rtt_ms_(obs::MetricsRegistry::global().histogram(
+          "s2s." + std::string(subsystem) + ".rtt_ms",
+          obs::MetricsRegistry::rtt_ms_bounds())) {}
+
+void IngestGate::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  const std::string prefix = "s2s." + std::string(subsystem_) + ".";
+  counters[prefix + "records"] += accepted_;
+  counters[prefix + "drop_invalid_rtt"] += quality_.invalid_rtt;
+  counters[prefix + "drop_duplicates"] += quality_.duplicates_dropped;
+  counters[prefix + "drop_out_of_grid"] += quality_.out_of_grid;
+  counters[prefix + "reordered"] += quality_.reordered;
+}
+
+void RunFacts::add_to(obs::RunReport& report) const {
+  for (const auto& [name, v] : counters) report.counters[name] += v;
+  for (const auto& [name, v] : gauges) report.gauges[name] = v;
+  for (const auto& [name, v] : quality.as_map()) report.data_quality[name] = v;
 }
 
 std::map<std::string, std::size_t> DataQualityReport::as_map() const {

@@ -9,7 +9,8 @@
 // silently corrupt its statistics. The counters here are the common
 // currency of that accounting: every streaming store admits records
 // through one IngestGate, which owns its DataQualityReport, and
-// stage-level surveys merge the reports.
+// stage-level surveys merge the reports. A run's RunReport is built from
+// these typed counts (RunFacts).
 #pragma once
 
 #include <algorithm>
@@ -21,6 +22,10 @@
 
 #include "obs/metrics.h"
 #include "probe/records.h"
+
+namespace s2s::obs {
+struct RunReport;
+}
 
 namespace s2s::core {
 
@@ -59,23 +64,6 @@ struct DataQualityReport {
 
   /// Name -> count form for RunReport::data_quality merging.
   std::map<std::string, std::size_t> as_map() const;
-};
-
-/// Live obs mirrors of a streaming store's ingest path: the same events
-/// the DataQualityReport tallies, delegated to MetricsRegistry counters
-/// as they happen (plus an accepted-record counter and RTT histogram),
-/// so a mid-run snapshot sees store health without touching the store.
-/// Metric names follow "s2s.<subsystem>.<event>".
-struct IngestObs {
-  obs::Counter records;            ///< accepted into the store
-  obs::Counter drop_invalid_rtt;
-  obs::Counter drop_duplicates;
-  obs::Counter drop_out_of_grid;
-  obs::Counter reordered;          ///< accepted, but behind the watermark
-  obs::Histogram rtt_ms;           ///< accepted end-to-end RTTs
-
-  /// Resolves handles "s2s.<subsystem>.*" in the global registry.
-  static IngestObs make(std::string_view subsystem);
 };
 
 /// True iff every RTT in the record is finite, non-negative and below
@@ -124,11 +112,13 @@ class DedupWindow {
 /// record through, in this order: fingerprint dedup, the campaign grid
 /// [0, epoch_end), the arrival-order watermark (a record behind it is
 /// counted as reordered and still admitted), numeric validity. Each drop
-/// is tallied in quality() and mirrored to obs().
+/// is tallied in quality() and each record the store keeps in accept();
+/// export_metrics() reports both. The store records the kept RTTs in the
+/// registry histogram "s2s.<subsystem>.rtt_ms".
 class IngestGate {
  public:
-  explicit IngestGate(std::string_view subsystem)
-      : obs_(IngestObs::make(subsystem)) {}
+  /// `subsystem` names the metrics; it must outlive the gate (a literal).
+  explicit IngestGate(std::string_view subsystem);
 
   /// True when the record passed every check.
   bool admit(std::uint64_t fingerprint, std::int64_t epoch,
@@ -139,37 +129,62 @@ class IngestGate {
     }
     if (epoch < 0 || epoch >= epoch_end) {
       ++quality_.out_of_grid;
-      obs_.drop_out_of_grid.inc();
       return false;
     }
-    if (epoch < watermark_) {
-      ++quality_.reordered;
-      obs_.reordered.inc();
-    }
+    if (epoch < watermark_) ++quality_.reordered;
     watermark_ = std::max(watermark_, epoch);
     if (!valid) {
       ++quality_.invalid_rtt;
-      obs_.drop_invalid_rtt.inc();
       return false;
     }
     return true;
   }
 
   /// Tallies a duplicate the store found past the gate (a filled slot).
-  void drop_duplicate() {
-    ++quality_.duplicates_dropped;
-    obs_.drop_duplicates.inc();
-  }
+  void drop_duplicate() noexcept { ++quality_.duplicates_dropped; }
 
-  /// The store ticks the accepted-record counter and RTT histogram.
-  const IngestObs& obs() const noexcept { return obs_; }
+  /// Counts a record the store accepted.
+  void accept() noexcept { ++accepted_; }
+  const obs::Histogram& rtt_ms() const noexcept { return rtt_ms_; }
   const DataQualityReport& quality() const noexcept { return quality_; }
 
+  /// Adds the accepted count and the gate's drops to `counters` as
+  /// s2s.<subsystem>.{records,drop_invalid_rtt,drop_duplicates,
+  /// drop_out_of_grid,reordered}.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
+
  private:
-  IngestObs obs_;
+  std::string_view subsystem_;
+  obs::Histogram rtt_ms_;
+  std::size_t accepted_ = 0;
   DataQualityReport quality_;
   DedupWindow dedup_;
   std::int64_t watermark_ = -1;  ///< highest on-grid epoch seen so far
+};
+
+/// The batch facts of one run, gathered from their owners (a campaign
+/// result, a store, a reader or writer, a stage result): what each
+/// owner's export_metrics() writes, and the merged quality of the stores.
+struct RunFacts {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  DataQualityReport quality;
+
+  /// Adds one owner's exported facts, and its quality() when it has one.
+  template <typename Owner>
+  void note(const Owner& owner) {
+    if constexpr (requires { owner.export_metrics(counters, gauges); }) {
+      owner.export_metrics(counters, gauges);
+    } else {
+      owner.export_metrics(counters);
+    }
+    if constexpr (requires { owner.quality().as_map(); }) {
+      quality.merge(owner.quality());
+    }
+  }
+
+  /// Adds the counters, sets the gauges and fills data_quality.
+  void add_to(obs::RunReport& report) const;
 };
 
 }  // namespace s2s::core

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "exec/parallel_for.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/summary.h"
 
@@ -28,9 +27,6 @@ struct DualStackPartial {
 DualStackStudy run_dualstack_study(const TimelineStore& store,
                                    exec::ThreadPool* pool) {
   const obs::TraceSpan stage_span("analysis.dualstack");
-  auto& reg = obs::MetricsRegistry::global();
-  const obs::Counter samples = reg.counter("s2s.dualstack.samples_matched");
-  const obs::Counter pairs = reg.counter("s2s.dualstack.pairs_matched");
 
   DualStackStudy study;
   study.quality = store.quality();
@@ -81,8 +77,6 @@ DualStackStudy run_dualstack_study(const TimelineStore& store,
               }
               if (!diffs.empty()) {
                 ++partial.pairs_matched;
-                pairs.inc();
-                samples.inc(diffs.size());
                 partial.pair_median_diff.push_back(stats::median(diffs));
               }
             });

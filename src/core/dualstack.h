@@ -27,6 +27,12 @@ struct DualStackStudy {
   /// Upstream store counters plus any non-finite diff samples skipped
   /// here (invalid_rtt), so Figure 10 statistics are never NaN-poisoned.
   DataQualityReport quality;
+
+  /// Adds pairs_matched and samples_matched to s2s.dualstack.*.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    counters["s2s.dualstack.pairs_matched"] += pairs_matched;
+    counters["s2s.dualstack.samples_matched"] += samples_matched;
+  }
 };
 
 /// Matches every dual-stack pair in the store. With a pool, the v6

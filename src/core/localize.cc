@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/parallel_for.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/fft.h"
 #include "stats/summary.h"
@@ -51,8 +50,6 @@ LocalizeResult localize_congestion(const SegmentSeriesStore& store,
                                    const LocalizeConfig& config,
                                    exec::ThreadPool* pool) {
   const obs::TraceSpan stage_span("analysis.congestion.localize");
-  const obs::Counter localized =
-      obs::MetricsRegistry::global().counter("s2s.congestion.pairs_localized");
 
   LocalizeResult result;
   exec::sharded_reduce<LocalizeResult>(
@@ -129,7 +126,6 @@ LocalizeResult localize_congestion(const SegmentSeriesStore& store,
                 obs.overhead_ms = overhead;
                 partial.segments.push_back(std::move(obs));
                 ++partial.pairs_localized;
-                localized.inc();
                 break;  // first matching segment marks the congested link
               }
             });

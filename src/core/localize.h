@@ -50,6 +50,11 @@ struct LocalizeResult {
   std::size_t pairs_symmetric = 0;
   std::size_t pairs_persistent = 0;  ///< diurnal signal still present
   std::size_t pairs_localized = 0;
+
+  /// Adds pairs_localized to s2s.congestion.pairs_localized.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    counters["s2s.congestion.pairs_localized"] += pairs_localized;
+  }
 };
 
 /// Infers the AS-level sequence of a hop-address list (collapse duplicate

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace s2s::core {
@@ -93,9 +92,6 @@ void OwnershipInference::finalize() {
   if (finalized_) return;
   finalized_ = true;
   const obs::TraceSpan stage_span("analysis.congestion.ownership");
-  obs::MetricsRegistry::global()
-      .counter("s2s.ownership.links_observed")
-      .inc(links_.size());
 
   // back: if >=2 in-neighbors of y carry the same candidate owner ASi,
   // extend that label to unlabeled in-neighbors whose address ASi announces.

@@ -26,6 +26,7 @@
 #include <unordered_set>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -103,6 +104,12 @@ class OwnershipInference {
     std::size_t unresolved = 0;
   };
   const Stats& stats() const noexcept { return stats_; }
+
+  /// Once finalized, adds the observed address links to
+  /// s2s.ownership.links_observed.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    if (finalized_) counters["s2s.ownership.links_observed"] += links_.size();
+  }
 
  private:
   struct LabelSet {

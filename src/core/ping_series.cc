@@ -53,8 +53,8 @@ bool PingSeriesStore::commit(const PreparedPing& p) {
     gate_.drop_duplicate();
     return false;
   }
-  gate_.obs().records.inc();
-  gate_.obs().rtt_ms.record(p.rtt_ms);
+  gate_.accept();
+  gate_.rtt_ms().record(p.rtt_ms);
   ++series.valid;
   slot = p.rtt_tenths;
   return true;

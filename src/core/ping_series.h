@@ -94,6 +94,10 @@ class PingSeriesStore {
   const DataQualityReport& quality() const noexcept {
     return gate_.quality();
   }
+  /// Adds the ingest counts under s2s.ping_store.* (IngestGate::export_metrics).
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    gate_.export_metrics(counters);
+  }
   double samples_per_day() const {
     return 86400.0 / static_cast<double>(interval_s_);
   }

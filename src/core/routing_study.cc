@@ -5,7 +5,6 @@
 #include <set>
 
 #include "exec/parallel_for.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace s2s::core {
@@ -95,9 +94,6 @@ RoutingStudy run_routing_study(const TimelineStore& store,
                                const RoutingStudyConfig& config,
                                exec::ThreadPool* pool) {
   const obs::TraceSpan stage_span("analysis.routing_study");
-  auto& reg = obs::MetricsRegistry::global();
-  const obs::Counter timelines_analyzed =
-      reg.counter("s2s.routing_study.timelines");
 
   RoutingStudy study;
   const double interval_hours = store.interval_hours();
@@ -115,7 +111,6 @@ RoutingStudy run_routing_study(const TimelineStore& store,
                 if (timeline.obs.size() < config.min_observations) return;
                 analyze_family(timeline, interval_hours, config,
                                partial.of(fam));
-                timelines_analyzed.inc();
               });
         },
         [&](QualifyPartial& partial) {

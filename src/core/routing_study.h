@@ -53,6 +53,11 @@ struct RoutingStudy {
   const PerFamily& of(net::Family f) const {
     return f == net::Family::kIPv4 ? v4 : v6;
   }
+
+  /// Adds the qualifying timelines to s2s.routing_study.timelines.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    counters["s2s.routing_study.timelines"] += v4.timelines + v6.timelines;
+  }
 };
 
 /// Runs the routing study. With a pool, the per-timeline qualify pass

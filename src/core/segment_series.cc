@@ -10,8 +10,8 @@ void SegmentSeriesStore::add(const probe::TracerouteRecord& record) {
     return;
   }
   if (!record.complete || record.hops.empty()) return;
-  gate_.obs().records.inc();
-  gate_.obs().rtt_ms.record(record.end_to_end_rtt_ms());
+  gate_.accept();
+  gate_.rtt_ms().record(record.end_to_end_rtt_ms());
   const auto e = static_cast<std::size_t>(epoch);
 
   PairSeries& series = series_[PairTable<PairSeries>::key(

@@ -74,6 +74,10 @@ class SegmentSeriesStore {
   const DataQualityReport& quality() const noexcept {
     return gate_.quality();
   }
+  /// Adds the ingest counts under s2s.segments.* (IngestGate::export_metrics).
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    gate_.export_metrics(counters);
+  }
   double samples_per_day() const {
     return 86400.0 / static_cast<double>(interval_s_);
   }

@@ -52,8 +52,8 @@ void TimelineStore::commit(const PreparedTrace& p,
   // touch the Table 1 accounting, so a garbled or re-delivered stream
   // cannot inflate the paper's completeness statistics.
   if (!gate_.admit(p.fingerprint, p.grid, kEpochEnd, p.valid)) return;
-  gate_.obs().records.inc();
-  if (p.complete) gate_.obs().rtt_ms.record(p.rtt_ms);
+  gate_.accept();
+  if (p.complete) gate_.rtt_ms().record(p.rtt_ms);
 
   auto& counts = table1_.of(p.family);
   ++counts.collected;

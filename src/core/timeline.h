@@ -172,6 +172,10 @@ class TimelineStore {
   const DataQualityReport& quality() const noexcept {
     return gate_.quality();
   }
+  /// Adds the ingest counts under s2s.timeline.* (IngestGate::export_metrics).
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    gate_.export_metrics(counters);
+  }
   std::size_t timeline_count() const noexcept { return timelines_.size(); }
   std::uint16_t max_epoch() const noexcept { return max_epoch_; }
   double interval_hours() const {

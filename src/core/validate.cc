@@ -12,7 +12,6 @@
 #include "core/segment_series.h"
 #include "obs/json.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "probe/campaign.h"
 #include "simnet/network.h"
@@ -44,30 +43,6 @@ std::int64_t overlap_s(const GroundTruthEntry& e, std::int64_t w0,
                        std::int64_t w1) {
   return std::min(e.t1, w1) - std::max(e.t0, w0);
 }
-
-/// Obs handles for the validation stage.
-struct ValidateObs {
-  obs::Counter scenarios;
-  obs::Counter events;
-  obs::Counter assessed;
-  obs::Counter true_positives;
-  obs::Counter false_positives;
-  obs::Counter false_negatives;
-  obs::Counter localizations;
-
-  static ValidateObs make() {
-    auto& reg = obs::MetricsRegistry::global();
-    ValidateObs o;
-    o.scenarios = reg.counter("s2s.validate.scenarios");
-    o.events = reg.counter("s2s.validate.events");
-    o.assessed = reg.counter("s2s.validate.pairs_assessed");
-    o.true_positives = reg.counter("s2s.validate.true_positives");
-    o.false_positives = reg.counter("s2s.validate.false_positives");
-    o.false_negatives = reg.counter("s2s.validate.false_negatives");
-    o.localizations = reg.counter("s2s.validate.localizations");
-    return o;
-  }
-};
 
 bool links_share_router(const topology::Link& a, const topology::Link& b) {
   return a.end_a.router == b.end_a.router ||
@@ -314,11 +289,24 @@ std::vector<ScenarioSpec> make_scenario_matrix(bool full) {
   return out;
 }
 
+void ScenarioScore::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["s2s.validate.scenarios"] += 1;
+  counters["s2s.validate.events"] += events;
+  counters["s2s.validate.pairs_assessed"] += assessed_pairs;
+  counters["s2s.validate.true_positives"] += true_positives;
+  counters["s2s.validate.false_positives"] += false_positives;
+  counters["s2s.validate.false_negatives"] += false_negatives;
+  counters["s2s.validate.localizations"] += localizations;
+}
+
 ScenarioScore run_scenario(const ScenarioSpec& spec,
-                           const HarnessOptions& opt) {
+                           const HarnessOptions& opt, RunFacts* facts) {
   // One span per scenario: its wall time in the RunReport's span table.
   const obs::TraceSpan scenario_span("validate.scenario." + spec.name);
-  const ValidateObs vobs = ValidateObs::make();
+  const auto note = [facts](const auto& owner) {
+    if (facts != nullptr) facts->note(owner);
+  };
   ScenarioScore score;
   score.name = spec.name;
   score.primary_kind = std::string(simnet::event_kind_name(spec.primary));
@@ -418,7 +406,6 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
   simnet::resolve_affected_pairs(ledger, net, ordered);
   simnet::resolve_affected_pairs(gray_ledger, net, ordered);
   score.events = ledger.entries.size();
-  vobs.events.inc(ledger.entries.size());
 
   // --- ping campaign + survey -----------------------------------------
   probe::PingCampaignConfig ping_cfg;
@@ -431,13 +418,15 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
   ping_cfg.events = &schedule;
   probe::PingCampaign pings(net, ping_cfg, unordered);
   PingSeriesStore store(start_day, net::kFifteenMinutes, pings.epochs());
-  pings.run([&](const probe::PingRecord& r) { store.add(r); });
+  note(pings.run([&](const probe::PingRecord& r) { store.add(r); }));
+  note(store);
 
   CongestionDetectConfig detect_cfg;
   detect_cfg.min_samples =
       static_cast<std::size_t>(0.88 * static_cast<double>(pings.epochs()));
   const CongestionSurvey survey =
       survey_congestion(store, detect_cfg, opt.pool);
+  note(survey);
 
   // --- match verdicts against the ledger ------------------------------
   std::set<PairKey> assessed;
@@ -504,10 +493,6 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
                       ? 0.0
                       : static_cast<double>(score.false_positives) /
                             static_cast<double>(clean);
-  vobs.assessed.inc(score.assessed_pairs);
-  vobs.true_positives.inc(score.true_positives);
-  vobs.false_positives.inc(score.false_positives);
-  vobs.false_negatives.inc(score.false_negatives);
 
   // Per-kind tallies over scoreable entries.
   for (const GroundTruthEntry& e : ledger.entries) {
@@ -551,13 +536,16 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
     probe::TracerouteCampaign followup(net, follow_cfg, followup_pairs);
     SegmentSeriesStore segments(start_day, net::kThirtyMinutes,
                                 followup.epochs());
-    followup.run([&](const probe::TracerouteRecord& r) { segments.add(r); });
+    note(followup.run(
+        [&](const probe::TracerouteRecord& r) { segments.add(r); }));
+    note(segments);
 
     LocalizeConfig loc_cfg;
     loc_cfg.min_traces = static_cast<std::size_t>(
         0.3 * static_cast<double>(followup.epochs()));
     const LocalizeResult localization =
         localize_congestion(segments, net.rib(), loc_cfg, opt.pool);
+    note(localization);
 
     // Interface address -> link index for matching localized hop pairs
     // back to ground-truth links.
@@ -614,8 +602,6 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
           ? 1.0
           : static_cast<double>(score.localizations_correct) /
                 static_cast<double>(score.localizations);
-  vobs.localizations.inc(score.localizations);
-  vobs.scenarios.inc();
   obs::logf(obs::LogLevel::kInfo,
             "validate %s: truth %zu flagged %zu tp %zu fp %zu fn %zu "
             "loc %zu/%zu",
@@ -627,11 +613,11 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
 }
 
 ValidationStudy run_matrix(std::span<const ScenarioSpec> specs,
-                           const HarnessOptions& opt) {
+                           const HarnessOptions& opt, RunFacts* facts) {
   ValidationStudy study;
   study.seed = opt.seed;
   for (const ScenarioSpec& spec : specs) {
-    study.scenarios.push_back(run_scenario(spec, opt));
+    study.scenarios.push_back(run_scenario(spec, opt, facts));
   }
   for (const ScenarioScore& s : study.scenarios) {
     for (const auto& [name, ks] : s.kinds) {

@@ -18,7 +18,8 @@
 // maintenance false-positive rate). Everything is seed-deterministic and
 // thread-width-independent, so the study is byte-identical at any
 // S2S_THREADS — the same contract the analysis passes already honor
-// (DESIGN.md section 9). Observability: `s2s.validate.*` counters.
+// (DESIGN.md section 9). Observability: the study exports its scores as
+// `s2s.validate.*` counters; its scenarios' other facts come out apart.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/data_quality.h"
 #include "exec/pool.h"
 #include "simnet/events.h"
 
@@ -100,6 +102,10 @@ struct ScenarioScore {
 
   /// Per-kind tallies over this scenario's inflating entries.
   std::map<std::string, KindScore> kinds;
+
+  /// Adds this scenario to s2s.validate.{scenarios,events,pairs_assessed,
+  /// true_positives,false_positives,false_negatives,localizations}.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
 };
 
 inline constexpr int kValidationSchemaVersion = 1;
@@ -121,6 +127,11 @@ struct ValidationStudy {
 
   std::string to_json() const;
   static std::optional<ValidationStudy> parse(std::string_view json_text);
+
+  /// Adds every scenario's ScenarioScore::export_metrics.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const {
+    for (const ScenarioScore& s : scenarios) s.export_metrics(counters);
+  }
 };
 
 /// CI floors; check_gates reports every violation, not just the first.
@@ -164,12 +175,15 @@ struct HarnessOptions {
 };
 
 /// Runs one scenario end to end: deployment, event schedule, ledger,
-/// ping campaign, survey, follow-up + localization, scoring.
+/// ping campaign, survey, follow-up + localization, scoring. Notes its
+/// campaigns, stores, survey and localization in `facts` when given.
 ScenarioScore run_scenario(const ScenarioSpec& spec,
-                           const HarnessOptions& opt);
+                           const HarnessOptions& opt,
+                           RunFacts* facts = nullptr);
 
 /// Runs every scenario and rolls up the aggregates.
 ValidationStudy run_matrix(std::span<const ScenarioSpec> specs,
-                           const HarnessOptions& opt);
+                           const HarnessOptions& opt,
+                           RunFacts* facts = nullptr);
 
 }  // namespace s2s::core

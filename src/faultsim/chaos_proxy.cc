@@ -59,8 +59,6 @@ struct Relay {
 
 }  // namespace
 
-struct ChaosProxy::Impl {};  // (declared for layout stability; unused)
-
 ChaosProxy::ChaosProxy(const ChaosConfig& config)
     : config_(config), rng_(config.seed) {}
 

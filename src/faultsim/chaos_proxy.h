@@ -119,7 +119,6 @@ class ChaosProxy {
   void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
 
  private:
-  struct Impl;
   void run();
 
   ChaosConfig config_;

@@ -24,30 +24,6 @@ namespace {
 /// structural decode bug, not data).
 constexpr std::uint64_t kMaxHopsPerRecord = 255;
 
-obs::Counter obs_blocks_read() {
-  static obs::Counter c =
-      obs::MetricsRegistry::global().counter("s2s.io.binrec.blocks_read");
-  return c;
-}
-
-obs::Counter obs_crc_failures() {
-  static obs::Counter c =
-      obs::MetricsRegistry::global().counter("s2s.io.binrec.crc_failures");
-  return c;
-}
-
-obs::Counter obs_bytes_mapped() {
-  static obs::Counter c =
-      obs::MetricsRegistry::global().counter("s2s.io.binrec.bytes_mapped");
-  return c;
-}
-
-obs::Counter obs_records_read() {
-  static obs::Counter c =
-      obs::MetricsRegistry::global().counter("s2s.io.binrec.records_read");
-  return c;
-}
-
 std::uint8_t family_code(net::Family f) {
   return f == net::Family::kIPv4 ? 4 : 6;
 }
@@ -265,17 +241,11 @@ bool decode_block(BlockKind kind, std::size_t record_count,
                   const TraceRecordFn& on_trace, const PingRecordFn& on_ping,
                   BinReadCounters& counters) {
   if (record_count == 0) return payload_bytes == 0;  // explicit empty block
-  const std::size_t before = counters.records_read;
-  const bool ok =
-      kind == BlockKind::kPing
-          ? decode_ping_payload(payload, payload_bytes, record_count, on_ping,
-                                counters)
-          : decode_trace_payload(payload, payload_bytes, record_count,
-                                 on_trace, counters);
-  if (counters.records_read > before) {
-    obs_records_read().inc(counters.records_read - before);
-  }
-  return ok;
+  return kind == BlockKind::kPing
+             ? decode_ping_payload(payload, payload_bytes, record_count,
+                                   on_ping, counters)
+             : decode_trace_payload(payload, payload_bytes, record_count,
+                                    on_trace, counters);
 }
 
 /// Parsed block header; `valid` false means the fixed fields are
@@ -413,12 +383,11 @@ std::size_t walk_blocks(const unsigned char* data, std::size_t pos,
 void consume(const BlockView& b, const TraceRecordFn& on_trace,
              const PingRecordFn& on_ping, BinReadCounters& counters) {
   const bool block = b.status == BlockStatus::kBlock;
-  if (block && !b.crc_ok) obs_crc_failures().inc();
+  if (block && !b.crc_ok) ++counters.crc_failures;
   if (block && b.crc_ok &&
       decode_block(b.kind, b.record_count, b.payload, b.payload_bytes,
                    on_trace, on_ping, counters)) {
     ++counters.blocks_read;
-    obs_blocks_read().inc();
   } else {
     ++counters.corrupt_blocks;
   }
@@ -921,7 +890,12 @@ void BinRecordWriter::emit_block(
     out_.write(part.data(), static_cast<std::streamsize>(part.size()));
   }
   bytes_written_ += header.size() + payload_bytes;
-  obs_blocks_written_.inc();
+}
+
+void BinRecordWriter::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["s2s.io.binrec.blocks_written"] +=
+      index_.size() - config_.resume_index.size();
 }
 
 void BinRecordWriter::flush_block() {
@@ -1084,7 +1058,6 @@ BinRecordMmapReader::BinRecordMmapReader(const std::string& path) {
 
 BinRecordMmapReader::BinRecordMmapReader(MmapFile file)
     : file_(std::move(file)) {
-  obs_bytes_mapped().inc(file_.size());
   init(file_.data(), file_.size());
 }
 
@@ -1229,6 +1202,7 @@ IngestResult ingest_record_image(const void* data, std::size_t size,
     reader.read_all(count_trace, count_ping);
     result.blocks_read = reader.blocks_read();
     result.corrupt_blocks = reader.corrupt_blocks();
+    result.crc_failures = reader.counters().crc_failures;
     result.records_rejected = reader.counters().records_rejected;
     result.truncated = reader.counters().truncated;
     result.footer = reader.footer_status();
@@ -1238,9 +1212,25 @@ IngestResult ingest_record_image(const void* data, std::size_t size,
     RecordReader reader(in);
     reader.read_all(count_trace, count_ping);
     result.malformed_lines = reader.errors();
+    result.malformed_retained = reader.malformed_retained();
   }
   result.records = delivered;
   return result;
+}
+
+void IngestResult::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  if (!binary) {
+    counters["s2s.io.records_parsed"] += records;
+    counters["s2s.io.malformed_retained"] += malformed_retained;
+    counters["s2s.io.malformed_dropped"] +=
+        malformed_lines - malformed_retained;
+    return;
+  }
+  counters["s2s.io.binrec.blocks_read"] += blocks_read;
+  counters["s2s.io.binrec.records_read"] += records;
+  if (crc_failures > 0) counters["s2s.io.binrec.crc_failures"] += crc_failures;
+  if (bytes_mapped > 0) counters["s2s.io.binrec.bytes_mapped"] += bytes_mapped;
 }
 
 IngestResult ingest_record_file(const std::string& path,
@@ -1253,8 +1243,10 @@ IngestResult ingest_record_file(const std::string& path,
     result.error = file.error();
     return result;
   }
-  obs_bytes_mapped().inc(file.size());
-  return ingest_record_image(file.data(), file.size(), on_trace, on_ping);
+  IngestResult result =
+      ingest_record_image(file.data(), file.size(), on_trace, on_ping);
+  result.bytes_mapped = file.size();
+  return result;
 }
 
 }  // namespace s2s::io

@@ -41,6 +41,7 @@
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,7 +49,6 @@
 #include <vector>
 
 #include "io/mmap_file.h"
-#include "obs/metrics.h"
 #include "probe/records.h"
 
 namespace s2s::io {
@@ -162,6 +162,10 @@ class BinRecordWriter {
 
   std::size_t written() const noexcept { return written_; }
   std::size_t blocks_written() const noexcept { return index_.size(); }
+
+  /// Adds the blocks this writer emitted (not the resumed prefix's) to
+  /// s2s.io.binrec.blocks_written.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
   /// Bytes emitted so far (header + closed blocks [+ footer]); valid as
   /// a resume boundary right after a flush_block().
   std::size_t bytes_written() const noexcept { return bytes_written_; }
@@ -185,8 +189,6 @@ class BinRecordWriter {
   std::size_t written_ = 0;
   std::size_t bytes_written_ = 0;
   bool finished_ = false;
-  obs::Counter obs_blocks_written_ =
-      obs::MetricsRegistry::global().counter("s2s.io.binrec.blocks_written");
 };
 
 // ---------------------------------------------------------------------------
@@ -265,6 +267,7 @@ using PingRecordFn = std::function<void(const probe::PingRecord&)>;
 struct BinReadCounters {
   std::size_t blocks_read = 0;      ///< CRC-verified and decoded
   std::size_t corrupt_blocks = 0;   ///< skipped: bad CRC/header/structure
+  std::size_t crc_failures = 0;     ///< of those, framed but failed the CRC
   std::size_t records_read = 0;     ///< delivered to a callback
   std::size_t records_rejected = 0; ///< per-record decode rejects (bad RTT)
   /// The walk hit EOF mid-header or mid-payload: the file is torn, not
@@ -425,8 +428,16 @@ struct IngestResult {
   std::size_t blocks_read = 0;       ///< binary arm
   std::size_t corrupt_blocks = 0;    ///< binary arm
   std::size_t records_rejected = 0;  ///< binary arm
+  std::size_t crc_failures = 0;      ///< binary arm
   bool truncated = false;            ///< binary arm: EOF hit mid-block
   FooterStatus footer = FooterStatus::kAbsent;  ///< binary arm
+  std::size_t malformed_retained = 0;  ///< text arm: kept as samples
+  std::size_t bytes_mapped = 0;  ///< size of the file the ingest mapped
+
+  /// Adds the arm's counts: as RecordReader's names, or as
+  /// s2s.io.binrec.{blocks_read,records_read}, plus .crc_failures and
+  /// .bytes_mapped once a block failed its CRC / a file was mapped.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
 };
 
 /// Sniffs the format of an in-memory image and streams every record to

@@ -205,14 +205,18 @@ bool RecordReader::next_line(std::string& line) {
   return static_cast<bool>(std::getline(in_, line));
 }
 
+void RecordReader::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["s2s.io.records_parsed"] += parsed_;
+  counters["s2s.io.malformed_retained"] += malformed_retained();
+  counters["s2s.io.malformed_dropped"] += malformed_dropped();
+}
+
 void RecordReader::note_malformed(const std::string& line) {
-  ++errors_;
   if (malformed_.size() >= max_samples_) {
     ++dropped_;
-    obs_dropped_.inc();
     return;
   }
-  obs_retained_.inc();
   obs::logf(obs::LogLevel::kWarn, "malformed record at line %zu: %.40s%s",
             lines_, line.c_str(), line.size() > 40 ? "..." : "");
   malformed_.push_back(

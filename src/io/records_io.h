@@ -22,13 +22,14 @@
 // numbers) so a corrupt campaign file is debuggable from its own report.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "probe/records.h"
 
 namespace s2s::io {
@@ -66,9 +67,9 @@ struct MalformedLine {
 /// Retention is capped: only the first `max_samples` malformed lines are
 /// kept (each truncated to kMaxSampleLength bytes) so a systematically
 /// corrupt multi-gigabyte file cannot balloon memory; the full count is
-/// always available via errors(). The same split is mirrored into the
-/// global metrics registry as `s2s.io.malformed_retained` and
-/// `s2s.io.malformed_dropped`, alongside `s2s.io.records_parsed`.
+/// always available via errors(). export_metrics() reports the split as
+/// `s2s.io.malformed_retained` and `s2s.io.malformed_dropped`, beside
+/// `s2s.io.records_parsed`.
 class RecordReader {
  public:
   /// Longest retained prefix of a malformed line.
@@ -78,8 +79,7 @@ class RecordReader {
   /// reader must adopt the counts and the retained samples *together*:
   /// historically resume code copied `malformed()` into a fresh reader
   /// whose error counter restarted at zero, so `malformed_dropped()`
-  /// (then computed as errors - retained) underflowed and the obs
-  /// mirrors disagreed with the reader.
+  /// (then computed as errors - retained) underflowed.
   struct State {
     std::size_t lines = 0;
     std::size_t errors = 0;
@@ -98,14 +98,14 @@ class RecordReader {
       if (line.empty()) continue;
       if (line.front() == 'T') {
         if (auto rec = parse_traceroute(line)) {
-          obs_parsed_.inc();
+          ++parsed_;
           on_trace(*rec);
         } else {
           note_malformed(line);
         }
       } else if (line.front() == 'P') {
         if (auto rec = parse_ping(line)) {
-          obs_parsed_.inc();
+          ++parsed_;
           on_ping(*rec);
         } else {
           note_malformed(line);
@@ -118,7 +118,9 @@ class RecordReader {
 
   /// Total lines consumed (including empty and malformed ones).
   std::size_t lines() const noexcept { return lines_; }
-  std::size_t errors() const noexcept { return errors_; }
+  /// Records parsed and handed to a sink.
+  std::size_t parsed() const noexcept { return parsed_; }
+  std::size_t errors() const noexcept { return malformed_.size() + dropped_; }
   /// The first `max_samples` malformed lines, for error reports.
   const std::vector<MalformedLine>& malformed() const noexcept {
     return malformed_;
@@ -131,18 +133,14 @@ class RecordReader {
 
   /// Snapshot of the malformed-line accounting, for a checkpoint.
   State state() const {
-    return {lines_, errors_, dropped_, malformed_};
+    return {lines_, errors(), dropped_, malformed_};
   }
 
   /// Adopts a checkpoint snapshot into this (typically fresh) reader,
   /// keeping counter and samples consistent by construction: the error
-  /// count is re-derived as retained + dropped, so no combination of
-  /// inputs can make malformed_dropped() disagree with the samples.
-  /// With `replay_metrics` the obs mirrors are re-ticked for the adopted
-  /// events — use it on cross-process resume, where the global metrics
-  /// registry restarted with the process; leave it off for a same-process
-  /// re-read, where those events were already counted once.
-  void resume_from(State state, bool replay_metrics = false) {
+  /// count is always retained + dropped, so no combination of inputs can
+  /// make malformed_dropped() disagree with the samples.
+  void resume_from(State state) {
     malformed_ = std::move(state.malformed);
     if (malformed_.size() > max_samples_) malformed_.resize(max_samples_);
     dropped_ = state.dropped;
@@ -151,13 +149,12 @@ class RecordReader {
       // attribute the excess to the dropped side of the split.
       dropped_ = state.errors - malformed_.size();
     }
-    errors_ = malformed_.size() + dropped_;
     lines_ = state.lines;
-    if (replay_metrics) {
-      obs_retained_.inc(malformed_.size());
-      obs_dropped_.inc(dropped_);
-    }
   }
+
+  /// Adds parsed(), malformed_retained() and malformed_dropped() to
+  /// s2s.io.{records_parsed,malformed_retained,malformed_dropped}.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
 
  private:
   bool next_line(std::string& line);
@@ -166,15 +163,9 @@ class RecordReader {
   std::istream& in_;
   std::size_t max_samples_;
   std::size_t lines_ = 0;
-  std::size_t errors_ = 0;
+  std::size_t parsed_ = 0;
   std::size_t dropped_ = 0;
   std::vector<MalformedLine> malformed_;
-  obs::Counter obs_parsed_ =
-      obs::MetricsRegistry::global().counter("s2s.io.records_parsed");
-  obs::Counter obs_retained_ =
-      obs::MetricsRegistry::global().counter("s2s.io.malformed_retained");
-  obs::Counter obs_dropped_ =
-      obs::MetricsRegistry::global().counter("s2s.io.malformed_dropped");
 };
 
 }  // namespace s2s::io

@@ -9,6 +9,7 @@
 // took in, and is copied with the stores on every delta pickup.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -18,11 +19,16 @@ class IncrementalState {
  public:
   /// Counts one ping record the store committed: folded when it filled a
   /// slot, dropped otherwise (failed, invalid, duplicate, off the grid).
-  void count(bool folded);
+  void count(bool folded) noexcept {
+    ++(folded ? records_folded_ : records_dropped_);
+  }
 
   /// Advances the sealed-epoch horizon (monotone; lower values are
   /// ignored) and records the store's pair count there.
-  void advance_watermark(std::int64_t epoch, std::size_t pairs);
+  void advance_watermark(std::int64_t epoch, std::size_t pairs) noexcept {
+    watermark_epoch_ = std::max(watermark_epoch_, epoch);
+    pairs_tracked_ = pairs;
+  }
 
   std::int64_t watermark_epoch() const noexcept { return watermark_epoch_; }
   std::size_t pairs_tracked() const noexcept { return pairs_tracked_; }

@@ -8,45 +8,9 @@
 
 #include "io/binrec.h"
 #include "io/crc32c.h"
+#include "io/varint.h"
 
 namespace s2s::live {
-
-namespace {
-
-void put_u16le(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint16_t get_u16le(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64le(const unsigned char* p) {
-  return static_cast<std::uint64_t>(get_u32le(p)) |
-         (static_cast<std::uint64_t>(get_u32le(p + 4)) << 32);
-}
-
-}  // namespace
 
 std::string watermark_path(const std::string& archive_path) {
   return archive_path + ".wm";
@@ -55,37 +19,37 @@ std::string watermark_path(const std::string& archive_path) {
 std::string encode_watermark(const Watermark& wm) {
   std::string out;
   out.reserve(kWatermarkBytes);
-  put_u32le(out, kWatermarkMagic);
-  put_u16le(out, kWatermarkVersion);
-  put_u16le(out, 0);  // reserved
-  put_u64le(out, wm.sealed_bytes);
-  put_u64le(out, wm.blocks);
-  put_u64le(out, wm.records);
-  put_u64le(out, static_cast<std::uint64_t>(wm.epoch));
-  put_u32le(out, 0);  // reserved
+  io::put_u32le(out, kWatermarkMagic);
+  io::put_u16le(out, kWatermarkVersion);
+  io::put_u16le(out, 0);  // reserved
+  io::put_u64le(out, wm.sealed_bytes);
+  io::put_u64le(out, wm.blocks);
+  io::put_u64le(out, wm.records);
+  io::put_u64le(out, static_cast<std::uint64_t>(wm.epoch));
+  io::put_u32le(out, 0);  // reserved
   // CRC over everything after the magic (version through the reserved
   // word), so any torn or bit-flipped sidecar reads as kInvalid.
-  put_u32le(out, io::crc32c(out.data() + 4, out.size() - 4));
+  io::put_u32le(out, io::crc32c(out.data() + 4, out.size() - 4));
   return out;
 }
 
 WatermarkStatus decode_watermark(const void* data, std::size_t size,
                                  Watermark& out) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  if (size != kWatermarkBytes || get_u32le(bytes) != kWatermarkMagic) {
+  if (size != kWatermarkBytes || io::get_u32le(bytes) != kWatermarkMagic) {
     return WatermarkStatus::kInvalid;
   }
-  if (get_u16le(bytes + 4) != kWatermarkVersion) {
+  if (io::get_u16le(bytes + 4) != kWatermarkVersion) {
     return WatermarkStatus::kInvalid;
   }
-  const std::uint32_t want = get_u32le(bytes + kWatermarkBytes - 4);
+  const std::uint32_t want = io::get_u32le(bytes + kWatermarkBytes - 4);
   if (io::crc32c(bytes + 4, kWatermarkBytes - 8) != want) {
     return WatermarkStatus::kInvalid;
   }
-  out.sealed_bytes = get_u64le(bytes + 8);
-  out.blocks = get_u64le(bytes + 16);
-  out.records = get_u64le(bytes + 24);
-  out.epoch = static_cast<std::int64_t>(get_u64le(bytes + 32));
+  out.sealed_bytes = io::get_u64le(bytes + 8);
+  out.blocks = io::get_u64le(bytes + 16);
+  out.records = io::get_u64le(bytes + 24);
+  out.epoch = static_cast<std::int64_t>(io::get_u64le(bytes + 32));
   return WatermarkStatus::kValid;
 }
 

@@ -16,36 +16,11 @@ using topology::ServerId;
 
 namespace {
 
-/// Obs handles shared by both campaign kinds; resolved once per run().
-struct CampaignObs {
-  obs::Counter records;
-  obs::Counter epochs;
-  obs::Histogram epoch_us;
-  obs::Histogram checkpoint_us;
-  obs::Gauge records_per_sec;
-  obs::Gauge lanes;
-
-  static CampaignObs make() {
-    auto& reg = obs::MetricsRegistry::global();
-    CampaignObs o;
-    o.records = reg.counter("s2s.campaign.records");
-    o.epochs = reg.counter("s2s.campaign.epochs");
-    o.epoch_us = reg.histogram("s2s.campaign.epoch_us",
-                               obs::MetricsRegistry::latency_us_bounds());
-    o.checkpoint_us = reg.histogram("s2s.campaign.checkpoint_us",
-                                    obs::MetricsRegistry::latency_us_bounds());
-    o.records_per_sec = reg.gauge("s2s.campaign.records_per_sec");
-    o.lanes = reg.gauge("s2s.campaign.lanes");
-    return o;
-  }
-
-  /// Records/sec over the whole run; elapsed measured by the caller.
-  void finish(std::size_t records_delivered, double elapsed_s) const {
-    if (elapsed_s > 0.0) {
-      records_per_sec.set(static_cast<double>(records_delivered) / elapsed_s);
-    }
-  }
-};
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 std::vector<std::pair<ServerId, ServerId>> with_reversed(
     std::span<const std::pair<ServerId, ServerId>> pairs) {
@@ -118,14 +93,17 @@ CampaignRunResult run_epochs(const RunSpec& spec, Engine& engine,
     engine.set_rng_state(resume->rng_state);
   }
   const std::size_t n = first < spec.total ? spec.total - first : 0;
-  const CampaignObs cobs = CampaignObs::make();
-  cobs.lanes.set(static_cast<double>(
-      pool == nullptr ? 1 : std::clamp<std::size_t>(n, 1, pool->thread_count())));
+  auto& reg = obs::MetricsRegistry::global();
+  const obs::Histogram epoch_us = reg.histogram(
+      "s2s.campaign.epoch_us", obs::MetricsRegistry::latency_us_bounds());
+  const obs::Histogram checkpoint_us = reg.histogram(
+      "s2s.campaign.checkpoint_us", obs::MetricsRegistry::latency_us_bounds());
+  result.lanes =
+      pool == nullptr ? 1 : std::clamp<std::size_t>(n, 1, pool->thread_count());
   const ScopedEvents scoped_events(spec.net, spec.events);
   const obs::TraceSpan run_span(spec.span);
   const auto run_start = std::chrono::steady_clock::now();
   std::size_t epoch = first;
-  std::size_t epoch_records = 0;
   try {
     exec::ordered_pipeline<EpochSlot<Facts>>(
         pool, n,
@@ -143,28 +121,22 @@ CampaignRunResult run_epochs(const RunSpec& spec, Engine& engine,
         [&](std::size_t i, EpochSlot<Facts>& slot) {
           epoch = first + i;
           const obs::TraceSpan epoch_span("epoch");
-          const obs::ScopedTimer epoch_timer(cobs.epoch_us);
+          const obs::ScopedTimer epoch_timer(epoch_us);
           // Checkpoint at the epoch boundary: if the sink fails below, the
           // whole epoch is replayed on resume (at-least-once delivery).
           {
-            const obs::ScopedTimer ckpt_timer(cobs.checkpoint_us);
+            const obs::ScopedTimer ckpt_timer(checkpoint_us);
             result.checkpoint.next_epoch = epoch;
             result.checkpoint.rng_state = engine.rng_state();
           }
-          epoch_records = 0;
           try {
-            deliver(slot, [&] {
-              ++result.records_delivered;
-              ++epoch_records;
-            });
+            deliver(slot, [&] { ++result.records_delivered; });
             if (slot.error) std::rethrow_exception(slot.error);
           } catch (const std::exception& e) {
             result.aborted = true;
             result.error = e.what();
             throw EpochAborted{};
           }
-          cobs.records.inc(epoch_records);
-          cobs.epochs.inc();
           ++result.epochs_completed;
           if (spec.on_epoch) spec.on_epoch(epoch);
           if (spec.progress) {
@@ -173,17 +145,14 @@ CampaignRunResult run_epochs(const RunSpec& spec, Engine& engine,
           }
         });
   } catch (const EpochAborted&) {
-    cobs.records.inc(epoch_records);
+    result.elapsed_s = seconds_since(run_start);
     obs::logf(obs::LogLevel::kWarn, "%s campaign aborted at epoch %zu/%zu: %s",
               spec.kind, epoch, spec.total, result.error.c_str());
     return result;
   }
   result.checkpoint.next_epoch = spec.total;
   result.checkpoint.rng_state = engine.rng_state();
-  cobs.finish(result.records_delivered,
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            run_start)
-                  .count());
+  result.elapsed_s = seconds_since(run_start);
   return result;
 }
 
@@ -229,6 +198,17 @@ DowntimeSchedule::DowntimeSchedule(std::size_t servers, double campaign_days,
 DowntimeSchedule::DowntimeSchedule(Windows windows)
     : windows_(std::move(windows)) {
   for (auto& list : windows_) normalize(list);
+}
+
+void CampaignRunResult::export_metrics(
+    std::map<std::string, std::uint64_t>& counters,
+    std::map<std::string, double>& gauges) const {
+  counters["s2s.campaign.records"] += records_delivered;
+  counters["s2s.campaign.epochs"] += epochs_completed;
+  gauges["s2s.campaign.lanes"] = static_cast<double>(lanes);
+  gauges["s2s.campaign.records_per_sec"] =
+      elapsed_s > 0.0 ? static_cast<double>(records_delivered) / elapsed_s
+                      : 0.0;
 }
 
 std::string CampaignCheckpoint::serialize() const {

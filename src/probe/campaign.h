@@ -29,7 +29,9 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -97,6 +99,13 @@ struct CampaignRunResult {
   /// Resume point: one past the last completed epoch (the aborted epoch
   /// itself when aborted, so its partial records are re-sent on resume).
   CampaignCheckpoint checkpoint;
+  std::size_t lanes = 0;   ///< pool lanes the epochs were prepared on
+  double elapsed_s = 0.0;  ///< wall time of the run, to its end or abort
+
+  /// Adds the records and epochs to s2s.campaign.{records,epochs}; sets
+  /// the gauges s2s.campaign.{lanes,records_per_sec} to this run's.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters,
+                      std::map<std::string, double>& gauges) const;
 };
 
 struct TracerouteCampaignConfig {

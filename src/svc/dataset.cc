@@ -111,17 +111,20 @@ Dataset::Response error_response(std::string_view code,
   return {MsgType::kError, error_payload(code, message)};
 }
 
-/// The IngestResult of a pipelined binary ingest.
+/// The IngestResult of a pipelined binary ingest of a mapped archive.
 io::IngestResult binary_ingest(const IngestOutcome& outcome,
-                               io::FooterStatus footer) {
+                               io::FooterStatus footer,
+                               std::size_t bytes_mapped) {
   io::IngestResult ingest;
   ingest.binary = true;
   ingest.records = outcome.counters.records_read;
   ingest.blocks_read = outcome.counters.blocks_read;
   ingest.corrupt_blocks = outcome.counters.corrupt_blocks;
+  ingest.crc_failures = outcome.counters.crc_failures;
   ingest.records_rejected = outcome.counters.records_rejected;
   ingest.truncated = outcome.counters.truncated;
   ingest.footer = footer;
+  ingest.bytes_mapped = bytes_mapped;
   return ingest;
 }
 
@@ -215,7 +218,7 @@ bool Dataset::load_on(exec::ThreadPool* pool, std::string& error) {
         {reader->data(), 0, reader->size(), 0, &reader->file()}, plan,
         {timelines.get(), pings.get(), nullptr}, pool);
     crc = outcome.crc;
-    ingest = binary_ingest(outcome, plan.footer);
+    ingest = binary_ingest(outcome, plan.footer, reader->size());
   }
   timelines_ = std::move(timelines);
   pings_ = std::move(pings);
@@ -722,6 +725,14 @@ std::vector<Dataset::PairKey> Dataset::ping_pairs() const {
     return std::tie(a.src, a.dst, a.family) < std::tie(b.src, b.dst, b.family);
   });
   return out;
+}
+
+void Dataset::export_metrics(
+    std::map<std::string, std::uint64_t>& counters) const {
+  if (!loaded()) return;
+  timelines_->export_metrics(counters);
+  pings_->export_metrics(counters);
+  ingest_.export_metrics(counters);
 }
 
 void Dataset::summary_json(obs::json::Writer& w) const {

@@ -122,6 +122,10 @@ class Dataset {
   std::shared_ptr<Dataset> clone_advanced(std::string& error) const;
   const DatasetConfig& config() const noexcept { return config_; }
   const io::IngestResult& ingest() const noexcept { return ingest_; }
+  /// Adds this snapshot's load facts: its stores' ingest counts
+  /// (s2s.timeline.*, s2s.ping_store.*) and its IngestResult (s2s.io.*).
+  /// Nothing when not loaded.
+  void export_metrics(std::map<std::string, std::uint64_t>& counters) const;
   std::size_t ping_epochs() const noexcept {
     return pings_ ? pings_->epochs() : 0;
   }

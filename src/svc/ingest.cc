@@ -72,6 +72,7 @@ IngestOutcome ingest_blocks(const IngestImage& image, const io::BlockPlan& plan,
         }
         out.counters.blocks_read += slot.counters.blocks_read;
         out.counters.corrupt_blocks += slot.counters.corrupt_blocks;
+        out.counters.crc_failures += slot.counters.crc_failures;
         out.counters.records_read += slot.counters.records_read;
         out.counters.records_rejected += slot.counters.records_rejected;
         out.crc = io::crc32c_combine(out.crc, slot.crc, cut[k + 1] - cut[k]);

@@ -1297,9 +1297,11 @@ void Server::export_metrics(std::map<std::string, std::uint64_t>& counters,
   gauges["s2s.svc.uptime_s"] = uptime_seconds();
   gauges["s2s.svc.reactors"] = static_cast<double>(reactors_.size());
   const std::shared_ptr<const Dataset> snap = dataset_snapshot();
+  if (snap) snap->export_metrics(counters);
   if (snap && snap->live()) {
     const auto* state = snap->live_state();
     counters["s2s.live.delta_pickups"] = live_pickups();
+    counters["s2s.live.records_folded"] = state ? state->records_folded() : 0;
     gauges["s2s.live.watermark_epoch"] =
         static_cast<double>(snap->watermark().epoch);
     gauges["s2s.live.sealed_bytes"] =

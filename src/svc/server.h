@@ -188,10 +188,12 @@ class Server {
   /// RunReport's) maps under their s2s.svc.* names: the reactor
   /// counters, reloads, SLO good/total, cache totals, and the
   /// active_conns / pending_cost / uptime_s / reactors / cache gauges.
-  /// While the served snapshot is a live shard it adds the s2s.live.*
-  /// facts too; their presence is the "this server is live-ingesting"
-  /// signal tools key off. Values are this server's own (DESIGN.md
-  /// section 13). Safe concurrently with serving.
+  /// It adds the served snapshot's load facts (Dataset::export_metrics:
+  /// s2s.timeline.*, s2s.ping_store.*, s2s.io.*). While that snapshot is
+  /// a live shard it writes the s2s.live.* facts too; their presence is
+  /// the "this server is live-ingesting" signal tools key off. Values
+  /// are this server's and its snapshot's own (DESIGN.md section 13).
+  /// Safe concurrently with serving.
   void export_metrics(std::map<std::string, std::uint64_t>& counters,
                       std::map<std::string, double>& gauges) const;
 

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -24,6 +24,7 @@
 #include "faultsim/chaos_proxy.h"
 #include "io/binrec.h"
 #include "obs/metrics.h"
+#include "reactor_gate.h"
 #include "svc/client.h"
 #include "svc/dataset.h"
 #include "svc/protocol.h"
@@ -473,58 +474,70 @@ TEST(SvcOverload, RetryingClientHonorsBusyHintsUnderFlood) {
   svc::ServerConfig cfg;
   cfg.max_inflight = 1;
   cfg.busy_retry_after_ms = 5;
+  cfg.slow_query_us = 1;  // every request logs a line: the gate's hook
   TestServer ts(*world().dataset, 2, cfg);
+  ReactorGate gate;  // released before the server drains
 
-  // The retry budget must outlast any flood round: every busy sleeps the
-  // >=5ms hint, so 400 retries span >=2s against a ~250ms round —
-  // admission is guaranteed once the round ends.
+  // The retry budget outlasts the flood: every busy sleeps the >=5ms
+  // hint, so 400 retries span >=2s against one batch of figure work.
   svc::RetryPolicy policy;
   policy.timeout_ms = 5000;
   policy.max_retries = 400;
   svc::RetryingClient client("127.0.0.1", ts.port(), policy);
-
-  // Bounded flood rounds: a background connection keeps the admission
-  // queue occupied with no-cache figure work while the retrying client
-  // fights through, until it has observed at least one busy hint.
-  for (int round = 0; round < 4 && client.stats().busy_rescheduled == 0;
-       ++round) {
-    std::atomic<bool> stop{false};
-    std::thread flooder([&ts, &stop] {
-      svc::FigureQuery f;
-      f.figure = 10;
-      std::string batch;
-      for (int i = 0; i < 8; ++i) {
-        batch += svc::encode_frame(svc::MsgType::kFigureDigest,
-                                   svc::kFlagNoCache,
-                                   svc::encode_figure_query(f));
-      }
-      svc::Client raw;
-      std::string error;
-      if (!raw.connect("127.0.0.1", ts.port(), error)) return;
-      while (!stop.load()) {
-        if (!raw.send_bytes(batch, error)) return;
-        for (int i = 0; i < 8; ++i) {
-          svc::MsgType rtype;
-          std::string rpayload;
-          if (!raw.read_frame(&rtype, &rpayload, error)) return;
-        }
-      }
-    });
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
-    while (std::chrono::steady_clock::now() < deadline &&
-           client.stats().busy_rescheduled == 0) {
-      svc::MsgType rtype;
-      std::string rpayload;
-      std::string error;
-      const bool ok = client.call(svc::MsgType::kPingEcho, 0, "", &rtype,
-                                  &rpayload, error);
-      EXPECT_TRUE(ok) << error;
-      if (!ok) break;
+  std::string error;
+  svc::Client flood, holder;
+  ASSERT_TRUE(flood.connect("127.0.0.1", ts.port(), error)) << error;
+  ASSERT_TRUE(holder.connect("127.0.0.1", ts.port(), error)) << error;
+  const auto call_ping = [&client] {
+    svc::MsgType rtype;
+    std::string rpayload;
+    std::string error;
+    const bool ok = client.call(svc::MsgType::kPingEcho, 0, "", &rtype,
+                                &rpayload, error);
+    EXPECT_TRUE(ok) << error;
+    if (ok) {
       EXPECT_EQ(rtype, svc::MsgType::kOk);
     }
-    stop.store(true);
-    flooder.join();
+  };
+  // Both connections accepted before the reactor is held.
+  call_ping();
+  {
+    svc::MsgType rtype;
+    std::string rpayload;
+    ASSERT_TRUE(flood.call(svc::MsgType::kPingEcho, 0, "", &rtype, &rpayload,
+                           error))
+        << error;
+  }
+
+  // Hold the reactor in a server_stats request's log line while the
+  // flood's batch of no-cache figure work and then the client's ping
+  // arrive. The next poll round parses them in that order: the first
+  // figure is admitted, so the ping meets a full inflight budget and is
+  // shed with a busy hint, which the client sleeps and retries through.
+  svc::FigureQuery f;
+  f.figure = 10;
+  std::string batch;
+  for (int i = 0; i < 8; ++i) {
+    batch += svc::encode_frame(svc::MsgType::kFigureDigest, svc::kFlagNoCache,
+                               svc::encode_figure_query(f));
+  }
+  gate.arm("\"type\":\"server_stats\"");
+  ASSERT_TRUE(holder.send_bytes(
+      svc::encode_frame(svc::MsgType::kServerStats, 0, ""), error))
+      << error;
+  ASSERT_TRUE(gate.wait_held());
+  ASSERT_TRUE(flood.send_bytes(batch, error)) << error;
+  // The ping is sent inside call_ping(); release once it is on the wire.
+  std::thread releaser([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    gate.release();
+  });
+  call_ping();
+  releaser.join();
+  for (int i = 0; i < 8; ++i) {
+    svc::MsgType rtype;
+    std::string rpayload;
+    ASSERT_TRUE(flood.read_frame(&rtype, &rpayload, error)) << error;
   }
   // Busy frames are schedules, not failures: the client slept the
   // server's hint and got through without burning a failed attempt.

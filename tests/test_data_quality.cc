@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/data_quality.h"
 #include "core/segment_series.h"
-#include "obs/metrics.h"
 #include "stats/rng.h"
 
 namespace s2s::core {
@@ -112,17 +112,24 @@ TEST(IngestGate, AdmitsInDedupGridReorderValidityOrder) {
   gate.drop_duplicate();
   EXPECT_EQ(gate.quality().duplicates_dropped, 4u);
 
-  const auto counters = obs::MetricsRegistry::global().snapshot().counters;
-  const auto metric = [&](const std::string& event) -> std::size_t {
-    const auto it = counters.find("s2s.test_ingest_gate." + event);
-    return it == counters.end() ? 0 : it->second;
-  };
+  // The gate's typed counts are what it exports, under the store's
+  // metric names; the accepted count is the store's to tick.
+  std::map<std::string, std::uint64_t> counters;
+  gate.export_metrics(counters);
   const DataQualityReport& q = gate.quality();
-  EXPECT_EQ(metric("drop_duplicates"), q.duplicates_dropped);
-  EXPECT_EQ(metric("drop_out_of_grid"), q.out_of_grid);
-  EXPECT_EQ(metric("reordered"), q.reordered);
-  EXPECT_EQ(metric("drop_invalid_rtt"), q.invalid_rtt);
-  EXPECT_EQ(metric("records"), 0u);  // the store ticks it, not the gate
+  std::map<std::string, std::uint64_t> want = {
+      {"s2s.test_ingest_gate.records", 0},
+      {"s2s.test_ingest_gate.drop_duplicates", q.duplicates_dropped},
+      {"s2s.test_ingest_gate.drop_out_of_grid", q.out_of_grid},
+      {"s2s.test_ingest_gate.reordered", q.reordered},
+      {"s2s.test_ingest_gate.drop_invalid_rtt", q.invalid_rtt}};
+  EXPECT_EQ(counters, want);
+  gate.accept();
+  gate.accept();
+  gate.export_metrics(counters);  // exports add: two owners' sums
+  for (auto& [name, v] : want) v *= 2;
+  want["s2s.test_ingest_gate.records"] = 2;
+  EXPECT_EQ(counters, want);
 }
 
 probe::TracerouteRecord base_trace() {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -421,6 +422,16 @@ TEST(LiveDataset, DeltaPickupMatchesFreshLoadByteForByte) {
   ASSERT_TRUE(fresh->load(error)) << error;
   EXPECT_EQ(advanced->digest(), fresh->digest());
   EXPECT_EQ(verdict_payloads(*advanced), verdict_payloads(*fresh));
+  // ...and export the same load facts: a snapshot's counts are its own
+  // whole-shard totals, however many pickups built it.
+  std::map<std::string, std::uint64_t> from_pickup, from_load;
+  advanced->export_metrics(from_pickup);
+  fresh->export_metrics(from_load);
+  EXPECT_EQ(from_pickup, from_load);
+  EXPECT_EQ(from_load.at("s2s.io.binrec.records_read"),
+            fresh->ingest().records);
+  EXPECT_EQ(from_load.at("s2s.ping_store.records"),
+            fresh->live_state()->records_folded());
 
   // Growth states never share a digest (the ResultCache satellite).
   EXPECT_NE(base->digest(), advanced->digest());
@@ -723,6 +734,19 @@ TEST(LiveServer, ServesAcrossDeltaPickupsWithoutReload) {
     EXPECT_EQ(payload, expected[i]) << "pair index " << i;
     ++i;
   }
+  // The server exports the served snapshot's load facts, the same as
+  // the fresh load's, beside the live fold count.
+  std::map<std::string, std::uint64_t> counters, loaded;
+  std::map<std::string, double> gauges;
+  server.export_metrics(counters, gauges);
+  fresh.export_metrics(loaded);
+  ASSERT_TRUE(loaded.count("s2s.timeline.records"));
+  for (const auto& [name, v] : loaded) {
+    ASSERT_TRUE(counters.count(name)) << name;
+    EXPECT_EQ(counters.at(name), v) << name;
+  }
+  EXPECT_EQ(counters.at("s2s.live.records_folded"),
+            fresh.live_state()->records_folded());
 
   server.request_drain();
   serve_thread.join();

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "core/timeline.h"
 #include "faultsim/line_mangler.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "probe/campaign.h"
 
 namespace s2s::io {
@@ -201,9 +203,7 @@ TEST(RecordsIo, ReaderRetainsFirstMalformedLinesWithNumbers) {
   EXPECT_EQ(reader.malformed()[1].text, "T\tbroken");
 }
 
-TEST(RecordsIo, MalformedRetainedDroppedSplitMirroredToObs) {
-  auto& reg = obs::MetricsRegistry::global();
-  reg.reset();
+TEST(RecordsIo, MalformedRetainedDroppedSplitExported) {
   obs::set_log_level(obs::LogLevel::kOff);  // silence per-line warns
 
   std::stringstream buffer;
@@ -221,10 +221,15 @@ TEST(RecordsIo, MalformedRetainedDroppedSplitMirroredToObs) {
   EXPECT_EQ(reader.malformed_retained(), 2u);
   EXPECT_EQ(reader.malformed_dropped(), 3u);
 
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("s2s.io.malformed_retained"), 2u);
-  EXPECT_EQ(snap.counters.at("s2s.io.malformed_dropped"), 3u);
-  EXPECT_EQ(snap.counters.at("s2s.io.records_parsed"), 1u);
+  EXPECT_EQ(reader.parsed(), 1u);
+
+  std::map<std::string, std::uint64_t> counters;
+  reader.export_metrics(counters);
+  const std::map<std::string, std::uint64_t> want = {
+      {"s2s.io.records_parsed", 1},
+      {"s2s.io.malformed_retained", 2},
+      {"s2s.io.malformed_dropped", 3}};
+  EXPECT_EQ(counters, want);
 }
 
 TEST(RecordsIo, CorruptedLinesNeverCrashAndStayRoundTrippable) {
@@ -282,9 +287,9 @@ TEST(RecordsIo, CorruptedLinesNeverCrashAndStayRoundTrippable) {
 TEST(RecordsIo, ResumedReaderAgreesWithUninterruptedRead) {
   // Regression for the checkpoint-resume accounting bug: a resumed reader
   // used to copy only the retained samples, so its malformed_dropped()
-  // (computed as errors - retained) underflowed and disagreed with the
-  // obs mirrors. state()/resume_from() must make the split of a resumed
-  // read identical to one uninterrupted pass over the same lines.
+  // (computed as errors - retained) underflowed. state()/resume_from()
+  // must make the split of a resumed read identical to one uninterrupted
+  // pass over the same lines.
   obs::set_log_level(obs::LogLevel::kOff);
   std::string part1, part2;
   for (int i = 0; i < 4; ++i) part1 += "T\tbroken-early" + std::to_string(i) + "\n";
@@ -310,11 +315,9 @@ TEST(RecordsIo, ResumedReaderAgreesWithUninterruptedRead) {
   EXPECT_EQ(checkpoint.errors, 4u);
   EXPECT_EQ(checkpoint.dropped, 2u);
 
-  auto& reg = obs::MetricsRegistry::global();
-  reg.reset();  // simulate a process restart losing the obs registry
   std::stringstream rest(part2);
   RecordReader after(rest, 2);
-  after.resume_from(checkpoint, /*replay_metrics=*/true);
+  after.resume_from(checkpoint);
   drain(after, rest);
   obs::set_log_level(obs::LogLevel::kInfo);
 
@@ -326,13 +329,16 @@ TEST(RecordsIo, ResumedReaderAgreesWithUninterruptedRead) {
   EXPECT_EQ(after.errors(),
             after.malformed_retained() + after.malformed_dropped());
 
-  // Obs mirrors replay the adopted events, so the registry agrees with
-  // the reader even though it restarted mid-stream.
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("s2s.io.malformed_retained"),
-            after.malformed_retained());
-  EXPECT_EQ(snap.counters.at("s2s.io.malformed_dropped"),
-            after.malformed_dropped());
+  // The resumed reader exports the adopted split as its own, so a
+  // report built after a restart agrees with the uninterrupted one.
+  std::map<std::string, std::uint64_t> resumed, whole_read;
+  after.export_metrics(resumed);
+  reference.export_metrics(whole_read);
+  EXPECT_EQ(resumed.at("s2s.io.malformed_retained"),
+            whole_read.at("s2s.io.malformed_retained"));
+  EXPECT_EQ(resumed.at("s2s.io.malformed_dropped"),
+            whole_read.at("s2s.io.malformed_dropped"));
+  EXPECT_EQ(resumed.at("s2s.io.records_parsed"), after.parsed());
 }
 
 TEST(RecordsIo, ResumeFromPreStateEraSnapshotNeverUnderflows) {

@@ -9,11 +9,9 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +24,7 @@
 #include "obs/log.h"
 #include "obs/prometheus.h"
 #include "obs/run_report.h"
+#include "reactor_gate.h"
 #include "svc/client.h"
 #include "svc/dataset.h"
 #include "svc/protocol.h"
@@ -163,53 +162,6 @@ std::map<std::string, std::string> prometheus_samples(const std::string& text) {
   }
   return out;
 }
-
-/// Holds the reactor inside the first slow-query log line that contains
-/// the armed marker. Frames sent while it is held are parsed together
-/// in the reactor's next poll round, which makes cross-connection
-/// admission deterministic.
-class ReactorGate {
- public:
-  ReactorGate() {
-    obs::set_log_sink([this](obs::LogLevel, std::string_view line) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (marker_.empty() || line.find(marker_) == std::string_view::npos) {
-        return;
-      }
-      marker_.clear();
-      held_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return !held_; });
-    });
-  }
-  ~ReactorGate() {
-    release();
-    obs::set_log_sink({});
-  }
-  ReactorGate(const ReactorGate&) = delete;
-  ReactorGate& operator=(const ReactorGate&) = delete;
-
-  void arm(std::string marker) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    marker_ = std::move(marker);
-  }
-  bool wait_held() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    return cv_.wait_for(lock, std::chrono::seconds(30),
-                        [this] { return held_; });
-  }
-  void release() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    held_ = false;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::string marker_;
-  bool held_ = false;
-};
 
 std::string ping_frame() {
   return svc::encode_frame(svc::MsgType::kPingEcho, 0, "");

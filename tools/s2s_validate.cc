@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
               full ? "full" : "fast", specs.size(),
               static_cast<unsigned long long>(seed), pool.thread_count());
 
-  core::ValidationStudy study = core::run_matrix(specs, opt);
+  core::RunFacts facts;
+  core::ValidationStudy study = core::run_matrix(specs, opt, &facts);
   study.full_matrix = full;
 
   std::printf("%-20s %-8s %5s %5s %5s %5s %5s  %9s %9s %7s  %s\n",
@@ -106,7 +107,9 @@ int main(int argc, char** argv) {
   }
   std::printf("study: %s\n", out_path.c_str());
   if (!report_path.empty()) {
-    const obs::RunReport report = obs::build_run_report("s2s_validate");
+    obs::RunReport report = obs::build_run_report("s2s_validate");
+    facts.note(study);
+    facts.add_to(report);
     if (obs::write_text_file(report_path, report.to_json())) {
       std::printf("run report: %s\n", report_path.c_str());
     }
