@@ -164,13 +164,17 @@ class IngestGate {
 
 /// The batch facts of one run, gathered from their owners (a campaign
 /// result, a store, a reader or writer, a stage result): what each
-/// owner's export_metrics() writes, and the merged quality of the stores.
+/// owner's export_metrics() writes, and the quality each fault class's
+/// owner counted — each count once.
 struct RunFacts {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   DataQualityReport quality;
 
-  /// Adds one owner's exported facts, and its quality() when it has one.
+  /// Adds one owner's exported facts and the quality counts it owns:
+  /// a store's record-level drops (quality()), a stage's series-level
+  /// counts (its `quality` member also copies its store's drops, which
+  /// the store itself reports), an ingest's corrupt blocks.
   template <typename Owner>
   void note(const Owner& owner) {
     if constexpr (requires { owner.export_metrics(counters, gauges); }) {
@@ -180,6 +184,13 @@ struct RunFacts {
     }
     if constexpr (requires { owner.quality().as_map(); }) {
       quality.merge(owner.quality());
+    } else if constexpr (requires { owner.quality.as_map(); }) {
+      quality.insufficient_epochs += owner.quality.insufficient_epochs;
+      quality.insufficient_series += owner.quality.insufficient_series;
+      quality.interpolated_samples += owner.quality.interpolated_samples;
+    }
+    if constexpr (requires { owner.corrupt_blocks; }) {
+      quality.corrupt_blocks += owner.corrupt_blocks;
     }
   }
 

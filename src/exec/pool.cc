@@ -56,9 +56,7 @@ unsigned resolve_thread_count(unsigned requested) {
 
 ThreadPool::ThreadPool(unsigned threads)
     : threads_(resolve_thread_count(threads)) {
-  auto& reg = obs::MetricsRegistry::global();
-  tasks_ = reg.counter("s2s.exec.tasks");
-  queue_depth_ = reg.gauge("s2s.exec.queue_depth");
+  tasks_ = obs::MetricsRegistry::global().counter("s2s.exec.tasks");
   workers_.reserve(threads_ - 1);
   for (unsigned i = 0; i + 1 < threads_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -90,7 +88,6 @@ void ThreadPool::drain(const std::function<void(std::size_t)>& fn,
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) return;
-    queue_depth_.set(static_cast<double>(n - std::min(n, i + 1)));
     execute(fn, i);
   }
 }
@@ -138,7 +135,6 @@ void ThreadPool::run(std::size_t n,
     completed_ = 0;
     first_error_ = nullptr;
     ++batch_serial_;
-    queue_depth_.set(static_cast<double>(n));
   }
   work_cv_.notify_all();
   execute(fn, 0);
@@ -151,7 +147,6 @@ void ThreadPool::run(std::size_t n,
     error = first_error_;
     first_error_ = nullptr;
   }
-  queue_depth_.set(0.0);
   if (error) std::rethrow_exception(error);
 }
 

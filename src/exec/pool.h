@@ -76,8 +76,7 @@ class ThreadPool {
   void execute(const std::function<void(std::size_t)>& fn, std::size_t i);
 
   const unsigned threads_;
-  obs::Counter tasks_;       ///< s2s.exec.tasks, one per executed index
-  obs::Gauge queue_depth_;   ///< s2s.exec.queue_depth, unclaimed indices
+  obs::Counter tasks_;  ///< s2s.exec.tasks, one per executed index
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers wait for a new batch

@@ -1,32 +1,35 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Metrics registry: named counters and fixed-bucket histograms.
 //
-// Instrumentation has to be safe to leave in the record-ingest hot loops
-// (hundreds of millions of adds per campaign), so the write path is
-// lock-free: each thread owns a shard of plain uint64 slots and handles
-// update it with relaxed atomics — uncontended, cacheline-local, a few
-// nanoseconds. Snapshots merge every shard under the registration mutex;
-// they are monotone-consistent (each slot is read atomically) but not a
-// point-in-time cut across slots, which is the standard trade for a
-// wait-free write path.
+// The registry keeps only the facts that have no typed owner: the
+// stores' rtt_ms histograms, the campaign and serving latency
+// histograms, s2s.exec.tasks and s2s.simnet.routes_computed. Everything
+// else a run reports is exported by the object that counts it (see
+// DESIGN.md section 8).
+//
+// Each metric owns its cells: a counter is one relaxed atomic, a
+// histogram one relaxed atomic per bucket (BucketCells), and a handle
+// points at them. No registry metric is written from several threads at
+// a high rate (a store records rtt_ms on a load's one commit thread,
+// serving latency on its reactor), so shared cells cost a write one
+// uncontended fetch_add. Snapshots read every cell atomically under the
+// registration mutex: successive snapshots are monotone per cell, but
+// one snapshot is not a point-in-time cut across cells.
 //
 // Naming scheme: "s2s.<subsystem>.<name>" (see DESIGN.md section 8).
 // Handles are cheap value types; resolve them once (constructor, start of
 // run) and increment forever. A default-constructed handle is a no-op,
 // as is any handle while its registry is disabled — that switch is what
-// the bench overhead comparison toggles.
+// the bench overhead comparison toggles. A registry must outlive every
+// handle it issued; the process-wide global() registry never dies.
 //
-// Lifetime: a registry must outlive every thread that touches its
-// handles; the process-wide global() registry trivially satisfies this.
-// A thread's shard lives as long as the thread: on thread exit its
-// slots fold into the registry's retired totals and the shard is kept
-// for the next thread to attach, so short-lived threads (a pool per
-// load) cost no memory once they are gone.
+// Instantaneous values (cache bytes, lanes, uptime) are not registry
+// metrics: their owners set them in MetricsSnapshot::gauges or a
+// RunReport's gauges when they export.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -55,12 +58,48 @@ struct HistogramSnapshot {
 
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
+  /// Never filled by the registry: owners add their instantaneous values
+  /// here before the snapshot is rendered.
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
   std::size_t distinct_metrics() const {
     return counters.size() + gauges.size() + histograms.size();
   }
+};
+
+/// One relaxed atomic per histogram bucket: the cells behind a registry
+/// Histogram (or Counter, as one bucket) and behind each slot of a
+/// WindowedHistogram, so both latency views scan and merge alike.
+class BucketCells {
+ public:
+  explicit BucketCells(std::size_t buckets) : cells_(buckets) {}
+
+  /// The bucket of `v` for ascending `bounds`: the first bound >= v, or
+  /// bounds.size() (the overflow bucket) past the last.
+  static std::size_t bucket_of(const std::vector<double>& bounds, double v) {
+    std::size_t i = 0;
+    while (i < bounds.size() && v > bounds[i]) ++i;
+    return i;
+  }
+
+  void add(std::size_t bucket, std::uint64_t n = 1) {
+    cells_[bucket].fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t load(std::size_t bucket) const {
+    return cells_[bucket].load(std::memory_order_relaxed);
+  }
+  /// Adds each cell into counts[i]; `counts` has one entry per cell.
+  void merge_into(std::vector<std::uint64_t>& counts) const {
+    for (std::size_t i = 0; i < cells_.size(); ++i) counts[i] += load(i);
+  }
+  void clear() {
+    for (auto& c : cells_) c.store(0, std::memory_order_relaxed);
+  }
+  std::size_t size() const { return cells_.size(); }
+
+ private:
+  std::vector<std::atomic<std::uint64_t>> cells_;  ///< zeroed (C++20)
 };
 
 class MetricsRegistry;
@@ -73,29 +112,14 @@ class Counter {
 
  private:
   friend class MetricsRegistry;
-  Counter(MetricsRegistry* reg, std::uint32_t slot)
-      : reg_(reg), slot_(slot) {}
-  MetricsRegistry* reg_ = nullptr;
-  std::uint32_t slot_ = 0;
-};
-
-/// Last-write-wins instantaneous value (records/sec, fleet sizes, ...).
-/// Gauges are registry-level (sets are rare; no shard needed).
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double v) const {
-    if (cell_ != nullptr) cell_->store(v, std::memory_order_relaxed);
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::atomic<double>* cell) : cell_(cell) {}
-  std::atomic<double>* cell_ = nullptr;
+  Counter(const MetricsRegistry* reg, BucketCells* cell)
+      : reg_(reg), cell_(cell) {}
+  const MetricsRegistry* reg_ = nullptr;
+  BucketCells* cell_ = nullptr;  ///< one cell, owned by the registry
 };
 
 /// Fixed-bucket histogram handle. record() is one bounds scan plus one
-/// relaxed fetch_add on the calling thread's shard.
+/// relaxed fetch_add on the metric's bucket.
 class Histogram {
  public:
   Histogram() = default;
@@ -103,30 +127,23 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  Histogram(MetricsRegistry* reg, std::uint32_t base,
+  Histogram(const MetricsRegistry* reg, BucketCells* cells,
             const std::vector<double>* bounds)
-      : reg_(reg), base_(base), bounds_(bounds) {}
-  MetricsRegistry* reg_ = nullptr;
-  std::uint32_t base_ = 0;
+      : reg_(reg), cells_(cells), bounds_(bounds) {}
+  const MetricsRegistry* reg_ = nullptr;
+  BucketCells* cells_ = nullptr;                 ///< owned by the registry
   const std::vector<double>* bounds_ = nullptr;  ///< owned by the registry
 };
 
 class MetricsRegistry {
  public:
-  /// uint64 slots per thread shard; counters take one, a histogram takes
-  /// bounds+1. Registration past the cap yields no-op handles (and a
-  /// warning through obs::Log) rather than UB.
-  static constexpr std::size_t kMaxSlots = 4096;
-
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Resolve-or-create by name; a name keeps its first kind forever
   /// (a kind mismatch returns a no-op handle and warns).
   Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
   Histogram histogram(const std::string& name, std::vector<double> bounds);
 
   /// Canonical bucket edges for microsecond latencies (1us..10s, ~x3).
@@ -141,85 +158,36 @@ class MetricsRegistry {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Merge every shard into one snapshot. Safe concurrently with writes.
+  /// Reads every metric's cells. Safe concurrently with writes.
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every slot and gauge; names and handles stay valid.
+  /// Zeroes every cell; names and handles stay valid.
   void reset();
-
-  /// Shards allocated: one per live thread that has touched a handle,
-  /// plus at most one spare kept from an exited thread.
-  std::size_t shard_count() const;
 
   /// Process-wide registry used by default across the pipeline.
   static MetricsRegistry& global();
 
-  struct Shard {
-    std::vector<std::atomic<std::uint64_t>> slots;
-    Shard() : slots(kMaxSlots) {
-      for (auto& s : slots) s.store(0, std::memory_order_relaxed);
-    }
-  };
-
-  /// The calling thread's shard (created and registered on first use).
-  inline Shard* local_shard();
-
  private:
-  /// No member initializers: the thread_local below is zero-initialized,
-  /// which keeps it constant-initialized.
-  struct ThreadCache {
-    std::uint64_t serial;
-    Shard* shard;
-  };
-
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   struct MetricDef {
     Kind kind;
-    std::uint32_t base = 0;   ///< first slot (counter/histogram)
-    std::uint32_t width = 1;  ///< slots used
-    std::vector<double> bounds;
+    std::vector<double> bounds;  ///< empty for a counter
+    BucketCells cells;           ///< bounds.size() + 1
   };
 
-  /// The thread-exit hook that retires a thread's shards.
-  struct ThreadShards;
-
-  Shard* attach_thread(ThreadCache& cache);
-  /// Folds an exiting thread's shard into retired_ and keeps it spare.
-  void retire(Shard* shard);
-
-  /// The calling thread's most recent (registry, shard); constant-
-  /// initialized, so the hot path reads it without a TLS guard.
-  static inline thread_local ThreadCache tls_cache_{};
-
-  const std::uint64_t serial_;
   std::atomic<bool> enabled_{true};
-  /// Guards defs_, gauges_, shards_, spare_ and retired_.
-  mutable std::mutex mutex_;
-  std::map<std::string, MetricDef> defs_;       // node-stable addresses
-  std::map<std::string, std::atomic<double>> gauges_;
-  std::vector<std::unique_ptr<Shard>> shards_;  ///< one per live thread
-  std::unique_ptr<Shard> spare_;  ///< an exited thread's, zeroed
-  std::vector<std::uint64_t> retired_;  ///< exited threads' slot sums
-  std::uint32_t next_slot_ = 0;
+  mutable std::mutex mutex_;                ///< guards defs_
+  std::map<std::string, MetricDef> defs_;  ///< node-stable addresses
 };
 
 inline void Counter::inc(std::uint64_t n) const {
   if (reg_ == nullptr || !reg_->enabled()) return;
-  reg_->local_shard()->slots[slot_].fetch_add(n, std::memory_order_relaxed);
+  cell_->add(0, n);
 }
 
 inline void Histogram::record(double v) const {
   if (reg_ == nullptr || !reg_->enabled()) return;
-  const auto& bounds = *bounds_;
-  std::uint32_t i = 0;
-  while (i < bounds.size() && v > bounds[i]) ++i;
-  reg_->local_shard()->slots[base_ + i].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-inline MetricsRegistry::Shard* MetricsRegistry::local_shard() {
-  if (tls_cache_.serial == serial_) return tls_cache_.shard;
-  return attach_thread(tls_cache_);
+  cells_->add(BucketCells::bucket_of(*bounds_, v));
 }
 
 }  // namespace s2s::obs

@@ -235,7 +235,6 @@ RunReport build_run_report(std::string tool, const MetricsRegistry& registry,
 
   auto snap = registry.snapshot();
   report.counters = std::move(snap.counters);
-  report.gauges = std::move(snap.gauges);
   report.histograms = std::move(snap.histograms);
 
   std::int64_t first_us = 0, last_us = 0;

@@ -2,7 +2,8 @@
 //
 // A RunReport merges the three observability surfaces into one artifact
 // written at the end of a campaign/survey/bench run:
-//   * MetricsRegistry snapshot (counters, gauges, histograms),
+//   * MetricsRegistry snapshot (counters, histograms) plus the counters
+//     and gauges the run's owners export,
 //   * per-stage span timings aggregated by path from a TraceCollector,
 //   * the pipeline's DataQualityReport counters (passed in as a plain
 //     name->count map so this layer stays below core).
@@ -39,7 +40,7 @@ struct RunReport {
   double wall_ms = 0.0; ///< end-to-end wall time, when known
 
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
+  std::map<std::string, double> gauges;  ///< set by owners, not the registry
   std::map<std::string, HistogramSnapshot> histograms;
 
   struct SpanStat {

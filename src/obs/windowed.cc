@@ -42,13 +42,11 @@ void WindowedHistogram::record(double v) {
     // fetch_add.
     const std::lock_guard<std::mutex> lock(rotate_mutex_);
     if (slot.tick.load(std::memory_order_relaxed) != tick) {
-      for (auto& c : slot.counts) c.store(0, std::memory_order_relaxed);
+      slot.cells.clear();
       slot.tick.store(tick, std::memory_order_release);
     }
   }
-  std::size_t i = 0;
-  while (i < bounds_.size() && v > bounds_[i]) ++i;
-  slot.counts[i].fetch_add(1, std::memory_order_relaxed);
+  slot.cells.add(BucketCells::bucket_of(bounds_, v));
 }
 
 WindowedSnapshot WindowedHistogram::snapshot() const {
@@ -61,10 +59,7 @@ WindowedSnapshot WindowedHistogram::snapshot() const {
   for (const auto& slot : slots_) {
     const std::int64_t slot_tick = slot->tick.load(std::memory_order_acquire);
     if (slot_tick < oldest || slot_tick > tick) continue;
-    for (std::size_t i = 0; i < snap.hist.counts.size(); ++i) {
-      snap.hist.counts[i] +=
-          slot->counts[i].load(std::memory_order_relaxed);
-    }
+    slot->cells.merge_into(snap.hist.counts);
   }
   for (const auto c : snap.hist.counts) snap.hist.total += c;
   return snap;

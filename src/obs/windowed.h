@@ -11,15 +11,16 @@
 // HistogramSnapshot shape the registry produces — quantiles, overflow
 // accounting and JSON emission all come along for free.
 //
-// Concurrency: bucket increments are relaxed atomic adds, so the write
-// path costs the same as a registry Histogram. The merged snapshot is a
-// pure function of the multiset of (tick, value) records — NOT of the
-// thread that recorded them — which is what makes the 1-vs-8-thread
-// byte-identity test meaningful. Rotation zeroing is serialized by a
-// mutex; with a real clock a racing writer straddling a tick boundary
-// can misattribute a sample to the adjacent tick (harmless for a
-// trend dashboard), with an injected fake clock stepped between
-// phases the behavior is exactly deterministic.
+// Each slot is a BucketCells, the cells behind a registry Histogram, so
+// both latency views bucket a sample with the same scan, bump it with
+// the same relaxed fetch_add, and merge with the same loop. The merged
+// snapshot is a pure function of the multiset of (tick, value) records —
+// NOT of the thread that recorded them — which is what makes the
+// 1-vs-8-thread byte-identity test meaningful. Rotation zeroing is
+// serialized by a mutex; with a real clock a racing writer straddling a
+// tick boundary can misattribute a sample to the adjacent tick
+// (harmless for a trend dashboard), with an injected fake clock stepped
+// between phases the behavior is exactly deterministic.
 //
 // The clock is injectable (monotonic milliseconds) so tests can drive
 // rotation deterministically; the default reads steady_clock.
@@ -87,10 +88,8 @@ class WindowedHistogram {
  private:
   struct Slot {
     std::atomic<std::int64_t> tick{-1};  ///< -1 = never written
-    std::vector<std::atomic<std::uint64_t>> counts;
-    explicit Slot(std::size_t buckets) : counts(buckets) {
-      for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-    }
+    BucketCells cells;
+    explicit Slot(std::size_t buckets) : cells(buckets) {}
   };
 
   std::int64_t now_tick() const { return clock_() / slot_ms_; }

@@ -113,25 +113,20 @@ Server::Server(Dataset& dataset, exec::ThreadPool* pool,
       slow_log_({config.slow_query_us, kSlowLogMaxPerInterval,
                  /*interval_ms=*/1000, /*max_entries=*/128}) {
   if (config_.reactors == 0) config_.reactors = 1;
-  auto& reg = obs::MetricsRegistry::global();
-  for (const MsgType t :
-       {MsgType::kPingEcho, MsgType::kPairRtt, MsgType::kPathPrevalence,
-        MsgType::kCongestionVerdict, MsgType::kDualStackDelta,
-        MsgType::kFigureDigest, MsgType::kServerStats, MsgType::kMetricsDump,
-        MsgType::kArchiveSlice, MsgType::kLiveStatus}) {
-    const auto key = static_cast<std::uint8_t>(t);
-    latency_.emplace(
-        key, reg.histogram(std::string("s2s.svc.latency_us.") + type_name(t),
-                           obs::MetricsRegistry::latency_us_bounds()));
-    windowed_.emplace(
-        key, std::make_unique<obs::WindowedHistogram>(
-                 obs::MetricsRegistry::latency_us_bounds(),
-                 config_.window_seconds, kWindowSlots));
-    auto cell = std::make_unique<SloCell>();
-    cell->threshold_us = config_.slo_ms * 1000.0;
-    slo_.emplace(key, std::move(cell));
+  for (std::size_t i = 0; i < kRequestTypes; ++i) {
+    latency_[i] = std::make_unique<TypeLatency>(static_cast<MsgType>(i + 1),
+                                                config_);
   }
 }
+
+Server::TypeLatency::TypeLatency(MsgType type, const ServerConfig& config)
+    : type(type),
+      lifetime(obs::MetricsRegistry::global().histogram(
+          std::string("s2s.svc.latency_us.") + type_name(type),
+          obs::MetricsRegistry::latency_us_bounds())),
+      windowed(obs::MetricsRegistry::latency_us_bounds(),
+               config.window_seconds, kWindowSlots),
+      slo_threshold_us(config.slo_ms * 1000.0) {}
 
 int Server::open_listener(std::uint16_t& port, bool reuseport,
                           std::string& error) {
@@ -377,24 +372,20 @@ double Server::uptime_seconds() const {
 std::map<std::string, obs::WindowedSnapshot> Server::windowed_snapshots()
     const {
   std::map<std::string, obs::WindowedSnapshot> out;
-  for (const auto& [key, hist] : windowed_) {
-    out.emplace(std::string("s2s.svc.windowed_us.") +
-                    type_name(static_cast<MsgType>(key)),
-                hist->snapshot());
+  for (const auto& lat : latency_) {
+    out.emplace(std::string("s2s.svc.windowed_us.") + type_name(lat->type),
+                lat->windowed.snapshot());
   }
   return out;
 }
 
 std::map<std::string, obs::SloStat> Server::slo_stats() const {
   std::map<std::string, obs::SloStat> out;
-  for (const auto& [key, cell] : slo_) {
-    obs::SloStat s;
-    s.threshold_us = cell->threshold_us;
-    s.good = cell->good.load(std::memory_order_relaxed);
-    s.total = cell->total.load(std::memory_order_relaxed);
-    out.emplace(
-        std::string("s2s.svc.slo.") + type_name(static_cast<MsgType>(key)),
-        s);
+  for (const auto& lat : latency_) {
+    out.emplace(std::string("s2s.svc.slo.") + type_name(lat->type),
+                obs::SloStat{lat->slo_threshold_us,
+                             lat->slo_good.load(std::memory_order_relaxed),
+                             lat->slo_total.load(std::memory_order_relaxed)});
   }
   return out;
 }
@@ -914,7 +905,7 @@ void Server::Reactor::execute_one(int fd, const PendingItem& item) {
   }
 
   const auto us = since_us(t0, Clock::now());
-  srv_.latency_histogram(item.type).record(static_cast<double>(us));
+  srv_.latency_of(item.type).lifetime.record(static_cast<double>(us));
 
   const auto it = conns_.find(fd);
   if (it == conns_.end()) return;
@@ -959,16 +950,11 @@ void Server::Reactor::finish_request(
     std::int64_t cache_us, std::int64_t exec_us, std::int64_t encode_us,
     std::int64_t write_us, const char* cache_status, MsgType response_type,
     std::string_view response_payload) {
-  const auto key = static_cast<std::uint8_t>(item.type);
-  if (const auto w = srv_.windowed_.find(key); w != srv_.windowed_.end()) {
-    w->second->record(static_cast<double>(total_us));
-  }
-  if (const auto s = srv_.slo_.find(key); s != srv_.slo_.end()) {
-    SloCell& cell = *s->second;
-    cell.total.fetch_add(1, std::memory_order_relaxed);
-    if (static_cast<double>(total_us) <= cell.threshold_us) {
-      cell.good.fetch_add(1, std::memory_order_relaxed);
-    }
+  TypeLatency& lat = srv_.latency_of(item.type);
+  lat.windowed.record(static_cast<double>(total_us));
+  lat.slo_total.fetch_add(1, std::memory_order_relaxed);
+  if (static_cast<double>(total_us) <= lat.slo_threshold_us) {
+    lat.slo_good.fetch_add(1, std::memory_order_relaxed);
   }
   if (srv_.slow_log_.enabled() && total_us > srv_.slow_log_.threshold_us()) {
     SlowQueryEntry entry;
@@ -1363,13 +1349,6 @@ std::string Server::metrics_dump_payload(std::uint8_t format) const {
   w.end_object();
   w.end_object();
   return w.str();
-}
-
-obs::Histogram& Server::latency_histogram(MsgType type) {
-  const auto it = latency_.find(static_cast<std::uint8_t>(type));
-  if (it != latency_.end()) return it->second;
-  static obs::Histogram noop;
-  return noop;
 }
 
 }  // namespace s2s::svc

@@ -378,7 +378,6 @@ class Server {
   std::string live_status_payload(const Dataset& dataset) const;
   /// kMetricsDump response body for the given format selector.
   std::string metrics_dump_payload(std::uint8_t format) const;
-  obs::Histogram& latency_histogram(MsgType type);
 
   Dataset& dataset_;
   exec::ThreadPool* pool_;
@@ -400,24 +399,33 @@ class Server {
   /// Only touched by reactor 0 (the live-ingest tick owner).
   Clock::time_point next_live_poll_{};
 
-  /// Per-type lifetime latency, the one serving fact kept in the
-  /// registry (it has no typed twin).
-  std::unordered_map<std::uint8_t, obs::Histogram> latency_;
-
   Clock::time_point start_time_ = Clock::now();
 
-  /// Per-type end-to-end latency over the last window_seconds; the
-  /// WindowedHistogram write path is relaxed-atomic, reactor-safe.
-  std::unordered_map<std::uint8_t, std::unique_ptr<obs::WindowedHistogram>>
-      windowed_;
-  /// Per-type SLO accounting. Atomics so any thread may read while the
-  /// reactors serve; exported as s2s.svc.slo.<type>.{good,total}.
-  struct SloCell {
-    double threshold_us = 0.0;
-    std::atomic<std::uint64_t> good{0};
-    std::atomic<std::uint64_t> total{0};
+  /// The latency record of one request type. The lifetime histogram
+  /// s2s.svc.latency_us.<type> (kept in the registry: it has no typed
+  /// twin) times dequeue to the response computed: cache lookup or
+  /// execution, not encode or write. The windowed view
+  /// s2s.svc.windowed_us.<type> and the SLO counters
+  /// s2s.svc.slo.<type>.{good,total} time admission to flush. Every
+  /// write is a relaxed atomic, so any thread may read while the
+  /// reactors serve.
+  struct TypeLatency {
+    TypeLatency(MsgType type, const ServerConfig& config);
+    const MsgType type;
+    const obs::Histogram lifetime;
+    obs::WindowedHistogram windowed;
+    const double slo_threshold_us;
+    std::atomic<std::uint64_t> slo_good{0};
+    std::atomic<std::uint64_t> slo_total{0};
   };
-  std::unordered_map<std::uint8_t, std::unique_ptr<SloCell>> slo_;
+  static constexpr std::size_t kRequestTypes =
+      static_cast<std::size_t>(MsgType::kLiveStatus);
+  /// One record per request type, MsgType 0x01-0x0A at index type - 1;
+  /// the reader admits no other type (is_request).
+  std::array<std::unique_ptr<TypeLatency>, kRequestTypes> latency_;
+  TypeLatency& latency_of(MsgType type) {
+    return *latency_[static_cast<std::size_t>(type) - 1];
+  }
 
   SlowQueryLog slow_log_;  ///< internally synchronized
 };

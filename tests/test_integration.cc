@@ -277,6 +277,7 @@ TEST(BatchExport, EveryOwnerExportsItsTypedCountsUnderTheMetricNames) {
   EXPECT_GT(routing.v4.timelines + routing.v6.timelines, 0u);
   EXPECT_GT(dual.pairs_matched, 0u);
   EXPECT_GT(survey.v4.pairs_assessed + survey.v6.pairs_assessed, 0u);
+  EXPECT_GT(survey.quality.interpolated_samples, 0u);
 
   struct Row {
     const char* owner;
@@ -350,18 +351,21 @@ TEST(BatchExport, EveryOwnerExportsItsTypedCountsUnderTheMetricNames) {
   unfinalized.note(core::OwnershipInference(net.rib(), rels));
   EXPECT_TRUE(unfinalized.counters.empty());
 
-  // Campaigns set the gauges; the stores' quality is what data_quality
-  // merges.
+  // Campaigns set the gauges. data_quality merges each fault class from
+  // its one owner: the stores' record-level drops, the survey's
+  // series-level counts, the ingest's one damaged block.
   core::RunFacts all;
   for (const Row& row : rows) row.note(all);
   EXPECT_EQ(all.gauges.at("s2s.campaign.lanes"),
             static_cast<double>(ping_run.lanes));
   EXPECT_EQ(all.gauges.count("s2s.campaign.records_per_sec"), 1u);
-  EXPECT_EQ(all.quality.as_map(),
-            core::DataQualityReport(timelines.quality())
-                .merge(ping_store.quality())
-                .merge(segments.quality())
-                .as_map());
+  core::DataQualityReport want_quality(timelines.quality());
+  want_quality.merge(ping_store.quality()).merge(segments.quality());
+  want_quality.insufficient_epochs += survey.quality.insufficient_epochs;
+  want_quality.insufficient_series += survey.quality.insufficient_series;
+  want_quality.interpolated_samples += survey.quality.interpolated_samples;
+  want_quality.corrupt_blocks += 1;
+  EXPECT_EQ(all.quality.as_map(), want_quality.as_map());
   EXPECT_EQ(all.counters.at("s2s.campaign.records"),
             trace_run.records_delivered + ping_run.records_delivered);
 

@@ -3,6 +3,7 @@
 // the exported chrome trace, log sink capture, and RunReport round-trip.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "obs/windowed.h"
 
 namespace s2s::obs {
 namespace {
@@ -52,29 +54,38 @@ TEST(Json, RejectsMalformedDocuments) {
 }
 
 TEST(Metrics, HistogramBucketBoundaries) {
+  // A registry histogram and a windowed one with the same bounds share
+  // their bucket cells, so one set of samples lands alike in both.
   MetricsRegistry reg;
   // Bounds {1, 10, 100}: four buckets — <=1, (1,10], (10,100], >100.
   const Histogram h = reg.histogram("h", {1.0, 10.0, 100.0});
-  h.record(0.5);    // bucket 0
-  h.record(1.0);    // bucket 0: bounds are inclusive upper edges
-  h.record(1.0001); // bucket 1
-  h.record(10.0);   // bucket 1
-  h.record(100.0);  // bucket 2
-  h.record(100.5);  // overflow
-  h.record(1e9);    // overflow
+  WindowedHistogram w({1.0, 10.0, 100.0}, /*window_seconds=*/60,
+                      /*slots=*/6, [] { return std::int64_t{0}; });
+  for (const double v : {0.5,      // bucket 0
+                         1.0,      // bucket 0: bounds are inclusive upper edges
+                         1.0001,   // bucket 1
+                         10.0,     // bucket 1
+                         100.0,    // bucket 2
+                         100.5,    // overflow
+                         1e9}) {   // overflow
+    h.record(v);
+    w.record(v);
+  }
 
   const auto snap = reg.snapshot();
-  const auto& hist = snap.histograms.at("h");
-  ASSERT_EQ(hist.counts.size(), 4u);
-  EXPECT_EQ(hist.counts[0], 2u);
-  EXPECT_EQ(hist.counts[1], 2u);
-  EXPECT_EQ(hist.counts[2], 1u);
-  EXPECT_EQ(hist.counts[3], 2u);
-  EXPECT_EQ(hist.total, 7u);
-  // Quantiles stay within the data's bucket range.
-  EXPECT_GE(hist.quantile(0.5), 0.0);
-  EXPECT_LE(hist.quantile(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.999), 100.0);  // overflow clamps
+  for (const HistogramSnapshot& hist :
+       {snap.histograms.at("h"), w.snapshot().hist}) {
+    ASSERT_EQ(hist.counts.size(), 4u);
+    EXPECT_EQ(hist.counts[0], 2u);
+    EXPECT_EQ(hist.counts[1], 2u);
+    EXPECT_EQ(hist.counts[2], 1u);
+    EXPECT_EQ(hist.counts[3], 2u);
+    EXPECT_EQ(hist.total, 7u);
+    // Quantiles stay within the data's bucket range.
+    EXPECT_GE(hist.quantile(0.5), 0.0);
+    EXPECT_LE(hist.quantile(0.5), 10.0);
+    EXPECT_DOUBLE_EQ(hist.quantile(0.999), 100.0);  // overflow clamps
+  }
 }
 
 TEST(Metrics, ConcurrentCountersSumExactly) {
@@ -93,10 +104,56 @@ TEST(Metrics, ConcurrentCountersSumExactly) {
   EXPECT_EQ(reg.snapshot().counters.at("n"), kThreads * kPerThread);
 }
 
-TEST(Metrics, ShortLivedThreadsRetireTheirShards) {
-  // Short-lived threads (a pool per load) must not leave a 32 KiB shard
-  // each behind: an exited thread folds into the registry's retired
-  // totals and hands its shard to the next thread.
+TEST(Metrics, SnapshotWhileWritingIsExactAndMonotone) {
+  // Writers share each metric's cells; a snapshot taken mid-write reads
+  // every cell atomically, so no count ever goes backwards, and the one
+  // taken after the writers join is exact.
+  MetricsRegistry reg;
+  const Counter counter = reg.counter("n");
+  const Histogram hist = reg.histogram("h", {1.0, 2.0});
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        counter.inc();
+        // 0.5, 1.5, 2.5: buckets 0, 1 and the overflow.
+        hist.record(0.5 + static_cast<double>((i + t) % 3));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  MetricsSnapshot prev = reg.snapshot();
+  const auto check_monotone = [&](const MetricsSnapshot& next) {
+    EXPECT_GE(next.counters.at("n"), prev.counters.at("n"));
+    const auto& now_h = next.histograms.at("h");
+    const auto& prev_h = prev.histograms.at("h");
+    EXPECT_GE(now_h.total, prev_h.total);
+    for (std::size_t i = 0; i < now_h.counts.size(); ++i) {
+      EXPECT_GE(now_h.counts[i], prev_h.counts[i]) << "bucket " << i;
+    }
+  };
+  while (running.load() > 0) {
+    MetricsSnapshot next = reg.snapshot();
+    check_monotone(next);
+    prev = std::move(next);
+  }
+  for (auto& t : threads) t.join();
+  const MetricsSnapshot last = reg.snapshot();
+  check_monotone(last);
+  EXPECT_EQ(last.counters.at("n"), kThreads * kPerThread);
+  const auto& h = last.histograms.at("h");
+  ASSERT_EQ(h.counts.size(), 3u);
+  EXPECT_EQ(h.total, kThreads * kPerThread);
+  EXPECT_EQ(h.counts[0] + h.counts[1] + h.counts[2], h.total);
+  EXPECT_GT(h.overflow(), 0u);
+}
+
+TEST(Metrics, ShortLivedThreadsKeepTheirTotals) {
+  // Short-lived threads (a pool per load) write the metric's own cells,
+  // so their counts outlive them.
   MetricsRegistry reg;
   const Counter counter = reg.counter("n");
   const Histogram hist = reg.histogram("h", {1.0, 2.0});
@@ -111,8 +168,6 @@ TEST(Metrics, ShortLivedThreadsRetireTheirShards) {
       });
     }
     for (auto& t : threads) t.join();
-    // Every thread of the wave has exited; none is live but this one.
-    EXPECT_LE(reg.shard_count(), 2u) << "wave " << wave;
   }
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("n"),
@@ -121,7 +176,7 @@ TEST(Metrics, ShortLivedThreadsRetireTheirShards) {
   EXPECT_EQ(snap.histograms.at("h").total, static_cast<std::uint64_t>(kThreads));
   EXPECT_EQ(snap.histograms.at("h").counts[1],
             static_cast<std::uint64_t>(kThreads));
-  // reset() clears the retired totals too.
+  // reset() clears the exited threads' counts too.
   reg.reset();
   EXPECT_EQ(reg.snapshot().counters.at("n"), 0u);
 }
@@ -239,7 +294,6 @@ TEST(RunReport, RoundTripsThroughJson) {
   MetricsRegistry reg;
   TraceCollector collector;
   reg.counter("s2s.test.records").inc(42);
-  reg.gauge("s2s.test.rate").set(12.5);
   reg.histogram("s2s.test.rtt_ms", {1.0, 10.0}).record(3.0);
   {
     const TraceSpan outer("campaign", collector);
@@ -247,6 +301,7 @@ TEST(RunReport, RoundTripsThroughJson) {
   }
 
   RunReport report = build_run_report("test_tool", reg, collector);
+  report.gauges["s2s.test.rate"] = 12.5;
   report.data_quality["invalid_rtt"] = 7;
 
   EXPECT_EQ(report.schema_version, kRunReportSchemaVersion);

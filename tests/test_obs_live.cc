@@ -152,13 +152,14 @@ TEST(Prometheus, SanitizesNames) {
 TEST(Prometheus, RendersCountersGaugesAndCumulativeHistograms) {
   obs::MetricsRegistry reg;
   reg.counter("s2s.svc.requests").inc(7);
-  reg.gauge("s2s.svc.uptime_s").set(12.5);
   const obs::Histogram h = reg.histogram("s2s.svc.latency_us", {1.0, 10.0});
   h.record(0.5);
   h.record(5.0);
   h.record(99.0);  // overflow
 
-  const std::string text = obs::to_prometheus_text(reg.snapshot());
+  obs::MetricsSnapshot snap = reg.snapshot();
+  snap.gauges["s2s.svc.uptime_s"] = 12.5;
+  const std::string text = obs::to_prometheus_text(snap);
   EXPECT_NE(text.find("# TYPE s2s_svc_requests_total counter\n"
                       "s2s_svc_requests_total 7\n"),
             std::string::npos)
