@@ -1,10 +1,14 @@
 // Shared setup for the reproduction harnesses (s2s_figures,
 // bench_ownership).
 //
-// Each harness builds a simulated deployment, runs the campaigns it
-// needs, and reports the paper's headline numbers next to the measured
-// ones. Pass --servers/--pairs/--days/--seed to change the scale (shapes
-// are scale-invariant, absolute counts are not).
+// Each harness builds a simulated deployment (make_deployment: the
+// network and a dual-stack pair sample from
+// simnet::sample_dual_stack_pairs, the validation harness's sampler
+// too), runs the campaigns it needs, and reports the paper's headline
+// numbers next to the measured ones; the facts of what ran go to the
+// RunReport of the ObsSession in scope. Pass --servers/--pairs/--days/
+// --seed to change the scale (shapes are scale-invariant, absolute
+// counts are not).
 #pragma once
 
 #include <cstdio>
@@ -111,16 +115,12 @@ class ObsSession {
     }
   }
 
-  /// Adds an owner's facts to the final report (core::RunFacts::note):
-  /// a campaign result, a store, a stage result.
-  template <typename Owner>
-  void note(const Owner& owner) {
-    facts_.note(owner);
+  /// The facts of the session in scope, if any, which the final report
+  /// carries (so shared helpers like run_long_term can note facts
+  /// without plumbing a handle through).
+  static core::RunFacts* active_facts() {
+    return active_ != nullptr ? &active_->facts_ : nullptr;
   }
-
-  /// The session currently in scope, if any (so shared helpers like
-  /// run_long_term can note facts without plumbing a handle through).
-  static ObsSession* active() { return active_; }
 
  private:
   inline static ObsSession* active_ = nullptr;
@@ -131,10 +131,11 @@ class ObsSession {
   core::RunFacts facts_;
 };
 
-/// Notes an owner's facts in the session in scope, if any.
+/// Notes an owner's facts (core::RunFacts::note) in the session in
+/// scope, if any: a campaign result, a store, a stage result.
 template <typename Owner>
 void note(const Owner& owner) {
-  if (ObsSession* session = ObsSession::active()) session->note(owner);
+  if (core::RunFacts* facts = ObsSession::active_facts()) facts->note(owner);
 }
 
 struct Deployment {
@@ -159,24 +160,10 @@ inline Deployment make_deployment(const Options& opt) {
   cfg.topology.seed = opt.seed;
   cfg.topology.server_count = opt.servers;
   d.net = std::make_unique<simnet::Network>(cfg);
-  for (topology::ServerId s = 0; s < d.topo().servers.size(); ++s) {
-    if (d.topo().servers[s].dual_stack()) d.dual_stack.push_back(s);
-  }
-  std::vector<std::pair<topology::ServerId, topology::ServerId>> all;
-  for (std::size_t i = 0; i < d.dual_stack.size(); ++i) {
-    for (std::size_t j = i + 1; j < d.dual_stack.size(); ++j) {
-      all.emplace_back(d.dual_stack[i], d.dual_stack[j]);
-    }
-  }
-  stats::Rng rng(opt.seed * 7919 + 1);
-  const double keep =
-      all.empty() ? 0.0
-                  : static_cast<double>(opt.pairs) /
-                        static_cast<double>(all.size());
-  for (const auto& p : all) {
-    if (rng.uniform() < keep) d.pairs.push_back(p);
-  }
-  if (d.pairs.empty() && !all.empty()) d.pairs.push_back(all.front());
+  auto sample = simnet::sample_dual_stack_pairs(
+      d.topo(), static_cast<std::size_t>(opt.pairs), opt.seed);
+  d.dual_stack = std::move(sample.dual_stack);
+  d.pairs = std::move(sample.pairs);
   return d;
 }
 

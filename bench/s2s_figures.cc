@@ -5,10 +5,11 @@
 //     for Fig 10, and Fig 1 (its pair's first 180 days);
 //   * two 40-day IPv4 campaigns give Table 1's classic/Paris ablation;
 //   * a 22-day 30-minute campaign gives Fig 7;
-//   * the Section 5 chain (ping survey -> follow-up traceroutes ->
-//     localization -> ownership -> link classes) on max(--pairs, 2500)
-//     pairs gives Sections 5.1-5.3 and Fig 9, with the PSD-threshold and
-//     Pearson-threshold ablations re-run on its stores.
+//   * the Section 5 chain (core::run_congestion_chain: ping survey ->
+//     follow-up traceroutes -> localization), then ownership and link
+//     classes, on max(--pairs, 2500) pairs gives Sections 5.1-5.3 and
+//     Fig 9, with the PSD-threshold and Pearson-threshold ablations
+//     re-run on the chain's stores.
 //
 // stdout carries one versioned JSON document: `series` (the data behind
 // each plot) and `rows` (one per headline number: id, paper value,
@@ -31,14 +32,13 @@
 
 #include "bench/common.h"
 #include "core/change_detect.h"
+#include "core/congestion_chain.h"
 #include "core/congestion_detect.h"
 #include "core/congestion_study.h"
 #include "core/dualstack.h"
 #include "core/inflation.h"
-#include "core/localize.h"
 #include "core/ownership.h"
 #include "core/routing_study.h"
-#include "core/segment_series.h"
 #include "obs/json.h"
 #include "stats/density.h"
 #include "stats/ecdf.h"
@@ -50,7 +50,6 @@
 namespace {
 
 using namespace s2s;
-using Pairs = std::vector<std::pair<topology::ServerId, topology::ServerId>>;
 
 constexpr net::Family kFamilies[] = {net::Family::kIPv4, net::Family::kIPv6};
 
@@ -537,33 +536,34 @@ void figure10(Document& doc, const bench::Deployment& d,
 
 // --- Sections 5.1-5.3 and Figure 9 ----------------------------------------
 
-/// Sections 5.1-5.3 and Fig 9: a one-week 15-minute ping survey, three
-/// weeks of 30-minute follow-up traceroutes on the flagged pairs, segment
-/// localization, router-ownership inference and link classification.
+/// Sections 5.1-5.3 and Fig 9: the Section 5 chain over a one-week ping
+/// survey and three weeks of follow-up traceroutes, then router-ownership
+/// inference (fed by the follow-up and a one-day sweep) and link
+/// classification.
 void section5(Document& doc, const bench::Deployment& d,
               const bench::Options& opt, exec::ThreadPool& pool) {
-  const Pairs& pairs = d.pairs;
-  // --- 5.1: one ping store, surveyed at three PSD thresholds -----------
-  probe::PingCampaignConfig ping_cfg;
-  ping_cfg.start_day = 417.0;
-  ping_cfg.days = 7.0;
-  ping_cfg.seed = opt.seed + 31;
-  probe::PingCampaign pings(*d.net, ping_cfg, pairs);
-  core::PingSeriesStore ping_store(ping_cfg.start_day, net::kFifteenMinutes,
-                                   pings.epochs());
-  obs::logf(obs::LogLevel::kInfo, "ping campaign: %zu pairs, %zu epochs",
-            pairs.size() * 2, pings.epochs());
-  bench::note(
-      pings.run([&](const probe::PingRecord& r) { ping_store.add(r); }));
-  bench::note(ping_store);
-  core::CongestionSurvey survey;  // at the paper's threshold
+  const auto rels = bgp::RelationshipTable::from_topology(d.topo());
+  core::OwnershipInference ownership(d.net->rib(), rels);
+  core::CongestionChainConfig chain_cfg;
+  chain_cfg.ping = {417.0, 7.0, opt.seed + 31};
+  chain_cfg.followup = {424.0, opt.fast ? 7.0 : 21.0, opt.seed + 37};
+  const auto chain = core::run_congestion_chain(
+      *d.net, d.pairs, chain_cfg, &pool, bench::ObsSession::active_facts(),
+      [&](const probe::TracerouteRecord& r) { ownership.observe_trace(r); });
+  const core::CongestionSurvey& survey = chain.survey;
+  const core::LocalizeResult& loc = chain.localization;
+
+  // --- 5.1: the ping store, surveyed at three PSD thresholds -----------
   for (const double psd : {stats::kDiurnalRatioThreshold, 0.2, 0.4}) {
-    core::CongestionDetectConfig cfg;
-    cfg.diurnal_ratio_threshold = psd;
-    cfg.min_samples = static_cast<std::size_t>(0.88 * pings.epochs());
-    auto result = core::survey_congestion(ping_store, cfg, &pool);
-    bench::note(result);
     const bool paper_threshold = psd == stats::kDiurnalRatioThreshold;
+    core::CongestionSurvey ablation;
+    if (!paper_threshold) {
+      core::CongestionDetectConfig cfg = chain.survey_config;
+      cfg.diurnal_ratio_threshold = psd;
+      ablation = core::survey_congestion(chain.pings, cfg, &pool);
+      bench::note(ablation);
+    }
+    const auto& result = paper_threshold ? survey : ablation;
     char consistent_id[48] = "sec51.consistent_pct";
     if (!paper_threshold) {
       std::snprintf(consistent_id, sizeof consistent_id,
@@ -579,42 +579,14 @@ void section5(Document& doc, const bench::Deployment& d,
               paper_threshold ? paper(fam, 2.0, 0.6) : std::nullopt,
               pct(f.consistent, f.pairs_assessed), f.pairs_assessed);
     }
-    if (paper_threshold) survey = std::move(result);
   }
 
-  // --- 5.2: three-week 30-minute traceroute follow-up ------------------
-  Pairs flagged;
-  for (const auto& f : survey.flagged) flagged.emplace_back(f.src, f.dst);
-  std::sort(flagged.begin(), flagged.end());
-  flagged.erase(std::unique(flagged.begin(), flagged.end()), flagged.end());
-
-  probe::TracerouteCampaignConfig follow_cfg;
-  follow_cfg.start_day = 424.0;
-  follow_cfg.days = opt.fast ? 7.0 : 21.0;
-  follow_cfg.interval_s = net::kThirtyMinutes;
-  follow_cfg.paris_switch_day = 0.0;
-  follow_cfg.seed = opt.seed + 37;
-  // The follow-up probes must see the same diurnal links, so keep
-  // stop-early low for denser series.
-  follow_cfg.traceroute.stop_early_prob = 0.1;
-  const auto rels = bgp::RelationshipTable::from_topology(d.topo());
-  core::OwnershipInference ownership(d.net->rib(), rels);
-  core::LocalizeResult loc;  // at the paper's Pearson threshold
+  // --- 5.2: ownership and the Pearson-threshold ablation ---------------
   struct RhoSweep {
     double rho;
     std::size_t localized = 0, considered = 0;
   } rho_sweep[] = {{0.4}, {stats::kPearsonThreshold}, {0.6}};
-  if (!flagged.empty()) {
-    probe::TracerouteCampaign followup(*d.net, follow_cfg, flagged);
-    core::SegmentSeriesStore segments(follow_cfg.start_day,
-                                      net::kThirtyMinutes, followup.epochs());
-    obs::logf(obs::LogLevel::kInfo, "follow-up campaign: %zu flagged pairs",
-              flagged.size());
-    bench::note(followup.run([&](const probe::TracerouteRecord& r) {
-      segments.add(r);
-      ownership.observe_trace(r);
-    }));
-    bench::note(segments);
+  if (chain.segments) {
     // The paper labels interfaces from *all* traceroute paths, not only
     // the flagged pairs: add one day of the routine full-mesh sweep so the
     // election has the surrounding-path constraints it needs.
@@ -623,25 +595,28 @@ void section5(Document& doc, const bench::Deployment& d,
     sweep_cfg.days = 1.0;
     sweep_cfg.paris_switch_day = 0.0;
     sweep_cfg.seed = opt.seed + 41;
-    probe::TracerouteCampaign sweep(*d.net, sweep_cfg, pairs);
+    probe::TracerouteCampaign sweep(*d.net, sweep_cfg, d.pairs);
     bench::note(sweep.run([&](const probe::TracerouteRecord& r) {
       ownership.observe_trace(r);
     }));
     ownership.finalize();
     bench::note(ownership);
 
-    // Localization at the paper's Pearson threshold and either side of it,
-    // over the one segment store.
-    core::LocalizeConfig loc_cfg;
-    loc_cfg.min_traces = static_cast<std::size_t>(0.3 * followup.epochs());
+    // Localization either side of the paper's Pearson threshold, over the
+    // one segment store.
     for (auto& sweep : rho_sweep) {
-      loc_cfg.rho_threshold = sweep.rho;
-      auto result =
-          core::localize_congestion(segments, d.net->rib(), loc_cfg, &pool);
+      if (sweep.rho == stats::kPearsonThreshold) {
+        sweep.localized = loc.pairs_localized;
+        sweep.considered = loc.pairs_considered;
+        continue;
+      }
+      core::LocalizeConfig cfg = chain.localize_config;
+      cfg.rho_threshold = sweep.rho;
+      const auto result =
+          core::localize_congestion(*chain.segments, d.net->rib(), cfg, &pool);
       bench::note(result);
       sweep.localized = result.pairs_localized;
       sweep.considered = result.pairs_considered;
-      if (sweep.rho == stats::kPearsonThreshold) loc = std::move(result);
     }
   }
   for (const auto& sweep : rho_sweep) {
@@ -664,7 +639,7 @@ void section5(Document& doc, const bench::Deployment& d,
   auto& w = doc.series("sec53.counts", "counts");
   const std::pair<const char*, std::size_t> counts[] = {
       {"flagged_series", survey.flagged.size()},
-      {"followup_pairs", flagged.size()},
+      {"followup_pairs", chain.followup_pairs.size()},
       {"pairs_considered", loc.pairs_considered},
       {"pairs_static", loc.pairs_static},
       {"pairs_symmetric", loc.pairs_symmetric},

@@ -1,20 +1,19 @@
 // Congestion localizer: the Section 5 pipeline as an operator tool —
-// survey a mesh with pings, flag pairs with consistent (diurnal)
-// congestion, re-probe them with traceroutes, and print the congested
-// IP-IP links with their inferred owners and classification.
+// core::run_congestion_chain surveys a mesh with pings, flags pairs with
+// consistent (diurnal) congestion, re-probes them with traceroutes and
+// localizes the congested segments, with the paper's method constants;
+// this example prints the congested IP-IP links with their inferred
+// owners and classification.
 //
 //   ./build/examples/congestion_localizer [--threads N]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "core/congestion_detect.h"
+#include "core/congestion_chain.h"
 #include "core/congestion_study.h"
-#include "core/localize.h"
 #include "core/ownership.h"
-#include "core/segment_series.h"
 #include "exec/pool.h"
-#include "probe/campaign.h"
 
 using namespace s2s;
 
@@ -41,51 +40,39 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Step 1: one week of 15-minute pings.
-  probe::PingCampaignConfig ping_cfg;
-  ping_cfg.start_day = 0.0;
-  probe::PingCampaign pings(net, ping_cfg, pairs);
-  core::PingSeriesStore ping_store(0.0, net::kFifteenMinutes, pings.epochs());
-  std::printf("step 1: pinging %zu pairs every 15 minutes for a week...\n",
+  // Steps 1-3 are the Section 5 chain: one week of 15-minute pings, the
+  // congestion survey, three weeks of 30-minute traceroutes on the flagged
+  // pairs (their hops also feed the ownership inference), localization.
+  const auto rels = bgp::RelationshipTable::from_topology(topo);
+  core::OwnershipInference ownership(net.rib(), rels);
+  core::CongestionChainConfig chain_cfg;
+  chain_cfg.ping = {0.0, 7.0, 11};
+  chain_cfg.followup = {7.0, 21.0, 7};
+  std::printf("pinging %zu pairs every 15 minutes for a week, then "
+              "re-probing the flagged ones for three weeks...\n",
               pairs.size());
-  pings.run([&](const probe::PingRecord& r) { ping_store.add(r); });
-  const auto survey = core::survey_congestion(ping_store, {}, &pool);
-  std::printf("  IPv4: %zu/%zu pairs show consistent congestion\n",
+  const auto chain = core::run_congestion_chain(
+      net, pairs, chain_cfg, &pool, nullptr,
+      [&](const probe::TracerouteRecord& r) {
+        // Maximal responsive runs only: skipping an unresponsive hop would
+        // fabricate router adjacencies and poison the heuristics.
+        ownership.observe_trace(r);
+      });
+  const auto& survey = chain.survey;
+  std::printf("step 1: IPv4: %zu/%zu pairs show consistent congestion\n",
               survey.v4.consistent, survey.v4.pairs_assessed);
   std::printf("  IPv6: %zu/%zu\n", survey.v6.consistent,
               survey.v6.pairs_assessed);
-
-  if (survey.flagged.empty()) {
+  if (!chain.segments) {
     std::printf("nothing flagged; try another seed\n");
     return 0;
   }
-
-  // Step 2: three weeks of 30-minute traceroutes on the flagged pairs.
-  std::vector<std::pair<topology::ServerId, topology::ServerId>> flagged;
-  for (const auto& f : survey.flagged) flagged.emplace_back(f.src, f.dst);
-  probe::TracerouteCampaignConfig follow_cfg;
-  follow_cfg.start_day = 7.0;
-  follow_cfg.days = 21.0;
-  follow_cfg.interval_s = net::kThirtyMinutes;
-  follow_cfg.paris_switch_day = 0.0;
-  probe::TracerouteCampaign followup(net, follow_cfg, flagged);
-  core::SegmentSeriesStore segments(7.0, net::kThirtyMinutes,
-                                    followup.epochs());
-  const auto rels = bgp::RelationshipTable::from_topology(topo);
-  core::OwnershipInference ownership(net.rib(), rels);
-  std::printf("step 2: re-probing %zu flagged pairs for three weeks...\n",
-              flagged.size());
-  followup.run([&](const probe::TracerouteRecord& r) {
-    segments.add(r);
-    // Maximal responsive runs only: skipping an unresponsive hop would
-    // fabricate router adjacencies and poison the heuristics.
-    ownership.observe_trace(r);
-  });
+  std::printf("step 2: re-probed %zu flagged pairs\n",
+              chain.followup_pairs.size());
   ownership.finalize();
 
-  // Step 3: localize and classify.
-  const auto localization =
-      core::localize_congestion(segments, net.rib(), {}, &pool);
+  // Step 3: classify the localized links.
+  const auto& localization = chain.localization;
   const auto ixps = core::IxpDirectory::from_topology(topo);
   const core::LinkClassifier classifier(ownership, rels, ixps);
   const auto study =

@@ -42,12 +42,6 @@ struct DataQualityReport {
   /// granularity, not records: the text-format analog is malformed lines.
   std::size_t corrupt_blocks = 0;
 
-  /// Records affected by any fault class (insufficient series excluded:
-  /// those are series-level, not record-level).
-  std::size_t records_affected() const noexcept {
-    return invalid_rtt + duplicates_dropped + reordered + out_of_grid;
-  }
-
   DataQualityReport& merge(const DataQualityReport& o) noexcept {
     invalid_rtt += o.invalid_rtt;
     duplicates_dropped += o.duplicates_dropped;

@@ -20,9 +20,39 @@ struct DualStackPartial {
   std::uint64_t samples_same_path = 0;
   std::vector<double> pair_median_diff;
   std::size_t invalid_diffs = 0;
+  DualStackMatch match;  ///< one pair's samples, reused across the shard
 };
 
 }  // namespace
+
+void match_dualstack(const TraceTimeline& v4, const TraceTimeline& v6,
+                     DualStackMatch& out) {
+  out.diffs.clear();
+  out.same_path_diffs.clear();
+  out.invalid = 0;
+  std::size_t i = 0, j = 0;
+  while (i < v4.obs.size() && j < v6.obs.size()) {
+    const Observation& a = v4.obs[i];
+    const Observation& b = v6.obs[j];
+    if (a.epoch < b.epoch) {
+      ++i;
+    } else if (b.epoch < a.epoch) {
+      ++j;
+    } else {
+      const double diff = a.rtt_ms() - b.rtt_ms();
+      if (!std::isfinite(diff)) {
+        ++out.invalid;
+      } else {
+        out.diffs.push_back(diff);
+        if (v4.global_path(a) == v6.global_path(b)) {
+          out.same_path_diffs.push_back(diff);
+        }
+      }
+      ++i;
+      ++j;
+    }
+  }
+}
 
 DualStackStudy run_dualstack_study(const TimelineStore& store,
                                    exec::ThreadPool* pool) {
@@ -45,40 +75,18 @@ DualStackStudy run_dualstack_study(const TimelineStore& store,
               if (v4_timeline == nullptr) return;
               const TraceTimeline& v4 = *v4_timeline;
 
-              std::vector<double> diffs;
-              std::size_t i = 0, j = 0;
-              while (i < v4.obs.size() && j < v6.obs.size()) {
-                if (v4.obs[i].epoch < v6.obs[j].epoch) {
-                  ++i;
-                } else if (v4.obs[i].epoch > v6.obs[j].epoch) {
-                  ++j;
-                } else {
-                  const double diff = v4.obs[i].rtt_ms() - v6.obs[j].rtt_ms();
-                  if (!std::isfinite(diff)) {
-                    ++partial.invalid_diffs;
-                    ++i;
-                    ++j;
-                    continue;
-                  }
-                  diffs.push_back(diff);
-                  partial.diff_all.add(diff);
-                  ++partial.samples_matched;
-                  const auto& path4 =
-                      store.interner().path(v4.global_path(v4.obs[i]));
-                  const auto& path6 =
-                      store.interner().path(v6.global_path(v6.obs[j]));
-                  if (path4 == path6) {
-                    partial.diff_same_path.add(diff);
-                    ++partial.samples_same_path;
-                  }
-                  ++i;
-                  ++j;
-                }
+              DualStackMatch& m = partial.match;
+              match_dualstack(v4, v6, m);
+              partial.invalid_diffs += m.invalid;
+              if (m.diffs.empty()) return;
+              for (const double diff : m.diffs) partial.diff_all.add(diff);
+              for (const double diff : m.same_path_diffs) {
+                partial.diff_same_path.add(diff);
               }
-              if (!diffs.empty()) {
-                ++partial.pairs_matched;
-                partial.pair_median_diff.push_back(stats::median(diffs));
-              }
+              ++partial.pairs_matched;
+              partial.samples_matched += m.diffs.size();
+              partial.samples_same_path += m.same_path_diffs.size();
+              partial.pair_median_diff.push_back(stats::median(m.diffs));
             });
       },
       [&](const DualStackPartial& partial) {

@@ -35,6 +35,22 @@ struct DualStackStudy {
   }
 };
 
+/// The epoch-matched samples of one (src, dst) pair.
+struct DualStackMatch {
+  std::vector<double> diffs;  ///< finite RTTv4 - RTTv6, in epoch order
+  /// Those of `diffs` whose AS path is the same over both protocols.
+  std::vector<double> same_path_diffs;
+  std::size_t invalid = 0;  ///< non-finite diffs, skipped
+};
+
+/// Fills `out` (cleared first, so one buffer serves a whole pass) with
+/// every epoch both timelines measured: a two-pointer merge over their
+/// epoch-sorted observations. Paths compare by global id, which is one
+/// AS path's id in both families: the store's interner is shared and
+/// canonical. The study and the served dualstack_delta both match here.
+void match_dualstack(const TraceTimeline& v4, const TraceTimeline& v6,
+                     DualStackMatch& out);
+
 /// Matches every dual-stack pair in the store. With a pool, the v6
 /// timelines are processed in kAnalysisShards fixed shards whose partial
 /// aggregates (BinnedEcdf counts, per-pair medians) merge in shard order,

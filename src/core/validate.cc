@@ -6,14 +6,10 @@
 #include <set>
 #include <utility>
 
-#include "core/congestion_detect.h"
-#include "core/localize.h"
-#include "core/ping_series.h"
-#include "core/segment_series.h"
+#include "core/congestion_chain.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "probe/campaign.h"
 #include "simnet/network.h"
 
 namespace s2s::core {
@@ -304,9 +300,6 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
                            const HarnessOptions& opt, RunFacts* facts) {
   // One span per scenario: its wall time in the RunReport's span table.
   const obs::TraceSpan scenario_span("validate.scenario." + spec.name);
-  const auto note = [facts](const auto& owner) {
-    if (facts != nullptr) facts->note(owner);
-  };
   ScenarioScore score;
   score.name = spec.name;
   score.primary_kind = std::string(simnet::event_kind_name(spec.primary));
@@ -342,28 +335,10 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
   }
   simnet::Network net(net_cfg);
 
-  std::vector<ServerId> dual;
-  for (ServerId s = 0; s < net.topo().servers.size(); ++s) {
-    if (net.topo().servers[s].dual_stack()) dual.push_back(s);
-  }
-  std::vector<std::pair<ServerId, ServerId>> unordered;
-  {
-    std::vector<std::pair<ServerId, ServerId>> all;
-    for (std::size_t i = 0; i < dual.size(); ++i) {
-      for (std::size_t j = i + 1; j < dual.size(); ++j) {
-        all.emplace_back(dual[i], dual[j]);
-      }
-    }
-    stats::Rng rng(opt.seed * 7919 + 1);
-    const double keep = all.empty()
-                            ? 0.0
-                            : static_cast<double>(opt.pairs) /
-                                  static_cast<double>(all.size());
-    for (const auto& p : all) {
-      if (rng.uniform() < keep) unordered.push_back(p);
-    }
-    if (unordered.empty() && !all.empty()) unordered.push_back(all.front());
-  }
+  const std::vector<std::pair<ServerId, ServerId>> unordered =
+      simnet::sample_dual_stack_pairs(
+          net.topo(), static_cast<std::size_t>(opt.pairs), opt.seed)
+          .pairs;
   std::vector<std::pair<ServerId, ServerId>> ordered(unordered);
   for (const auto& [a, b] : unordered) ordered.emplace_back(b, a);
   std::sort(ordered.begin(), ordered.end());
@@ -407,32 +382,26 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
   simnet::resolve_affected_pairs(gray_ledger, net, ordered);
   score.events = ledger.entries.size();
 
-  // --- ping campaign + survey -----------------------------------------
-  probe::PingCampaignConfig ping_cfg;
-  ping_cfg.start_day = start_day;
-  ping_cfg.days = opt.days;
-  ping_cfg.seed = opt.seed * 31 + (fnv64(spec.name) | 1);
+  // --- the Section 5 chain ---------------------------------------------
+  // The follow-up runs concurrently with the ping week, so transient
+  // events are still live when it looks for them.
+  CongestionChainConfig chain_cfg;
+  chain_cfg.ping = {start_day, opt.days,
+                    opt.seed * 31 + (fnv64(spec.name) | 1)};
+  chain_cfg.followup = chain_cfg.ping;
+  chain_cfg.followup.seed += 37;
   // Host downtime is a separate axis; keep it near zero so sample counts
   // (and with them assessability) stay stable across scenarios.
-  ping_cfg.downtime.monthly_window_prob = 0.02;
-  ping_cfg.events = &schedule;
-  probe::PingCampaign pings(net, ping_cfg, unordered);
-  PingSeriesStore store(start_day, net::kFifteenMinutes, pings.epochs());
-  note(pings.run([&](const probe::PingRecord& r) { store.add(r); }));
-  note(store);
-
-  CongestionDetectConfig detect_cfg;
-  detect_cfg.min_samples =
-      static_cast<std::size_t>(0.88 * static_cast<double>(pings.epochs()));
-  const CongestionSurvey survey =
-      survey_congestion(store, detect_cfg, opt.pool);
-  note(survey);
+  chain_cfg.downtime.monthly_window_prob = 0.02;
+  chain_cfg.events = &schedule;
+  const CongestionChainResult chain =
+      run_congestion_chain(net, unordered, chain_cfg, opt.pool, facts);
 
   // --- match verdicts against the ledger ------------------------------
   std::set<PairKey> assessed;
-  store.for_each([&](ServerId src, ServerId dst, net::Family family,
-                     const PingSeriesStore::Series& series) {
-    if (series.valid >= detect_cfg.min_samples) {
+  chain.pings.for_each([&](ServerId src, ServerId dst, net::Family family,
+                           const PingSeriesStore::Series& series) {
+    if (series.valid >= chain.survey_config.min_samples) {
       assessed.insert({src, dst, family});
     }
   });
@@ -457,7 +426,7 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
     }
   }
   std::set<PairKey> flagged;
-  for (const FlaggedPair& f : survey.flagged) {
+  for (const FlaggedPair& f : chain.survey.flagged) {
     flagged.insert({f.src, f.dst, f.family});
   }
 
@@ -511,42 +480,8 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
     if (hits > 0) ++ks.detected;
   }
 
-  // --- follow-up traceroutes + localization ---------------------------
-  if (!flagged.empty()) {
-    std::vector<std::pair<ServerId, ServerId>> followup_pairs;
-    for (const PairKey& p : flagged) {
-      followup_pairs.emplace_back(p.src, p.dst);
-    }
-    std::sort(followup_pairs.begin(), followup_pairs.end());
-    followup_pairs.erase(
-        std::unique(followup_pairs.begin(), followup_pairs.end()),
-        followup_pairs.end());
-
-    // Concurrent with the ping week, so transient events are still live
-    // when the follow-up looks for them.
-    probe::TracerouteCampaignConfig follow_cfg;
-    follow_cfg.start_day = start_day;
-    follow_cfg.days = opt.days;
-    follow_cfg.interval_s = net::kThirtyMinutes;
-    follow_cfg.paris_switch_day = 0.0;
-    follow_cfg.seed = opt.seed * 31 + (fnv64(spec.name) | 1) + 37;
-    follow_cfg.downtime.monthly_window_prob = 0.02;
-    follow_cfg.traceroute.stop_early_prob = 0.1;
-    follow_cfg.events = &schedule;
-    probe::TracerouteCampaign followup(net, follow_cfg, followup_pairs);
-    SegmentSeriesStore segments(start_day, net::kThirtyMinutes,
-                                followup.epochs());
-    note(followup.run(
-        [&](const probe::TracerouteRecord& r) { segments.add(r); }));
-    note(segments);
-
-    LocalizeConfig loc_cfg;
-    loc_cfg.min_traces = static_cast<std::size_t>(
-        0.3 * static_cast<double>(followup.epochs()));
-    const LocalizeResult localization =
-        localize_congestion(segments, net.rib(), loc_cfg, opt.pool);
-    note(localization);
-
+  // --- localization against the ledger -------------------------------
+  if (!chain.localization.segments.empty()) {
     // Interface address -> link index for matching localized hop pairs
     // back to ground-truth links.
     std::map<net::IPAddr, LinkId> addr_to_link;
@@ -558,7 +493,7 @@ ScenarioScore run_scenario(const ScenarioSpec& spec,
       if (link.end_b.addr6) addr_to_link.emplace(*link.end_b.addr6, id);
     }
     std::set<std::size_t> localized_entries;
-    for (const CongestedSegmentObs& obs : localization.segments) {
+    for (const CongestedSegmentObs& obs : chain.localization.segments) {
       ++score.localizations;
       std::optional<LinkId> got;
       if (obs.far_addr) {

@@ -10,9 +10,10 @@
 // typology and Fontugne et al.'s ground-truth scoring (PAPERS.md).
 //
 // A scenario = one simulated deployment + one EventSchedule (+ optionally
-// the diurnal CongestionModel cranked up), a one-week ping campaign, the
+// the diurnal CongestionModel cranked up) and the Section 5 chain the
+// figures run (core::run_congestion_chain: a one-week ping campaign, the
 // survey, and for flagged pairs a follow-up traceroute campaign plus
-// localization. Verdicts are matched against the GroundTruthLedger with
+// localization), here with the schedule installed. Verdicts are matched against the GroundTruthLedger with
 // configurable time/link tolerance; scores roll up into a versioned JSON
 // ValidationStudy whose aggregates CI gates on (diurnal recall,
 // maintenance false-positive rate). Everything is seed-deterministic and
@@ -175,8 +176,8 @@ struct HarnessOptions {
 };
 
 /// Runs one scenario end to end: deployment, event schedule, ledger,
-/// ping campaign, survey, follow-up + localization, scoring. Notes its
-/// campaigns, stores, survey and localization in `facts` when given.
+/// the Section 5 chain, scoring. Notes the chain's campaigns, stores,
+/// survey and localization in `facts` when given.
 ScenarioScore run_scenario(const ScenarioSpec& spec,
                            const HarnessOptions& opt,
                            RunFacts* facts = nullptr);

@@ -215,7 +215,6 @@ class AtomicArchiveWriter {
   const std::string& error() const noexcept { return error_; }
   /// The stream a BinRecordWriter (or any writer) targets.
   std::ostream& stream() noexcept { return out_; }
-  const std::string& tmp_path() const noexcept { return tmp_; }
 
   /// flush + fsync(tmp) + rename(tmp, path) + fsync(dir). Idempotent once
   /// successful; on failure the tmp file is removed and `error` explains.

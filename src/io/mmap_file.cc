@@ -17,7 +17,6 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
     close();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    opened_ = std::exchange(other.opened_, false);
     error_ = std::move(other.error_);
   }
   return *this;
@@ -39,7 +38,6 @@ bool MmapFile::open(const std::string& path) {
   size_ = static_cast<std::size_t>(st.st_size);
   if (size_ == 0) {  // mmap(0) is EINVAL; an empty archive is still valid
     ::close(fd);
-    opened_ = true;
     return true;
   }
   void* addr = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -50,7 +48,6 @@ bool MmapFile::open(const std::string& path) {
     return false;
   }
   data_ = static_cast<const unsigned char*>(addr);
-  opened_ = true;
   return true;
 }
 
@@ -58,7 +55,6 @@ void MmapFile::close() {
   if (data_ != nullptr) ::munmap(const_cast<unsigned char*>(data_), size_);
   data_ = nullptr;
   size_ = 0;
-  opened_ = false;
   error_.clear();
 }
 

@@ -27,7 +27,6 @@ class MmapFile {
   bool open(const std::string& path);
   void close();
 
-  bool is_open() const noexcept { return opened_; }
   const unsigned char* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
   const std::string& error() const noexcept { return error_; }
@@ -43,7 +42,6 @@ class MmapFile {
  private:
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
-  bool opened_ = false;
   std::string error_;
 };
 

@@ -75,18 +75,6 @@ class RecordReader {
   /// Longest retained prefix of a malformed line.
   static constexpr std::size_t kMaxSampleLength = 160;
 
-  /// Malformed-line accounting snapshot, for checkpoint/resume. A resumed
-  /// reader must adopt the counts and the retained samples *together*:
-  /// historically resume code copied `malformed()` into a fresh reader
-  /// whose error counter restarted at zero, so `malformed_dropped()`
-  /// (then computed as errors - retained) underflowed.
-  struct State {
-    std::size_t lines = 0;
-    std::size_t errors = 0;
-    std::size_t dropped = 0;  ///< malformed beyond the retention cap
-    std::vector<MalformedLine> malformed;
-  };
-
   explicit RecordReader(std::istream& in, std::size_t max_samples = 10)
       : in_(in), max_samples_(max_samples) {}
 
@@ -126,31 +114,8 @@ class RecordReader {
     return malformed_;
   }
   /// Malformed lines kept as samples vs. counted-only past the cap.
-  /// Tracked explicitly (not derived as errors - retained) so the split
-  /// stays exact even when counts and samples were adopted separately.
   std::size_t malformed_retained() const noexcept { return malformed_.size(); }
   std::size_t malformed_dropped() const noexcept { return dropped_; }
-
-  /// Snapshot of the malformed-line accounting, for a checkpoint.
-  State state() const {
-    return {lines_, errors(), dropped_, malformed_};
-  }
-
-  /// Adopts a checkpoint snapshot into this (typically fresh) reader,
-  /// keeping counter and samples consistent by construction: the error
-  /// count is always retained + dropped, so no combination of inputs can
-  /// make malformed_dropped() disagree with the samples.
-  void resume_from(State state) {
-    malformed_ = std::move(state.malformed);
-    if (malformed_.size() > max_samples_) malformed_.resize(max_samples_);
-    dropped_ = state.dropped;
-    if (state.errors > malformed_.size() + dropped_) {
-      // A snapshot from the pre-State era (errors tallied separately):
-      // attribute the excess to the dropped side of the split.
-      dropped_ = state.errors - malformed_.size();
-    }
-    lines_ = state.lines;
-  }
 
   /// Adds parsed(), malformed_retained() and malformed_dropped() to
   /// s2s.io.{records_parsed,malformed_retained,malformed_dropped}.

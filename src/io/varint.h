@@ -33,10 +33,6 @@ inline constexpr std::int64_t unzigzag(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
-inline void put_varint_signed(std::string& out, std::int64_t v) {
-  put_varint(out, zigzag(v));
-}
-
 /// Bounds-checked byte cursor over a block payload. Every get_* returns
 /// false on exhaustion instead of reading past `end`; the caller treats
 /// that as block corruption.

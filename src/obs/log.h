@@ -31,7 +31,6 @@ std::string_view to_string(LogLevel level);
 
 /// Minimum level that reaches the sink (default kInfo).
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// True iff a message at `level` would reach the sink; callers building
 /// expensive diagnostics should gate on this first.

@@ -62,10 +62,6 @@ struct MetricsSnapshot {
   /// here before the snapshot is rendered.
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  std::size_t distinct_metrics() const {
-    return counters.size() + gauges.size() + histograms.size();
-  }
 };
 
 /// One relaxed atomic per histogram bucket: the cells behind a registry

@@ -107,10 +107,4 @@ const CandidateSet* CandidateTable::find(AsId src, AsId dst) const {
   return it == sets_.end() ? nullptr : &it->second;
 }
 
-std::size_t CandidateTable::total_candidates() const {
-  std::size_t total = 0;
-  for (const auto& [key, set] : sets_) total += set.candidates.size();
-  return total;
-}
-
 }  // namespace s2s::routing

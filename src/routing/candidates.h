@@ -80,9 +80,6 @@ class CandidateTable {
 
   net::Family family() const noexcept { return family_; }
 
-  /// Total candidates across all pairs (diagnostics).
-  std::size_t total_candidates() const;
-
   /// Calls `fn(srcAs, dstAs, set)` for every pair.
   template <typename Fn>
   void for_each(Fn&& fn) const {

@@ -142,10 +142,4 @@ void OutageSchedule::failed_mask(net::Family family, net::SimTime t,
   }
 }
 
-std::size_t OutageSchedule::total_outages() const {
-  std::size_t total = 0;
-  for (const auto& list : raw_) total += list.size();
-  return total;
-}
-
 }  // namespace s2s::routing

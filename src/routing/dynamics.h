@@ -90,7 +90,6 @@ class OutageSchedule {
   const std::vector<Outage>& outages(topology::AdjacencyId id) const {
     return raw_[id];
   }
-  std::size_t total_outages() const;
 
  private:
   struct Interval {

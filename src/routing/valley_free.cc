@@ -43,10 +43,6 @@ ValleyFreeRouter::ValleyFreeRouter(const Topology& topo) : topo_(topo) {
   sort_all(neighbors6_);
 }
 
-bool ValleyFreeRouter::in_plane(AdjacencyId id, net::Family family) const {
-  return family == net::Family::kIPv4 || topo_.adjacencies[id].ipv6;
-}
-
 RouteTable ValleyFreeRouter::compute(AsId dest, net::Family family,
                                      const AdjacencyMask* failed) const {
   const std::size_t n = topo_.ases.size();

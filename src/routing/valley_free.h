@@ -60,9 +60,6 @@ class ValleyFreeRouter {
   std::optional<std::vector<topology::AsId>> extract(const RouteTable& table,
                                                      topology::AsId src) const;
 
-  /// True iff the adjacency exists in the given protocol plane.
-  bool in_plane(topology::AdjacencyId id, net::Family family) const;
-
   const topology::Topology& topo() const noexcept { return topo_; }
 
  private:

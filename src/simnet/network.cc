@@ -249,4 +249,27 @@ double Network::one_way_ms(const RouterPath& path, net::Family family,
   return total;
 }
 
+PairSample sample_dual_stack_pairs(const topology::Topology& topo,
+                                   std::size_t target, std::uint64_t seed) {
+  PairSample out;
+  for (topology::ServerId s = 0; s < topo.servers.size(); ++s) {
+    if (topo.servers[s].dual_stack()) out.dual_stack.push_back(s);
+  }
+  std::vector<std::pair<topology::ServerId, topology::ServerId>> all;
+  for (std::size_t i = 0; i < out.dual_stack.size(); ++i) {
+    for (std::size_t j = i + 1; j < out.dual_stack.size(); ++j) {
+      all.emplace_back(out.dual_stack[i], out.dual_stack[j]);
+    }
+  }
+  stats::Rng rng(seed * 7919 + 1);
+  const double keep = all.empty() ? 0.0
+                                  : static_cast<double>(target) /
+                                        static_cast<double>(all.size());
+  for (const auto& p : all) {
+    if (rng.uniform() < keep) out.pairs.push_back(p);
+  }
+  if (out.pairs.empty() && !all.empty()) out.pairs.push_back(all.front());
+  return out;
+}
+
 }  // namespace s2s::simnet

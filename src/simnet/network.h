@@ -212,4 +212,17 @@ class Network {
   Resolver resolver_{*this};  ///< behind Network::resolve
 };
 
+/// A measurement mesh: the dual-stack servers and the unordered pairs
+/// sampled from them.
+struct PairSample {
+  std::vector<topology::ServerId> dual_stack;
+  std::vector<std::pair<topology::ServerId, topology::ServerId>> pairs;
+};
+
+/// Keeps each unordered dual-stack pair with probability
+/// target / (mesh size), on a stream derived from `seed`; never returns
+/// an empty sample from a non-empty mesh.
+PairSample sample_dual_stack_pairs(const topology::Topology& topo,
+                                   std::size_t target, std::uint64_t seed);
+
 }  // namespace s2s::simnet

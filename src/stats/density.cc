@@ -26,10 +26,6 @@ void Histogram::add(double value) {
   ++total_;
 }
 
-void Histogram::add_all(std::span<const double> values) {
-  for (double v : values) add(v);
-}
-
 double Histogram::bin_center(std::size_t bin) const {
   return lo_ + (static_cast<double>(bin) + 0.5) * width_;
 }

@@ -15,7 +15,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double value);
-  void add_all(std::span<const double> values);
 
   std::size_t bins() const noexcept { return counts_.size(); }
   std::size_t total() const noexcept { return total_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -70,40 +69,6 @@ double DecileHeatmap::row_percent(std::size_t yi) const {
   double sum = 0.0;
   for (std::size_t xi = 0; xi < x_bins(); ++xi) sum += percent(xi, yi);
   return sum;
-}
-
-namespace {
-
-// Lifetimes and RTT deltas get human units in the table headers.
-std::string fmt_edge(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string DecileHeatmap::to_table(const std::string& x_label,
-                                    const std::string& y_label) const {
-  std::string out = y_label + " \\ " + x_label + "\n";
-  char buf[64];
-  out += "y-bin \\ x-bin";
-  for (std::size_t xi = 0; xi < x_bins(); ++xi) {
-    out += "\t[" + fmt_edge(x_edges_[xi]) + "," + fmt_edge(x_edges_[xi + 1]) +
-           ")";
-  }
-  out += "\trow%\n";
-  for (std::size_t yi = 0; yi < y_bins(); ++yi) {
-    out += "[" + fmt_edge(y_edges_[yi]) + "," + fmt_edge(y_edges_[yi + 1]) +
-           ")";
-    for (std::size_t xi = 0; xi < x_bins(); ++xi) {
-      std::snprintf(buf, sizeof(buf), "\t%.2f", percent(xi, yi));
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "\t%.2f\n", row_percent(yi));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace s2s::stats

@@ -38,10 +38,6 @@ class DecileHeatmap {
 
   std::size_t total_points() const noexcept { return total_; }
 
-  /// Pretty table for bench output; labels use `fmt_x`/`fmt_y` on edges.
-  std::string to_table(const std::string& x_label,
-                       const std::string& y_label) const;
-
  private:
   std::vector<double> x_edges_;
   std::vector<double> y_edges_;

@@ -54,13 +54,6 @@ class Rng {
     return result;
   }
 
-  /// A fresh engine whose stream is independent of this one; use to give
-  /// each subsystem (topology, dynamics, probing) its own stream so adding
-  /// draws in one does not perturb the others.
-  Rng fork(std::uint64_t stream_tag) {
-    return Rng((*this)() ^ (stream_tag * 0x9e3779b97f4a7c15ULL));
-  }
-
   /// Uniform double in [0, 1).
   double uniform() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

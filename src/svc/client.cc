@@ -195,10 +195,6 @@ bool Client::has_buffered_frame() const noexcept {
   return buffer_.size() >= kFrameHeaderBytes + header.payload_bytes;
 }
 
-void Client::set_timeout(int timeout_ms) {
-  if (fd_ >= 0) arm_timeout(fd_, timeout_ms);
-}
-
 bool Client::call(MsgType type, std::uint8_t flags, std::string_view payload,
                   MsgType* response_type, std::string* response_payload,
                   std::string& error) {

@@ -46,8 +46,6 @@ class Client {
   /// True when a complete frame is already buffered (read_frame would
   /// return without touching the socket).
   bool has_buffered_frame() const noexcept;
-  /// Re-arms SO_RCVTIMEO/SO_SNDTIMEO on the live connection.
-  void set_timeout(int timeout_ms);
 
  private:
   int fd_ = -1;

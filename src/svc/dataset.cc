@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <tuple>
@@ -567,48 +566,26 @@ Dataset::Response Dataset::dualstack_delta(const DualStackQuery& q) const {
                           "pair lacks a timeline in one or both families");
   }
   // Epoch-matched RTTv4 - RTTv6 samples, the per-pair form of the
-  // Section 6 study: timelines are epoch-sorted, so a two-pointer merge
-  // finds every epoch measured over both protocols.
-  std::vector<double> diffs, same_path_diffs;
-  std::size_t i = 0, j = 0;
-  while (i < v4->obs.size() && j < v6->obs.size()) {
-    const auto& a = v4->obs[i];
-    const auto& b = v6->obs[j];
-    if (a.epoch < b.epoch) {
-      ++i;
-    } else if (b.epoch < a.epoch) {
-      ++j;
-    } else {
-      const double d = a.rtt_ms() - b.rtt_ms();
-      if (std::isfinite(d)) {
-        diffs.push_back(d);
-        // The interner is shared across families, so identical AS paths
-        // share one global id.
-        if (v4->global_path(a) == v6->global_path(b)) {
-          same_path_diffs.push_back(d);
-        }
-      }
-      ++i;
-      ++j;
-    }
-  }
+  // Section 6 study.
+  core::DualStackMatch m;
+  core::match_dualstack(*v4, *v6, m);
 
   obs::json::Writer w;
   w.begin_object();
   w.key("type").value("dualstack_delta");
   w.key("src").value(static_cast<std::uint64_t>(q.src));
   w.key("dst").value(static_cast<std::uint64_t>(q.dst));
-  w.key("samples_matched").value(static_cast<std::uint64_t>(diffs.size()));
+  w.key("samples_matched").value(static_cast<std::uint64_t>(m.diffs.size()));
   w.key("samples_same_path")
-      .value(static_cast<std::uint64_t>(same_path_diffs.size()));
-  if (!diffs.empty()) {
-    const auto s = stats::sorted(diffs);
+      .value(static_cast<std::uint64_t>(m.same_path_diffs.size()));
+  if (!m.diffs.empty()) {
+    const auto s = stats::sorted(m.diffs);
     w.key("median_diff_ms").value(stats::quantile_sorted(s, 0.5));
     w.key("p10_diff_ms").value(stats::quantile_sorted(s, 0.1));
     w.key("p90_diff_ms").value(stats::quantile_sorted(s, 0.9));
   }
-  if (!same_path_diffs.empty()) {
-    w.key("median_diff_same_path_ms").value(stats::median(same_path_diffs));
+  if (!m.same_path_diffs.empty()) {
+    w.key("median_diff_same_path_ms").value(stats::median(m.same_path_diffs));
   }
   w.end_object();
   return {MsgType::kOk, w.str()};

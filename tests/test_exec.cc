@@ -3,6 +3,7 @@
 // results at 1, 2 and 8 threads (DESIGN.md section 9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/congestion_chain.h"
 #include "core/congestion_detect.h"
 #include "core/dualstack.h"
 #include "core/localize.h"
@@ -472,6 +474,119 @@ TEST_F(GoldenParallel, RoutingStudyIsThreadCountInvariant) {
   expect_thread_count_invariant("routing", [&](exec::ThreadPool* pool) {
     return serialize(core::run_routing_study(data().timelines, cfg, pool));
   });
+}
+
+// ---------------------------------------------------------------------
+// The Section 5 chain (core/congestion_chain.h) end to end.
+
+std::string serialize(const core::PingSeriesStore& store) {
+  std::ostringstream os;
+  store.for_each_shard(0, 1, [&](ServerId src, ServerId dst,
+                                 net::Family family,
+                                 const core::PingSeriesStore::Series& s) {
+    os << src << ',' << dst << ',' << static_cast<int>(family) << ':'
+       << s.valid << ':';
+    for (const auto v : s.rtt_tenths) os << v << ' ';
+    os << '\n';
+  });
+  put_quality(os, store.quality());
+  return os.str();
+}
+
+std::string serialize(const core::SegmentSeriesStore& store) {
+  std::ostringstream os;
+  store.for_each_shard(
+      0, 1, [&](ServerId src, ServerId dst, net::Family family,
+                const core::SegmentSeriesStore::PairSeries& s) {
+        os << src << ',' << dst << ',' << static_cast<int>(family) << ':'
+           << s.traces << ':' << s.ip_static << ':';
+        for (const auto& hop : s.hop_addrs) {
+          os << (hop ? hop->to_string() : "*") << ' ';
+        }
+        for (const auto& row : s.hop_rtt) {
+          for (const auto v : row) os << v << ' ';
+          os << '|';
+        }
+        for (const auto v : s.end_rtt) os << v << ' ';
+        os << '\n';
+      });
+  put_quality(os, store.quality());
+  return os.str();
+}
+
+/// The validation harness's compact world: `congested` cranks the diurnal
+/// model so congested links land on probed paths, else none exists.
+simnet::NetworkConfig chain_world(bool congested) {
+  simnet::NetworkConfig cfg;
+  cfg.topology.seed = 42;
+  cfg.topology.tier1_count = 4;
+  cfg.topology.transit_count = 18;
+  cfg.topology.stub_count = 70;
+  cfg.topology.server_count = 20;
+  cfg.dynamics.mean_outages_per_adjacency = 0.3;
+  cfg.congestion.internal_fraction = congested ? 0.10 : 0.0;
+  cfg.congestion.private_interconnect_fraction = congested ? 0.15 : 0.0;
+  cfg.congestion.public_ixp_fraction = congested ? 0.02 : 0.0;
+  cfg.congestion.permanent_prob = 1.0;
+  cfg.congestion.bursty_fraction = 0.0;
+  return cfg;
+}
+
+core::CongestionChainResult run_chain(simnet::Network& net,
+                                      exec::ThreadPool* pool,
+                                      core::RunFacts* facts = nullptr) {
+  const auto pairs = simnet::sample_dual_stack_pairs(net.topo(), 24, 42).pairs;
+  core::CongestionChainConfig cfg;
+  cfg.ping = {100.0, 7.0, 31};
+  cfg.followup = {100.0, 4.0, 68};
+  cfg.downtime.monthly_window_prob = 0.02;
+  return core::run_congestion_chain(net, pairs, cfg, pool, facts);
+}
+
+TEST(CongestionChain, FollowsUpTheFlaggedPairsAlikeAtAnyWidth) {
+  simnet::Network golden_net(chain_world(true));
+  const auto golden = run_chain(golden_net, nullptr);
+  // The follow-up probes each flagged series' (src, dst) once.
+  std::vector<std::pair<ServerId, ServerId>> want;
+  for (const auto& f : golden.survey.flagged) want.emplace_back(f.src, f.dst);
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(golden.followup_pairs, want);
+  ASSERT_TRUE(golden.segments.has_value());
+  EXPECT_GT(golden.localization.pairs_considered, 0u);
+  EXPECT_EQ(golden.survey_config.min_samples,
+            static_cast<std::size_t>(0.88 * 672));
+  EXPECT_EQ(golden.localize_config.min_traces,
+            static_cast<std::size_t>(0.3 * 192));
+
+  for (const unsigned threads : {1u, 8u}) {
+    simnet::Network net(chain_world(true));
+    exec::ThreadPool pool(threads);
+    const auto chain = run_chain(net, &pool);
+    EXPECT_EQ(serialize(chain.pings), serialize(golden.pings)) << threads;
+    EXPECT_EQ(serialize(chain.survey), serialize(golden.survey)) << threads;
+    EXPECT_EQ(chain.followup_pairs, golden.followup_pairs) << threads;
+    ASSERT_TRUE(chain.segments.has_value());
+    EXPECT_EQ(serialize(*chain.segments), serialize(*golden.segments))
+        << threads;
+    EXPECT_EQ(serialize(chain.localization), serialize(golden.localization))
+        << threads;
+  }
+}
+
+TEST(CongestionChain, CleanWorldRunsNoFollowUp) {
+  simnet::Network net(chain_world(false));
+  core::RunFacts facts;
+  const auto chain = run_chain(net, nullptr, &facts);
+  EXPECT_GT(chain.survey.v4.pairs_assessed, 0u);
+  EXPECT_TRUE(chain.survey.flagged.empty());
+  EXPECT_TRUE(chain.followup_pairs.empty());
+  EXPECT_FALSE(chain.segments.has_value());
+  EXPECT_TRUE(chain.localization.segments.empty());
+  EXPECT_EQ(chain.localization.pairs_considered, 0u);
+  // Only the ping campaign ran.
+  EXPECT_EQ(facts.counters.at("s2s.campaign.epochs"), chain.pings.epochs());
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 //   S2S_UPDATE_GOLDEN=1 ctest -R GoldenFigures
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -24,9 +23,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/congestion_detect.h"
+#include "core/congestion_chain.h"
 #include "core/localize.h"
-#include "core/ping_series.h"
 #include "core/routing_study.h"
 #include "core/segment_series.h"
 #include "core/timeline.h"
@@ -188,44 +186,34 @@ const Dataset& dataset() {
       serialize(campaign, &out.routing_text, &out.routing_bin);
     }
     {
-      // Mirror the paper's Section 5 chain: a week-long 15-minute ping
-      // survey over the full mesh selects the congested pairs, and the
-      // 30-minute traceroute follow-up covers exactly those.
+      // The paper's Section 5 chain: a week-long 15-minute ping survey
+      // over the full mesh selects the congested pairs, and the 30-minute
+      // traceroute follow-up covers exactly those; its records are the
+      // Fig 9 source.
       std::vector<std::pair<topology::ServerId, topology::ServerId>> mesh;
       for (std::size_t i = 0; i < servers.size(); ++i) {
         for (std::size_t j = i + 1; j < servers.size(); ++j) {
           mesh.emplace_back(servers[i], servers[j]);
         }
       }
-      probe::PingCampaignConfig ping_cfg;
-      ping_cfg.start_day = 417.0;
-      ping_cfg.days = 7.0;
-      ping_cfg.seed = 31;
-      probe::PingCampaign pings(*out.net, ping_cfg, mesh);
-      core::PingSeriesStore ping_store(ping_cfg.start_day,
-                                       net::kFifteenMinutes, pings.epochs());
-      pings.run([&](const PingRecord& r) { ping_store.add(r); });
-      core::CongestionDetectConfig detect_cfg;
-      detect_cfg.min_samples =
-          static_cast<std::size_t>(0.88 * static_cast<double>(pings.epochs()));
-      const auto survey = core::survey_congestion(ping_store, detect_cfg);
-      std::vector<std::pair<topology::ServerId, topology::ServerId>> flagged;
-      for (const auto& f : survey.flagged) flagged.emplace_back(f.src, f.dst);
-      std::sort(flagged.begin(), flagged.end());
-      flagged.erase(std::unique(flagged.begin(), flagged.end()),
-                    flagged.end());
-
-      probe::TracerouteCampaignConfig cfg;
-      cfg.start_day = 424.0;
-      cfg.days = 7.0;
-      cfg.interval_s = net::kThirtyMinutes;
-      cfg.paris_switch_day = 0.0;
-      cfg.seed = 47;
-      cfg.traceroute.stop_early_prob = 0.1;
-      probe::TracerouteCampaign campaign(*out.net, cfg, flagged);
-      out.follow_epochs = campaign.epochs();
-      out.follow_pairs = flagged.size();
-      serialize(campaign, &out.follow_text, &out.follow_bin);
+      core::CongestionChainConfig cfg;
+      cfg.ping = {417.0, 7.0, 31};
+      cfg.followup = {424.0, 7.0, 47};
+      std::ostringstream text_out;
+      std::ostringstream bin_out(std::ios::binary);
+      io::RecordWriter text_writer(text_out);
+      io::BinRecordWriter bin_writer(bin_out);
+      const auto chain = core::run_congestion_chain(
+          *out.net, mesh, cfg, nullptr, nullptr,
+          [&](const TracerouteRecord& r) {
+            text_writer.write(r);
+            bin_writer.write(r);
+          });
+      bin_writer.finish();
+      out.follow_text = text_out.str();
+      out.follow_bin = bin_out.str();
+      out.follow_epochs = chain.segments ? chain.segments->epochs() : 0;
+      out.follow_pairs = chain.followup_pairs.size();
     }
     return out;
   }();

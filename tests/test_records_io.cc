@@ -284,84 +284,5 @@ TEST(RecordsIo, CorruptedLinesNeverCrashAndStayRoundTrippable) {
   EXPECT_GT(parsed_corrupted, 0u);
 }
 
-TEST(RecordsIo, ResumedReaderAgreesWithUninterruptedRead) {
-  // Regression for the checkpoint-resume accounting bug: a resumed reader
-  // used to copy only the retained samples, so its malformed_dropped()
-  // (computed as errors - retained) underflowed. state()/resume_from()
-  // must make the split of a resumed read identical to one uninterrupted
-  // pass over the same lines.
-  obs::set_log_level(obs::LogLevel::kOff);
-  std::string part1, part2;
-  for (int i = 0; i < 4; ++i) part1 += "T\tbroken-early" + std::to_string(i) + "\n";
-  part1 += to_line(sample_trace()) + "\n";
-  for (int i = 0; i < 3; ++i) part2 += "P broken-late" + std::to_string(i) + "\n";
-  part2 += to_line(sample_trace()) + "\n";
-
-  const auto drain = [](RecordReader& r, std::istream&) {
-    r.read_all([](const probe::TracerouteRecord&) {},
-               [](const probe::PingRecord&) {});
-  };
-
-  // Uninterrupted reference pass.
-  std::stringstream whole(part1 + part2);
-  RecordReader reference(whole, 2);
-  drain(reference, whole);
-
-  // Interrupted pass: checkpoint after part1, resume in a fresh reader.
-  std::stringstream first(part1);
-  RecordReader before(first, 2);
-  drain(before, first);
-  const RecordReader::State checkpoint = before.state();
-  EXPECT_EQ(checkpoint.errors, 4u);
-  EXPECT_EQ(checkpoint.dropped, 2u);
-
-  std::stringstream rest(part2);
-  RecordReader after(rest, 2);
-  after.resume_from(checkpoint);
-  drain(after, rest);
-  obs::set_log_level(obs::LogLevel::kInfo);
-
-  EXPECT_EQ(after.lines(), reference.lines());
-  EXPECT_EQ(after.errors(), reference.errors());
-  EXPECT_EQ(after.malformed_retained(), reference.malformed_retained());
-  EXPECT_EQ(after.malformed_dropped(), reference.malformed_dropped());
-  // The invariant the old code violated:
-  EXPECT_EQ(after.errors(),
-            after.malformed_retained() + after.malformed_dropped());
-
-  // The resumed reader exports the adopted split as its own, so a
-  // report built after a restart agrees with the uninterrupted one.
-  std::map<std::string, std::uint64_t> resumed, whole_read;
-  after.export_metrics(resumed);
-  reference.export_metrics(whole_read);
-  EXPECT_EQ(resumed.at("s2s.io.malformed_retained"),
-            whole_read.at("s2s.io.malformed_retained"));
-  EXPECT_EQ(resumed.at("s2s.io.malformed_dropped"),
-            whole_read.at("s2s.io.malformed_dropped"));
-  EXPECT_EQ(resumed.at("s2s.io.records_parsed"), after.parsed());
-}
-
-TEST(RecordsIo, ResumeFromPreStateEraSnapshotNeverUnderflows) {
-  // A snapshot whose errors exceed retained + dropped (the shape the old
-  // separate-counter code produced) must be adopted without underflow:
-  // the excess lands on the dropped side and the split still sums.
-  RecordReader::State legacy;
-  legacy.lines = 100;
-  legacy.errors = 9;
-  legacy.dropped = 0;  // pre-State checkpoints never recorded this
-  legacy.malformed = {{3, "T broken"}, {7, "P broken"}};
-
-  std::stringstream empty;
-  RecordReader reader(empty, 10);
-  reader.resume_from(legacy);
-  EXPECT_EQ(reader.malformed_retained(), 2u);
-  EXPECT_EQ(reader.malformed_dropped(), 7u);
-  EXPECT_EQ(reader.errors(), 9u);
-  reader.read_all([](const probe::TracerouteRecord&) {},
-                  [](const probe::PingRecord&) {});
-  EXPECT_EQ(reader.errors(),
-            reader.malformed_retained() + reader.malformed_dropped());
-}
-
 }  // namespace
 }  // namespace s2s::io

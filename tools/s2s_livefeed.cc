@@ -16,7 +16,8 @@
 //   --block-records N   open-shard block size         (default 1024)
 //   --no-scan           skip the pre-scan that reports which pair ends
 //                       up with a consistent-congestion verdict
-//   --resume            resume an interrupted shard instead of truncating
+//   --resume            continue an interrupted shard past its watermark
+//                       instead of truncating it
 // Deployment provenance (must match the serving daemon's flags):
 //   --seed N --servers N --tier1 N --transit N --stub N
 //
@@ -196,10 +197,19 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
+  // A resumed shard already holds the epochs up to its watermark (-1 on a
+  // fresh one). The campaign is deterministic for a seed and a world, so
+  // it replays from epoch 0 and those epochs are neither written nor
+  // sealed again: the shard continues its block stream byte for byte.
+  const std::int64_t sealed_epoch = writer->watermark().epoch;
+  std::int64_t current_epoch = 0;
   bool seal_failed = false;
   ping_cfg.on_epoch = [&](std::size_t epoch) {
+    const bool replayed = static_cast<std::int64_t>(epoch) <= sealed_epoch;
+    current_epoch = static_cast<std::int64_t>(epoch) + 1;
     std::string seal_error;
-    if (!writer->seal(static_cast<std::int64_t>(epoch), seal_error)) {
+    if (!replayed &&
+        !writer->seal(static_cast<std::int64_t>(epoch), seal_error)) {
       if (!seal_failed) {
         std::fprintf(stderr, "s2s_livefeed: seal failed at epoch %zu: %s\n",
                      epoch, seal_error.c_str());
@@ -211,11 +221,12 @@ int main(int argc, char** argv) {
       std::printf("s2s_livefeed: prefilled epochs=%zu\n", prefill);
       std::fflush(stdout);
     }
-    if (epoch + 1 > prefill) sleep_ms(epoch_sleep_ms);
+    if (!replayed && epoch + 1 > prefill) sleep_ms(epoch_sleep_ms);
   };
   probe::PingCampaign feed(net, ping_cfg, pairs);
-  const auto result =
-      feed.run([&](const probe::PingRecord& r) { writer->write(r); });
+  const auto result = feed.run([&](const probe::PingRecord& r) {
+    if (current_epoch > sealed_epoch) writer->write(r);
+  });
   if (seal_failed) return 1;
   if (result.aborted) {
     std::fprintf(stderr, "s2s_livefeed: campaign aborted: %s\n",
