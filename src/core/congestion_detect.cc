@@ -75,23 +75,6 @@ SeriesVerdict window_verdict(const PingSeriesStore::Series& series,
   return verdict;
 }
 
-WindowVerdictCounts count_window_verdicts(const PingSeriesStore& store,
-                                          const CongestionDetectConfig& config,
-                                          double min_fraction) {
-  WindowVerdictCounts counts;
-  store.for_each([&](topology::ServerId, topology::ServerId, net::Family,
-                     const PingSeriesStore::Series& series) {
-    const SeriesVerdict v =
-        window_verdict(series, store.samples_per_day(), config, min_fraction);
-    ++counts.pairs;
-    if (v.insufficient) return;
-    ++counts.assessed;
-    if (v.high_variation) ++counts.high_variation;
-    if (v.consistent_congestion()) ++counts.consistent;
-  });
-  return counts;
-}
-
 namespace {
 
 /// Per-shard survey aggregate; merged in shard order.

@@ -69,18 +69,6 @@ SeriesVerdict window_verdict(const PingSeriesStore::Series& series,
                              const CongestionDetectConfig& config,
                              double min_fraction);
 
-/// window_verdict counts over every series in a store.
-struct WindowVerdictCounts {
-  std::size_t pairs = 0;
-  std::size_t assessed = 0;  ///< not insufficient
-  std::size_t high_variation = 0;
-  std::size_t consistent = 0;
-};
-
-WindowVerdictCounts count_window_verdicts(const PingSeriesStore& store,
-                                          const CongestionDetectConfig& config,
-                                          double min_fraction);
-
 /// A flagged pair from the survey.
 struct FlaggedPair {
   topology::ServerId src;

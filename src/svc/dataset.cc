@@ -11,6 +11,7 @@
 #include "io/mmap_file.h"
 #include "io/varint.h"
 #include "net/asn.h"
+#include "obs/json.h"
 #include "probe/campaign.h"
 #include "stats/summary.h"
 #include "svc/ingest.h"
@@ -312,7 +313,7 @@ bool Dataset::fold_sealed(const Dataset& base, const live::Watermark& wm,
   live_state_ = std::move(state);
   live_ = true;
   watermark_ = wm;
-  // Ingest counters accumulate across pickups so summary_json keeps
+  // Ingest counters accumulate across pickups so export_metrics keeps
   // reporting whole-shard totals.
   ingest_ = base.ingest_;
   ingest_.records += outcome.counters.records_read;
@@ -710,44 +711,6 @@ void Dataset::export_metrics(
   timelines_->export_metrics(counters);
   pings_->export_metrics(counters);
   ingest_.export_metrics(counters);
-}
-
-void Dataset::summary_json(obs::json::Writer& w) const {
-  w.key("archive").value(config_.archive_path);
-  char digest_hex[32];
-  std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, digest_);
-  w.key("digest").value(digest_hex);
-  w.key("loaded").value(loaded());
-  w.key("records").value(static_cast<std::uint64_t>(ingest_.records));
-  w.key("blocks_read").value(static_cast<std::uint64_t>(ingest_.blocks_read));
-  w.key("corrupt_blocks")
-      .value(static_cast<std::uint64_t>(ingest_.corrupt_blocks));
-  w.key("trace_timelines")
-      .value(static_cast<std::uint64_t>(
-          loaded() ? timelines_->timeline_count() : 0));
-  w.key("ping_pairs")
-      .value(static_cast<std::uint64_t>(loaded() ? pings_->pair_count() : 0));
-  w.key("ping_epochs").value(static_cast<std::uint64_t>(ping_epochs()));
-  if (live_) {
-    w.key("live").value(true);
-    w.key("watermark_epoch").value(watermark_.epoch);
-    w.key("sealed_bytes").value(watermark_.sealed_bytes);
-    w.key("live_pairs")
-        .value(static_cast<std::uint64_t>(
-            live_state_ ? live_state_->pairs_tracked() : 0));
-    w.key("records_folded")
-        .value(live_state_ ? live_state_->records_folded() : 0);
-  }
-  // A pair every per-pair request type can answer (traced pairs are a
-  // subset of pinged pairs in the fixtures); lets scripts issue valid
-  // queries without knowing the archive.
-  const auto pairs = trace_pairs();
-  if (!pairs.empty()) {
-    w.key("example_src").value(static_cast<std::uint64_t>(pairs.front().src));
-    w.key("example_dst").value(static_cast<std::uint64_t>(pairs.front().dst));
-    w.key("example_family")
-        .value(static_cast<std::uint64_t>(pairs.front().family));
-  }
 }
 
 std::vector<std::pair<topology::ServerId, topology::ServerId>>

@@ -33,7 +33,6 @@
 #include "io/binrec.h"
 #include "live/incremental.h"
 #include "live/watermark.h"
-#include "obs/json.h"
 #include "simnet/network.h"
 #include "svc/protocol.h"
 
@@ -164,9 +163,9 @@ class Dataset {
   bool mmap_resident() const noexcept { return mmap_ != nullptr; }
 
   /// Answers one request (kPairRtt .. kFigureDigest, kPingEcho). The
-  /// figure studies run on `pool` when given. kServerStats is the
-  /// server's job (it owns the cache and connection state) and returns
-  /// an internal error here.
+  /// figure studies run on `pool` when given. kMetricsDump and
+  /// kArchiveSlice are the server's job and return an internal error
+  /// here.
   Response execute(MsgType type, std::string_view payload,
                    exec::ThreadPool* pool) const;
 
@@ -179,9 +178,6 @@ class Dataset {
   /// discovery surface tools and the bench build workloads from.
   std::vector<PairKey> trace_pairs() const;
   std::vector<PairKey> ping_pairs() const;
-
-  /// Emits the "dataset" stats object body (caller opens/closes it).
-  void summary_json(obs::json::Writer& w) const;
 
  private:
   Response pair_rtt(const PairQuery& q) const;

@@ -14,10 +14,8 @@ const char* type_name(MsgType t) {
     case MsgType::kCongestionVerdict: return "congestion_verdict";
     case MsgType::kDualStackDelta: return "dualstack_delta";
     case MsgType::kFigureDigest: return "figure_digest";
-    case MsgType::kServerStats: return "server_stats";
     case MsgType::kMetricsDump: return "metrics_dump";
     case MsgType::kArchiveSlice: return "archive_slice";
-    case MsgType::kLiveStatus: return "live_status";
     case MsgType::kOk: return "ok";
     case MsgType::kError: return "error";
   }
@@ -32,10 +30,8 @@ bool is_request(MsgType t) {
     case MsgType::kCongestionVerdict:
     case MsgType::kDualStackDelta:
     case MsgType::kFigureDigest:
-    case MsgType::kServerStats:
     case MsgType::kMetricsDump:
     case MsgType::kArchiveSlice:
-    case MsgType::kLiveStatus:
       return true;
     case MsgType::kOk:
     case MsgType::kError:
@@ -260,9 +256,7 @@ ErrorInfo parse_error_payload(std::string_view payload) {
 std::uint32_t request_cost(MsgType t) {
   switch (t) {
     case MsgType::kPingEcho:
-    case MsgType::kServerStats:
     case MsgType::kMetricsDump:
-    case MsgType::kLiveStatus:
       return 1;
     case MsgType::kPairRtt:
     case MsgType::kPathPrevalence:

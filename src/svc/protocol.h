@@ -47,10 +47,12 @@ enum class MsgType : std::uint8_t {
   kCongestionVerdict = 0x04,  ///< PairQuery (arg unused)
   kDualStackDelta = 0x05,     ///< DualStackQuery
   kFigureDigest = 0x06,       ///< FigureQuery
-  kServerStats = 0x07,        ///< empty payload; never cached
+  // 0x07 and 0x0A are retired request ids (server stats and live
+  // status; kMetricsDump carries their facts). Never reuse them: an old
+  // client sending one must get a bad_request error frame, not a new
+  // meaning.
   kMetricsDump = 0x08,        ///< 1-byte format selector; never cached
   kArchiveSlice = 0x09,       ///< SliceQuery; raw `.s2sb` block slice
-  kLiveStatus = 0x0A,         ///< empty payload; live-ingest watermark/lag
   // Responses.
   kOk = 0x80,
   kError = 0x81,
@@ -62,11 +64,10 @@ inline constexpr std::uint8_t kFlagNoCache = 0x01;
 
 /// Request flag: the payload starts with a TraceContext prefix
 /// (kTraceContextBytes). Strictly client opt-in — a server never
-/// requires it, so old clients interoperate unchanged; servers advertise
-/// support via "trace_context":true in kServerStats so clients can probe
-/// before opting in. The prefix is stripped before request decoding and
-/// before cache-key construction (a traced request hits the same cache
-/// entry as an untraced one).
+/// requires it, so old clients interoperate unchanged; every s2sd
+/// accepts it, so a client may opt in without probing first. The prefix
+/// is stripped before request decoding and before cache-key construction
+/// (a traced request hits the same cache entry as an untraced one).
 inline constexpr std::uint8_t kFlagTraceContext = 0x02;
 
 /// Stable lowercase name ("pair_rtt", ...); "unknown" for anything else.
@@ -75,8 +76,9 @@ inline constexpr std::uint8_t kFlagTraceContext = 0x02;
 const char* type_name(MsgType t);
 
 bool is_request(MsgType t);
-/// Cacheable requests are pure functions of (archive, payload). Stats and
-/// echo are excluded: they describe the serving process, not the data.
+/// Cacheable requests are pure functions of (archive, payload). The
+/// metrics dump and echo are excluded: they describe the serving
+/// process, not the data.
 bool is_cacheable(MsgType t);
 
 struct FrameHeader {

@@ -10,7 +10,7 @@
 //
 // One LRU under one byte budget. The server gives each reactor its own
 // instance, so the mutex is uncontended on the serving path; it exists
-// because stats() readers (kServerStats from another reactor, tools,
+// because stats() readers (the metrics dump from another reactor, tools,
 // benches) race the owning reactor. An entry larger than the whole
 // budget is simply not cached.
 //

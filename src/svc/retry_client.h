@@ -66,9 +66,9 @@ struct RetryPolicy {
   /// Stamp requests with a trace context (kFlagTraceContext): each call
   /// mints a trace id, each attempt/retry/hedge gets its own span whose
   /// id rides the wire, so the server's spans stitch under ours in one
-  /// chrome://tracing export — including which hedge won. Off by
-  /// default: only servers advertising "trace_context" in kServerStats
-  /// understand the flag.
+  /// chrome://tracing export — including which hedge won. Every s2sd
+  /// understands the flag; off by default, so an untraced call's frames
+  /// carry no prefix.
   bool trace = false;
 };
 

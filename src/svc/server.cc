@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -15,6 +14,7 @@
 #include <cstring>
 #include <optional>
 
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
@@ -111,11 +111,13 @@ Server::Server(Dataset& dataset, exec::ThreadPool* pool,
       pool_(pool),
       config_(config),
       slow_log_({config.slow_query_us, kSlowLogMaxPerInterval,
-                 /*interval_ms=*/1000, /*max_entries=*/128}) {
+                 /*interval_ms=*/1000}) {
   if (config_.reactors == 0) config_.reactors = 1;
   for (std::size_t i = 0; i < kRequestTypes; ++i) {
-    latency_[i] = std::make_unique<TypeLatency>(static_cast<MsgType>(i + 1),
-                                                config_);
+    const auto type = static_cast<MsgType>(i + 1);
+    if (is_request(type)) {
+      latency_[i] = std::make_unique<TypeLatency>(type, config_);
+    }
   }
 }
 
@@ -373,6 +375,7 @@ std::map<std::string, obs::WindowedSnapshot> Server::windowed_snapshots()
     const {
   std::map<std::string, obs::WindowedSnapshot> out;
   for (const auto& lat : latency_) {
+    if (!lat) continue;
     out.emplace(std::string("s2s.svc.windowed_us.") + type_name(lat->type),
                 lat->windowed.snapshot());
   }
@@ -382,6 +385,7 @@ std::map<std::string, obs::WindowedSnapshot> Server::windowed_snapshots()
 std::map<std::string, obs::SloStat> Server::slo_stats() const {
   std::map<std::string, obs::SloStat> out;
   for (const auto& lat : latency_) {
+    if (!lat) continue;
     out.emplace(std::string("s2s.svc.slo.") + type_name(lat->type),
                 obs::SloStat{lat->slo_threshold_us,
                              lat->slo_good.load(std::memory_order_relaxed),
@@ -833,9 +837,7 @@ void Server::Reactor::execute_one(int fd, const PendingItem& item) {
   std::shared_ptr<const std::string> shared_payload;
   Dataset::ArchiveSlice slice;
   bool use_slice = false;
-  if (item.type == MsgType::kServerStats) {
-    response = {MsgType::kOk, srv_.stats_payload(*ds)};
-  } else if (item.type == MsgType::kMetricsDump) {
+  if (item.type == MsgType::kMetricsDump) {
     MetricsDumpQuery q;
     if (decode_metrics_dump_query(item.payload, q)) {
       response = {MsgType::kOk, srv_.metrics_dump_payload(q.format)};
@@ -843,9 +845,6 @@ void Server::Reactor::execute_one(int fd, const PendingItem& item) {
       response = {MsgType::kError,
                   error_payload("bad_request", "bad metrics_dump payload")};
     }
-  } else if (item.type == MsgType::kLiveStatus) {
-    // Never cached: the whole point is observing ingest progress.
-    response = {MsgType::kOk, srv_.live_status_payload(*ds)};
   } else if (item.type == MsgType::kArchiveSlice) {
     SliceQuery q;
     if (!decode_slice_query(item.payload, q)) {
@@ -1167,97 +1166,8 @@ int Server::Reactor::next_timeout_ms(Clock::time_point now) const {
 }
 
 // ---------------------------------------------------------------------------
-// Server: stats and metrics payloads
+// Server: metrics export
 // ---------------------------------------------------------------------------
-
-std::string Server::stats_payload(const Dataset& dataset) const {
-  const ResultCache::Stats cache = cache_stats();
-  obs::json::Writer w;
-  w.begin_object();
-  w.key("type").value("server_stats");
-  w.key("server").begin_object();
-  w.key("uptime_s").value(uptime_seconds());
-  w.key("trace_context").value(true);
-  w.key("reactors").value(static_cast<std::uint64_t>(reactors_.size()));
-  w.key("reuseport").value(reactors_.size() > 1);
-  w.key("active_conns")
-      .value(static_cast<std::uint64_t>(
-          total_conns_.load(std::memory_order_relaxed)));
-  w.key("draining").value(draining_.load(std::memory_order_relaxed));
-  w.key("requests").value(total(kRequests));
-  w.key("conns_accepted").value(total(kConnsAccepted));
-  w.key("conns_reaped").value(total(kConnsReaped));
-  w.key("accept_emfile").value(total(kAcceptEmfile));
-  w.key("busy_rejected").value(total(kBusyRejected));
-  w.key("shed").begin_object();
-  w.key("cost").value(total(kShedCost));
-  w.key("inflight").value(total(kShedInflight));
-  w.key("client").value(total(kShedClient));
-  w.key("pending_cost").value(static_cast<std::uint64_t>(pending_cost()));
-  w.key("max_pending_cost")
-      .value(static_cast<std::uint64_t>(config_.max_pending_cost));
-  w.end_object();
-  w.key("protocol_errors").value(total(kProtocolErrors));
-  w.key("reloads").value(reloads());
-  w.key("slow_queries").begin_object();
-  w.key("threshold_us")
-      .value(static_cast<std::int64_t>(config_.slow_query_us));
-  w.key("emitted").value(slow_log_.emitted());
-  w.key("suppressed").value(slow_log_.suppressed());
-  w.end_object();
-  w.key("cache").begin_object();
-  w.key("hits").value(cache.hits);
-  w.key("misses").value(cache.misses);
-  w.key("insertions").value(cache.insertions);
-  w.key("evictions").value(cache.evictions);
-  w.key("entries").value(cache.entries);
-  w.key("bytes").value(cache.bytes);
-  w.end_object();
-  w.end_object();
-  w.key("dataset").begin_object();
-  dataset.summary_json(w);
-  w.end_object();
-  w.end_object();
-  return w.str();
-}
-
-std::string Server::live_status_payload(const Dataset& dataset) const {
-  obs::json::Writer w;
-  w.begin_object();
-  w.key("type").value("live_status");
-  w.key("live").value(dataset.live());
-  if (dataset.live()) {
-    const live::Watermark& wm = dataset.watermark();
-    w.key("watermark_epoch").value(wm.epoch);
-    w.key("sealed_bytes").value(wm.sealed_bytes);
-    w.key("blocks").value(wm.blocks);
-    w.key("records").value(wm.records);
-    w.key("ping_epochs")
-        .value(static_cast<std::uint64_t>(dataset.ping_epochs()));
-    const auto* state = dataset.live_state();
-    w.key("pairs_tracked")
-        .value(static_cast<std::uint64_t>(state ? state->pairs_tracked() : 0));
-    w.key("records_folded").value(state ? state->records_folded() : 0);
-    const auto counts = core::count_window_verdicts(
-        dataset.pings(), dataset.config().detect,
-        dataset.config().detect_min_fraction);
-    w.key("assessed_pairs").value(static_cast<std::uint64_t>(counts.assessed));
-    w.key("congested_pairs")
-        .value(static_cast<std::uint64_t>(counts.consistent));
-    // Unsealed bytes sitting past the watermark: the writer's in-flight
-    // tail the serving path deliberately cannot see yet.
-    struct stat st{};
-    if (::stat(dataset.config().archive_path.c_str(), &st) == 0 &&
-        static_cast<std::uint64_t>(st.st_size) >= wm.sealed_bytes) {
-      w.key("lag_bytes")
-          .value(static_cast<std::uint64_t>(st.st_size) - wm.sealed_bytes);
-    }
-  }
-  w.key("delta_pickups").value(live_pickups());
-  w.key("poll_ms").value(static_cast<std::int64_t>(config_.live_poll_ms));
-  w.end_object();
-  return w.str();
-}
 
 void Server::export_metrics(std::map<std::string, std::uint64_t>& counters,
                             std::map<std::string, double>& gauges) const {
@@ -1266,6 +1176,8 @@ void Server::export_metrics(std::map<std::string, std::uint64_t>& counters,
     counters[kStatNames[s]] = total(static_cast<Stat>(s));
   }
   counters["s2s.svc.reloads"] = reloads();
+  counters["s2s.svc.slow_queries.emitted"] = slow_log_.emitted();
+  counters["s2s.svc.slow_queries.suppressed"] = slow_log_.suppressed();
   for (const auto& [name, slo] : slo_stats()) {
     counters[name + ".good"] = slo.good;
     counters[name + ".total"] = slo.total;

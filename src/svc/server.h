@@ -152,10 +152,6 @@ class Server {
   void request_drain();
   void request_reload();
 
-  bool draining() const noexcept {
-    return draining_.load(std::memory_order_relaxed);
-  }
-
   std::size_t reactor_count() const noexcept { return reactors_.size(); }
   /// Per-reactor accepted-connection counts (the reuseport spread is
   /// test-observable through this).
@@ -182,12 +178,12 @@ class Server {
   /// SLO good/total counters, keyed "s2s.svc.slo.<type>". Safe
   /// concurrently with the serving loop.
   std::map<std::string, obs::SloStat> slo_stats() const;
-  const SlowQueryLog& slow_log() const noexcept { return slow_log_; }
 
   /// Writes this server's serving facts into a metrics snapshot's (or a
   /// RunReport's) maps under their s2s.svc.* names: the reactor
-  /// counters, reloads, SLO good/total, cache totals, and the
-  /// active_conns / pending_cost / uptime_s / reactors / cache gauges.
+  /// counters, reloads, slow-query emitted/suppressed, SLO good/total,
+  /// cache totals, and the active_conns / pending_cost / uptime_s /
+  /// reactors / cache gauges.
   /// It adds the served snapshot's load facts (Dataset::export_metrics:
   /// s2s.timeline.*, s2s.ping_store.*, s2s.io.*). While that snapshot is
   /// a live shard it writes the s2s.live.* facts too; their presence is
@@ -289,7 +285,7 @@ class Server {
 
   /// One event-loop shard: poller, connections, admission gates, and a
   /// result cache of its own. All members are single-threaded except
-  /// the stat atomics, which other reactors read for kServerStats.
+  /// the stat atomics, which other reactors read for the metrics dump.
   class Reactor {
    public:
     Reactor(Server& server, std::size_t index);
@@ -374,8 +370,6 @@ class Server {
   /// advance, clone_advanced() off the current snapshot and publish.
   void maybe_live_advance();
   std::size_t pending_cost() const;
-  std::string stats_payload(const Dataset& dataset) const;
-  std::string live_status_payload(const Dataset& dataset) const;
   /// kMetricsDump response body for the given format selector.
   std::string metrics_dump_payload(std::uint8_t format) const;
 
@@ -419,9 +413,10 @@ class Server {
     std::atomic<std::uint64_t> slo_total{0};
   };
   static constexpr std::size_t kRequestTypes =
-      static_cast<std::size_t>(MsgType::kLiveStatus);
-  /// One record per request type, MsgType 0x01-0x0A at index type - 1;
-  /// the reader admits no other type (is_request).
+      static_cast<std::size_t>(MsgType::kArchiveSlice);
+  /// One record per request type, MsgType 0x01-0x09 at index type - 1;
+  /// the retired 0x07 slot stays null. The reader admits no other type
+  /// (is_request).
   std::array<std::unique_ptr<TypeLatency>, kRequestTypes> latency_;
   TypeLatency& latency_of(MsgType type) {
     return *latency_[static_cast<std::size_t>(type) - 1];

@@ -47,7 +47,6 @@ SlowQueryLog::SlowQueryLog(SlowLogConfig config, ClockFn clock)
     : config_(config),
       clock_(clock ? std::move(clock) : ClockFn(&steady_now_ms)) {
   if (config_.interval_ms <= 0) config_.interval_ms = 1000;
-  if (config_.max_entries == 0) config_.max_entries = 1;
 }
 
 bool SlowQueryLog::emit(const SlowQueryEntry& entry) {
@@ -57,9 +56,6 @@ bool SlowQueryLog::emit(const SlowQueryEntry& entry) {
   bool log_it = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ring_.push_back(entry);
-    while (ring_.size() > config_.max_entries) ring_.pop_front();
-
     const std::int64_t now = clock_();
     if (now - interval_start_ms_ >= config_.interval_ms) {
       interval_start_ms_ = now;
@@ -87,11 +83,6 @@ bool SlowQueryLog::emit(const SlowQueryEntry& entry) {
   }
   obs::log_message(obs::LogLevel::kWarn, line);
   return true;
-}
-
-std::vector<SlowQueryEntry> SlowQueryLog::entries() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
 }
 
 std::uint64_t SlowQueryLog::emitted() const {

@@ -10,13 +10,12 @@
 //     "encode_us":20,"write_us":11,"cache":"miss","admission":"admitted",
 //     "response":"ok"}
 //
-// Two bounds keep a melting server from drowning in its own diagnosis
-// (DESIGN.md section 13):
-//   * rate limit — at most max_per_interval lines per interval_ms;
-//     excess entries are counted as suppressed, and the first line of
-//     the next interval reports how many were dropped;
-//   * memory bound — the last max_entries entries are retained in a
-//     ring for the shutdown RunReport / tests, never more.
+// A rate limit keeps a melting server from drowning in its own
+// diagnosis (DESIGN.md section 13): at most max_per_interval lines per
+// interval_ms; excess entries are counted as suppressed, and the first
+// line of the next interval reports how many were dropped. Entries are
+// not retained: the log line is the record, and the emitted/suppressed
+// counts are exported as s2s.svc.slow_queries.*.
 //
 // The clock is injectable (monotonic ms) so the rate-limit window is
 // deterministic under test. Thread-safe; the serving path calls emit()
@@ -24,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace s2s::svc {
 
@@ -38,8 +35,6 @@ struct SlowLogConfig {
   /// Rate limit: at most this many emitted lines per interval.
   std::uint32_t max_per_interval = 10;
   std::int64_t interval_ms = 1000;
-  /// Ring bound on retained entries.
-  std::size_t max_entries = 128;
 };
 
 /// One over-threshold request, phase-by-phase.
@@ -72,11 +67,8 @@ class SlowQueryLog {
 
   /// Records `entry` if the log is enabled and entry.total_us exceeds
   /// the threshold. Returns true when a line was emitted (not rate
-  /// limited); the entry is retained in the ring either way.
+  /// limited).
   bool emit(const SlowQueryEntry& entry);
-
-  /// Retained entries, oldest first (at most max_entries).
-  std::vector<SlowQueryEntry> entries() const;
 
   std::uint64_t emitted() const;
   std::uint64_t suppressed() const;
@@ -85,7 +77,6 @@ class SlowQueryLog {
   SlowLogConfig config_;
   ClockFn clock_;
   mutable std::mutex mutex_;
-  std::deque<SlowQueryEntry> ring_;
   std::int64_t interval_start_ms_ = 0;
   std::uint32_t interval_emitted_ = 0;
   std::uint64_t interval_suppressed_ = 0;  ///< current interval only

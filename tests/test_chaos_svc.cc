@@ -509,7 +509,7 @@ TEST(SvcOverload, RetryingClientHonorsBusyHintsUnderFlood) {
         << error;
   }
 
-  // Hold the reactor in a server_stats request's log line while the
+  // Hold the reactor in a metrics_dump request's log line while the
   // flood's batch of no-cache figure work and then the client's ping
   // arrive. The next poll round parses them in that order: the first
   // figure is admitted, so the ping meets a full inflight budget and is
@@ -521,9 +521,11 @@ TEST(SvcOverload, RetryingClientHonorsBusyHintsUnderFlood) {
     batch += svc::encode_frame(svc::MsgType::kFigureDigest, svc::kFlagNoCache,
                                svc::encode_figure_query(f));
   }
-  gate.arm("\"type\":\"server_stats\"");
+  gate.arm("\"type\":\"metrics_dump\"");
   ASSERT_TRUE(holder.send_bytes(
-      svc::encode_frame(svc::MsgType::kServerStats, 0, ""), error))
+      svc::encode_frame(svc::MsgType::kMetricsDump, 0,
+                        svc::encode_metrics_dump_query({})),
+      error))
       << error;
   ASSERT_TRUE(gate.wait_held());
   ASSERT_TRUE(flood.send_bytes(batch, error)) << error;

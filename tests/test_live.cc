@@ -446,12 +446,21 @@ TEST(LiveDataset, DeltaPickupMatchesFreshLoadByteForByte) {
   live::remove_watermark_file(path);
 }
 
+/// A dataset's load facts: its exported counters, digest and watermark.
 std::string summary(const svc::Dataset& ds) {
-  obs::json::Writer w;
-  w.begin_object();
-  ds.summary_json(w);
-  w.end_object();
-  return w.str();
+  std::map<std::string, std::uint64_t> counters;
+  ds.export_metrics(counters);
+  const live::Watermark& wm = ds.watermark();
+  std::string out = std::to_string(ds.digest()) +
+                    (ds.live() ? " live" : " batch") +
+                    " epoch=" + std::to_string(wm.epoch) +
+                    " sealed_bytes=" + std::to_string(wm.sealed_bytes) +
+                    " blocks=" + std::to_string(wm.blocks) +
+                    " records=" + std::to_string(wm.records);
+  for (const auto& [name, value] : counters) {
+    out += " " + name + "=" + std::to_string(value);
+  }
+  return out;
 }
 
 TEST(LiveDataset, LoadAtAnyWidthAndPickupChainMatchFreshLoad) {
@@ -684,13 +693,18 @@ TEST(LiveServer, ServesAcrossDeltaPickupsWithoutReload) {
     EXPECT_TRUE(client.connect("127.0.0.1", server.port(), err)) << err;
     svc::MsgType rtype;
     std::string payload;
-    EXPECT_TRUE(client.call(svc::MsgType::kLiveStatus, 0, "", &rtype,
+    svc::MetricsDumpQuery q;
+    q.format = svc::MetricsDumpQuery::kJson;
+    EXPECT_TRUE(client.call(svc::MsgType::kMetricsDump, 0,
+                            svc::encode_metrics_dump_query(q), &rtype,
                             &payload, err))
         << err;
     EXPECT_EQ(rtype, svc::MsgType::kOk) << payload;
     const auto root = obs::json::parse(payload);
     ASSERT_TRUE(root && root->is_object());
-    const auto* wm = root->find("watermark_epoch");
+    const auto* gauges = root->find("gauges");
+    ASSERT_TRUE(gauges && gauges->is_object());
+    const auto* wm = gauges->find("s2s.live.watermark_epoch");
     ASSERT_TRUE(wm && wm->is_number());
     *epoch_out = static_cast<std::int64_t>(wm->number);
   };

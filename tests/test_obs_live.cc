@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -269,7 +270,7 @@ TEST(SlowQueryLog, RateLimitsAndReportsSuppressedNextInterval) {
     lines.emplace_back(m);
   });
   svc::SlowQueryLog log({/*threshold_us=*/10, /*max_per_interval=*/2,
-                         /*interval_ms=*/1000, /*max_entries=*/128},
+                         /*interval_ms=*/1000},
                         [&] { return fake_ms; });
   for (int i = 0; i < 5; ++i) log.emit(slow_entry(100));
   EXPECT_EQ(log.emitted(), 2u);
@@ -283,20 +284,18 @@ TEST(SlowQueryLog, RateLimitsAndReportsSuppressedNextInterval) {
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[2].find("(+3 suppressed last interval)"), std::string::npos)
       << lines[2];
-  // All six entries were retained regardless of rate limiting.
-  EXPECT_EQ(log.entries().size(), 6u);
-}
-
-TEST(SlowQueryLog, RingBoundKeepsOnlyTheNewest) {
-  obs::set_log_level(obs::LogLevel::kOff);
-  svc::SlowQueryLog log({/*threshold_us=*/10, /*max_per_interval=*/1000,
-                         /*interval_ms=*/1000, /*max_entries=*/4});
-  for (int i = 0; i < 10; ++i) log.emit(slow_entry(100 + i));
-  obs::set_log_level(obs::LogLevel::kInfo);
-  const auto entries = log.entries();
-  ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries.front().total_us, 106);  // oldest retained
-  EXPECT_EQ(entries.back().total_us, 109);
+  EXPECT_EQ(log.emitted(), 3u);
+  EXPECT_EQ(log.suppressed(), 3u);
+  // Each emitted line is one whole entry; suppressed ones leave none.
+  // The entry is a flat object, so its JSON ends at the first '}'.
+  constexpr std::size_t kPrefix = sizeof("slow_query ") - 1;
+  for (const std::string& line : lines) {
+    ASSERT_EQ(line.rfind("slow_query {", 0), 0u) << line;
+    const auto doc = obs::json::parse(std::string_view(line).substr(
+        kPrefix, line.find('}') + 1 - kPrefix));
+    ASSERT_TRUE(doc.has_value()) << line;
+    EXPECT_EQ(doc->find("total_us")->as_u64(), 100u);
+  }
 }
 
 // ---------------------------------------------------------------------------

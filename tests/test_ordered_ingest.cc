@@ -28,7 +28,7 @@
 #include "io/crc32c.h"
 #include "io/mmap_file.h"
 #include "io/records_io.h"
-#include "obs/json.h"
+#include "live/watermark.h"
 #include "simnet/network.h"
 #include "svc/dataset.h"
 #include "svc/ingest.h"
@@ -311,14 +311,23 @@ TEST(OrderedIngest, LastPingEpochCarriedOnlyByDroppedRecords) {
   std::remove(path.c_str());
 }
 
-/// What a client sees of a loaded dataset: its summary and the answer
-/// to every request type over every pair.
+/// What a client sees of a loaded dataset: its load facts (exported
+/// counters, digest, watermark) and the answer to every request type
+/// over every pair.
 std::string served(const svc::Dataset& ds) {
-  obs::json::Writer w;
-  w.begin_object();
-  ds.summary_json(w);
-  w.end_object();
-  std::string out = w.str() + "\n";
+  std::map<std::string, std::uint64_t> counters;
+  ds.export_metrics(counters);
+  const live::Watermark& wm = ds.watermark();
+  std::string out = std::to_string(ds.digest()) +
+                    (ds.live() ? " live" : " batch") +
+                    " epoch=" + std::to_string(wm.epoch) +
+                    " sealed_bytes=" + std::to_string(wm.sealed_bytes) +
+                    " blocks=" + std::to_string(wm.blocks) +
+                    " records=" + std::to_string(wm.records);
+  for (const auto& [name, value] : counters) {
+    out += " " + name + "=" + std::to_string(value);
+  }
+  out += "\n";
   for (const std::uint8_t fig : {1, 2, 5, 10}) {
     out += ds.execute(svc::MsgType::kFigureDigest,
                       svc::encode_figure_query({fig}), nullptr)

@@ -15,7 +15,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/pool.h"
@@ -144,6 +146,27 @@ std::string must_call(svc::Client& client, svc::MsgType type,
   return rpayload;
 }
 
+/// The server's JSON metrics dump, fetched over the wire and parsed.
+obs::json::Value json_dump(svc::Client& client) {
+  svc::MetricsDumpQuery q;
+  q.format = svc::MetricsDumpQuery::kJson;
+  const std::string text = must_call(client, svc::MsgType::kMetricsDump, 0,
+                                     svc::encode_metrics_dump_query(q));
+  auto doc = obs::json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  return doc ? std::move(*doc) : obs::json::Value{};
+}
+
+/// One value of a parsed dump's "counters" or "gauges" object; -1 (and a
+/// test failure) when absent.
+double dump_fact(const obs::json::Value& doc, std::string_view section,
+                 std::string_view name) {
+  const auto* group = doc.find(section);
+  const auto* v = group ? group->find(name) : nullptr;
+  EXPECT_NE(v, nullptr) << section << " lacks " << name;
+  return v ? v->number : -1.0;
+}
+
 std::uint64_t server_counter(const svc::Server& server,
                              const std::string& name) {
   obs::MetricsSnapshot snapshot;
@@ -222,13 +245,11 @@ TEST(SvcProtocol, PayloadCodecs) {
 
 TEST(SvcProtocol, TypePredicates) {
   EXPECT_TRUE(svc::is_request(svc::MsgType::kPingEcho));
-  EXPECT_TRUE(svc::is_request(svc::MsgType::kServerStats));
   EXPECT_TRUE(svc::is_request(svc::MsgType::kMetricsDump));
   EXPECT_FALSE(svc::is_request(svc::MsgType::kOk));
   EXPECT_FALSE(svc::is_request(static_cast<svc::MsgType>(0x42)));
   EXPECT_TRUE(svc::is_cacheable(svc::MsgType::kFigureDigest));
   EXPECT_FALSE(svc::is_cacheable(svc::MsgType::kPingEcho));
-  EXPECT_FALSE(svc::is_cacheable(svc::MsgType::kServerStats));
   EXPECT_FALSE(svc::is_cacheable(svc::MsgType::kMetricsDump));
   EXPECT_STREQ(svc::type_name(svc::MsgType::kPairRtt), "pair_rtt");
   EXPECT_STREQ(svc::type_name(svc::MsgType::kMetricsDump), "metrics_dump");
@@ -393,12 +414,17 @@ TEST(SvcServer, BadCrcAndUnknownTypeFramesKeepConnection) {
   EXPECT_EQ(rtype, svc::MsgType::kError);
   EXPECT_NE(rpayload.find("bad_crc"), std::string::npos) << rpayload;
 
-  // Unknown frame type with a valid CRC: error frame, survives.
-  ASSERT_TRUE(client.send_bytes(
-      svc::encode_frame(static_cast<svc::MsgType>(0x42), 0, ""), error));
-  ASSERT_TRUE(client.read_frame(&rtype, &rpayload, error)) << error;
-  EXPECT_EQ(rtype, svc::MsgType::kError);
-  EXPECT_NE(rpayload.find("bad_request"), std::string::npos) << rpayload;
+  // Unknown frame type with a valid CRC: error frame, survives. 0x07 and
+  // 0x0A are retired request ids and must stay unknown.
+  for (const std::uint8_t type : {0x42, 0x07, 0x0A}) {
+    ASSERT_TRUE(client.send_bytes(
+        svc::encode_frame(static_cast<svc::MsgType>(type), 0, ""), error));
+    ASSERT_TRUE(client.read_frame(&rtype, &rpayload, error)) << error;
+    EXPECT_EQ(rtype, svc::MsgType::kError) << int{type};
+    EXPECT_NE(rpayload.find("bad_request"), std::string::npos)
+        << int{type} << ": " << rpayload;
+    must_call(client, svc::MsgType::kPingEcho, 0, "");
+  }
 
   // Truncated request payload: decode fails, error frame, survives.
   ASSERT_TRUE(client.send_bytes(
@@ -664,16 +690,10 @@ TEST(SvcServer, MetricsDumpServesJsonAndPrometheus) {
 TEST(SvcServer, StatsFieldsMoveBetweenCalls) {
   TestServer ts(*world().dataset);
   svc::Client client = ts.connect();
-  const std::string before =
-      must_call(client, svc::MsgType::kServerStats, 0, "");
-  const auto doc1 = obs::json::parse(before);
-  ASSERT_TRUE(doc1.has_value());
-  const auto* srv1 = doc1->find("server");
-  ASSERT_NE(srv1, nullptr);
-  EXPECT_TRUE(srv1->find("trace_context")->boolean);
-  const double uptime1 = srv1->find("uptime_s")->number;
-  const auto requests1 = srv1->find("requests")->as_u64();
-  const auto misses1 = srv1->find("cache")->find("misses")->as_u64();
+  const auto doc1 = json_dump(client);
+  const double uptime1 = dump_fact(doc1, "gauges", "s2s.svc.uptime_s");
+  const double requests1 = dump_fact(doc1, "counters", "s2s.svc.requests");
+  const double misses1 = dump_fact(doc1, "counters", "s2s.svc.cache_misses");
 
   // Work the cache: one miss, one hit.
   svc::FigureQuery f;
@@ -683,17 +703,13 @@ TEST(SvcServer, StatsFieldsMoveBetweenCalls) {
   must_call(client, svc::MsgType::kFigureDigest, 0, payload);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
-  const auto doc2 =
-      obs::json::parse(must_call(client, svc::MsgType::kServerStats, 0, ""));
-  ASSERT_TRUE(doc2.has_value());
-  const auto* srv2 = doc2->find("server");
-  EXPECT_GT(srv2->find("uptime_s")->number, uptime1);
-  EXPECT_GT(srv2->find("requests")->as_u64(), requests1);
-  EXPECT_GT(srv2->find("cache")->find("misses")->as_u64(), misses1);
-  EXPECT_GE(srv2->find("cache")->find("hits")->as_u64(), 1u);
-  ASSERT_NE(srv2->find("slow_queries"), nullptr);
-  EXPECT_DOUBLE_EQ(srv2->find("slow_queries")->find("threshold_us")->number,
-                   0.0);
+  const auto doc2 = json_dump(client);
+  EXPECT_GT(dump_fact(doc2, "gauges", "s2s.svc.uptime_s"), uptime1);
+  EXPECT_GT(dump_fact(doc2, "counters", "s2s.svc.requests"), requests1);
+  EXPECT_GT(dump_fact(doc2, "counters", "s2s.svc.cache_misses"), misses1);
+  EXPECT_GE(dump_fact(doc2, "counters", "s2s.svc.cache_hits"), 1.0);
+  // The slow-query log is off by default, so it emits nothing.
+  EXPECT_EQ(dump_fact(doc2, "counters", "s2s.svc.slow_queries.emitted"), 0.0);
 }
 
 TEST(SvcServer, SlowQueriesEmitStructuredLines) {
@@ -713,26 +729,24 @@ TEST(SvcServer, SlowQueriesEmitStructuredLines) {
     must_call(client, svc::MsgType::kFigureDigest, 0,
               svc::encode_figure_query(f));
     ts.drain();  // the event loop owns the log; flush before reading
-    EXPECT_GE(ts.server().slow_log().emitted(), 1u);
-    const auto entries = ts.server().slow_log().entries();
-    ASSERT_FALSE(entries.empty());
-    EXPECT_EQ(entries.front().type, "figure_digest");
-    EXPECT_GT(entries.front().total_us, 0);
-    EXPECT_EQ(entries.front().response, "ok");
+    EXPECT_GE(server_counter(ts.server(), "s2s.svc.slow_queries.emitted"),
+              1u);
   }
   obs::set_log_sink({});
   const std::lock_guard<std::mutex> lock(mu);
-  bool saw_slow_query = false;
+  bool saw_figure = false;
   for (const auto& line : lines) {
     if (line.rfind("slow_query {", 0) == 0) {
-      saw_slow_query = true;
       const auto doc = obs::json::parse(line.substr(11));
       ASSERT_TRUE(doc.has_value()) << line;
-      EXPECT_NE(doc->find("type"), nullptr);
-      EXPECT_NE(doc->find("total_us"), nullptr);
+      ASSERT_NE(doc->find("type"), nullptr) << line;
+      EXPECT_GT(doc->find("total_us")->as_i64(), 0) << line;
+      if (doc->find("type")->string != "figure_digest") continue;
+      saw_figure = true;
+      EXPECT_EQ(doc->find("response")->string, "ok") << line;
     }
   }
-  EXPECT_TRUE(saw_slow_query);
+  EXPECT_TRUE(saw_figure);
 }
 
 TEST(SvcServer, RetryingClientAndServerSpansShareTraceIds) {
@@ -788,10 +802,11 @@ TEST(SvcServer, ReloadKeepsServingAndStatsReport) {
   must_call(client, svc::MsgType::kPingEcho, 0, "");
   ts.server().request_reload();
   // The reload happens on the event loop; the next request observes it.
-  const std::string stats =
-      must_call(client, svc::MsgType::kServerStats, 0, "");
-  EXPECT_NE(stats.find("\"type\":\"server_stats\""), std::string::npos);
-  EXPECT_NE(stats.find("\"loaded\":true"), std::string::npos) << stats;
+  const auto doc = json_dump(client);
+  EXPECT_EQ(doc.find("type")->string, "metrics_dump");
+  EXPECT_EQ(dump_fact(doc, "counters", "s2s.svc.reloads"), 1.0);
+  // The reloaded snapshot is loaded: it reports its ingest facts.
+  EXPECT_GT(dump_fact(doc, "counters", "s2s.io.binrec.records_read"), 0.0);
   must_call(client, svc::MsgType::kPingEcho, 0, "");
   EXPECT_EQ(ts.server().reloads(), 1u);
 }

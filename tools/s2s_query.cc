@@ -4,9 +4,6 @@
 //
 // Commands:
 //   ping                          liveness echo
-//   stats                         server + dataset counters
-//   live                          live-ingest status: watermark epoch,
-//                                 sealed bytes, lag, pairs tracked
 //   pair-rtt SRC DST FAM          RTT quantiles (add --series for samples)
 //   prevalence SRC DST FAM [CAP]  ranked AS-path prevalence
 //   verdict SRC DST FAM           congestion verdict for the ping series
@@ -17,9 +14,12 @@
 //                                 returned as a raw `.s2sb` image; prints
 //                                 a JSON summary (record/block counts),
 //                                 or add --out PATH to save the image
-//   scrape [prom|json]            live metrics dump (default prom); the
-//                                 Prometheus text is what a scraper
-//                                 ingests, the JSON is what s2s_top reads
+//   scrape [prom|json]            metrics dump (default prom): every
+//                                 s2s.svc.* serving fact, the dataset's
+//                                 load facts and, on a live shard, the
+//                                 s2s.live.* watermark; the Prometheus
+//                                 text is what a scraper ingests, the
+//                                 JSON is what s2s_top reads
 //
 // --no-cache asks the server to skip the result-cache lookup (the
 // response is still inserted). Prints the response JSON payload on
@@ -63,7 +63,7 @@ int usage() {
                "[--hedge-delay-ms N]\n"
                "  [--burst N] [--trace] [--report PATH] [--out PATH] "
                "<command>\n"
-               "  ping | stats | live | scrape [prom|json] | figure N |\n"
+               "  ping | scrape [prom|json] | figure N |\n"
                "  dualstack SRC DST | pair-rtt SRC DST FAM |\n"
                "  prevalence SRC DST FAM [CAP] | verdict SRC DST FAM |\n"
                "  slice T0 T1\n");
@@ -160,10 +160,6 @@ int main(int argc, char** argv) {
   std::string payload;
   if (command == "ping") {
     type = svc::MsgType::kPingEcho;
-  } else if (command == "stats") {
-    type = svc::MsgType::kServerStats;
-  } else if (command == "live") {
-    type = svc::MsgType::kLiveStatus;
   } else if (command == "pair-rtt") {
     svc::PairQuery q;
     if (!pair_args(3, q)) return usage();
